@@ -2,7 +2,8 @@
 //! stream generation, AND/OR MAC, wide accumulation, and skipped pooling —
 //! plus the fused word-level kernels of the zero-allocation MAC rewrite
 //! (fused `acc |= a & w`, single-pass SNG bank fill, and a full
-//! `mac_segment`-shaped proxy reporting ns per MAC lane).
+//! `mac_segment`-shaped proxy reporting ns per MAC lane), and the tiled
+//! MAC path across tile widths under both kernel choices.
 //!
 //! Runs on the repo's built-in harness (`acoustic_bench::harness`) — the
 //! offline build has no criterion. Pass `--quick` for a short CI run.
@@ -11,7 +12,6 @@
 
 use std::fmt::Write as _;
 use std::hint::black_box;
-use std::time::Instant;
 
 use acoustic_baselines::mux_tree::mux_tree_accumulate;
 use acoustic_bench::harness::{json_string, Harness};
@@ -21,25 +21,9 @@ use acoustic_core::sng::quantize_probability;
 use acoustic_core::{or_accumulate, Bitstream, Lfsr, Sng, SngBank, SplitUnipolarMac, SplitWeight};
 use acoustic_nn::layers::{AccumMode, AvgPool2d, Conv2d, Dense, Network, Relu};
 use acoustic_nn::Tensor;
-use acoustic_runtime::{BatchEngine, PreparedModel};
 use acoustic_simfunc::{
-    HostFingerprint, KernelChoice, KernelStats, ScSimulator, SimConfig, SimScratch, DEFAULT_TILE,
+    HostFingerprint, KernelChoice, KernelStats, ScSimulator, SimConfig, SimScratch,
 };
-
-/// Autotune comparison written into the results JSON: the pre-autotune
-/// status-quo plan (widest pre-existing tier, fixed tile) vs the
-/// calibrated plan on a zoo model.
-struct AutotunePoint {
-    model: &'static str,
-    stream_len: usize,
-    batch: usize,
-    prepare_secs: f64,
-    plan_kernel: &'static str,
-    plan_tile: usize,
-    calibration_ns: u64,
-    fixed_ns_per_image: f64,
-    autotuned_ns_per_image: f64,
-}
 
 fn lane_streams(k: usize, n: usize, v: f64) -> Vec<Bitstream> {
     (0..k)
@@ -191,60 +175,37 @@ fn main() {
         });
     }
 
-    // --- arch-aware dispatch: SIMD vs scalar, and image tiling -------------
+    // --- kernel choice and image tiling ------------------------------------
 
-    // Engine-level kernel comparison on a small conv+dense net. Stream 128
-    // keeps segments single-word (the register-accumulator path); stream 512
-    // produces 4-word segments where the AVX2 multi-word merge engages.
-    // `elements` is the number of MAC lanes presented to the kernels, so
-    // ns_per_elem reads as ns per lane.
+    // One weight-bank walk shared by `tile` images, under each kernel
+    // choice, on a small conv+dense net at stream 128 (single-word
+    // segments). `auto` runs the AVX-512 block on 8-image groups where the
+    // host has `avx512f`; a tile of 1 is a solo run, scalar under either
+    // choice. `elements` is the tile width, so ns_per_elem reads as ns per
+    // image.
     let net = bench_net();
-    let image = bench_image(0);
     let mut scratch = SimScratch::default();
     let mut skips: Vec<(String, KernelStats)> = Vec::new();
-    for stream_len in [128usize, 512] {
-        for (tag, choice) in [
-            ("scalar", KernelChoice::Scalar),
-            ("autovec", KernelChoice::Autovec),
-            ("auto", KernelChoice::Auto),
-        ] {
-            let cfg = SimConfig {
-                kernel: choice,
-                ..SimConfig::with_stream_len(stream_len).unwrap()
-            };
-            let sim = ScSimulator::new(cfg);
-            let prepared = sim.prepare(&net).unwrap();
-            scratch.take_kernel_stats();
-            sim.run_prepared_with(&prepared, &image, &mut scratch)
-                .unwrap();
-            let stats = scratch.take_kernel_stats();
-            let lanes = stats.mac_lanes + stats.sat_lanes_skipped + stats.zero_seg_skips;
-            let id = format!("{tag}_{stream_len}");
-            h.bench("simd_vs_scalar", &id, Some(lanes), || {
-                black_box(
-                    sim.run_prepared_with(&prepared, &image, &mut scratch)
-                        .unwrap(),
-                )
-            });
-            skips.push((format!("simd_vs_scalar/{id}"), stats));
-        }
-    }
-
-    // Image-tiling sweep: one weight-bank walk shared by `tile` images.
-    // `elements` is the tile width, so ns_per_elem reads as ns per image.
-    {
-        let cfg = SimConfig::with_stream_len(128).unwrap();
+    for (tag, kernel) in [
+        ("scalar", KernelChoice::Scalar),
+        ("auto", KernelChoice::Auto),
+    ] {
+        let cfg = SimConfig {
+            kernel,
+            ..SimConfig::with_stream_len(128).unwrap()
+        };
         let sim = ScSimulator::new(cfg);
         let prepared = sim.prepare(&net).unwrap();
-        for tile in [1usize, 2, 4, 8, 16] {
+        for tile in [1usize, 2, 4, 8, 16, 64] {
             let images: Vec<Tensor> = (0..tile).map(bench_image).collect();
             let refs: Vec<&Tensor> = images.iter().collect();
             let seeds: Vec<u32> = (0..tile as u32).map(|i| 0xACE1 + i).collect();
+            let id = format!("{tag}_{tile}");
             scratch.take_kernel_stats();
             sim.run_prepared_tile_with(&prepared, &refs, &seeds, &mut scratch)
                 .unwrap();
-            skips.push((format!("tile_sweep/{tile}"), scratch.take_kernel_stats()));
-            h.bench("tile_sweep", tile, Some(tile as u64), || {
+            skips.push((format!("tile_sweep/{id}"), scratch.take_kernel_stats()));
+            h.bench("tile_sweep", &id, Some(tile as u64), || {
                 black_box(
                     sim.run_prepared_tile_with(&prepared, &refs, &seeds, &mut scratch)
                         .unwrap(),
@@ -253,88 +214,8 @@ fn main() {
         }
     }
 
-    // --- prepare-time tile autotuning: fixed default plan vs calibrated ---
-
-    // Zoo-model batch throughput under the pre-autotune status quo (the
-    // widest pre-existing SIMD tier at the historical fixed tile of 16)
-    // vs the calibrated (kernel, tile) plan the prepared model now
-    // carries. `elements` is the batch size, so ns_per_elem reads as ns
-    // per image.
-    let autotune = {
-        let quick = std::env::args().any(|a| a == "--quick")
-            || std::env::var_os("ACOUSTIC_BENCH_QUICK").is_some();
-        // Batch must be at least the largest tile candidate, or the
-        // autotuned plan can never form its preferred tile width.
-        let (batch, stream_len) = if quick { (16usize, 64usize) } else { (64, 128) };
-        let zoo_net = acoustic_bench::models::lenet5(AccumMode::OrApprox).unwrap();
-        let inputs: Vec<Tensor> = acoustic_datasets::mnist_like(batch, 7, 10)
-            .train
-            .into_iter()
-            .map(|(x, _)| x)
-            .collect();
-        let cfg = SimConfig::with_stream_len(stream_len).unwrap();
-
-        let fixed_cfg = SimConfig {
-            kernel: KernelChoice::Avx2,
-            ..cfg
-        };
-        let fixed_model = PreparedModel::compile(fixed_cfg, &zoo_net).unwrap();
-        let fixed_engine = BatchEngine::new(1)
-            .unwrap()
-            .with_tile_size(DEFAULT_TILE)
-            .unwrap();
-
-        let prep = Instant::now();
-        let tuned_model = PreparedModel::compile(cfg, &zoo_net).unwrap();
-        let prepare_secs = prep.elapsed().as_secs_f64();
-        let tuned_engine = BatchEngine::new(1).unwrap();
-
-        // The plan is a pure throughput lever — logits stay bit-identical.
-        assert_eq!(
-            fixed_engine.run(&fixed_model, &inputs).unwrap(),
-            tuned_engine.run(&tuned_model, &inputs).unwrap(),
-            "autotuned plan changed logits"
-        );
-
-        // Compare on best-of-batches: one whole-batch inference per
-        // iteration is long enough that scheduler noise dominates the
-        // mean on small hosts, and min is the standard robust estimator.
-        let n = inputs.len() as u64;
-        let fixed_ns = h
-            .bench("autotune", "fixed_tile16", Some(n), || {
-                black_box(fixed_engine.run(&fixed_model, &inputs).unwrap())
-            })
-            .min_ns;
-        let tuned_ns = h
-            .bench("autotune", "autotuned", Some(n), || {
-                black_box(tuned_engine.run(&tuned_model, &inputs).unwrap())
-            })
-            .min_ns;
-        let plan = tuned_model.plan();
-        println!(
-            "autotune: lenet5 plan = {} kernel, tile {} ({:.2} ms calibration, \
-             {:.1}% of prepare); {:.3}x vs fixed tile {DEFAULT_TILE}",
-            plan.kernel.name(),
-            plan.tile,
-            plan.calibration_ns as f64 / 1e6,
-            100.0 * plan.calibration_ns as f64 / 1e9 / prepare_secs.max(f64::MIN_POSITIVE),
-            fixed_ns / tuned_ns
-        );
-        AutotunePoint {
-            model: "lenet5/or_approx",
-            stream_len,
-            batch,
-            prepare_secs,
-            plan_kernel: plan.kernel.name(),
-            plan_tile: plan.tile,
-            calibration_ns: plan.calibration_ns,
-            fixed_ns_per_image: fixed_ns / batch as f64,
-            autotuned_ns_per_image: tuned_ns / batch as f64,
-        }
-    };
-
     h.finish();
-    write_results(&h, &skips, &autotune);
+    write_results(&h, &skips);
 }
 
 /// Small conv+pool+dense net for the engine-level kernel benches.
@@ -375,32 +256,12 @@ fn bench_image(i: usize) -> Tensor {
 }
 
 /// Writes every measurement (with derived ns/element where available),
-/// the engine-level skip-rate counters, the host fingerprint, and the
-/// autotune comparison to `results/BENCH_kernels.json`.
-fn write_results(h: &Harness, skips: &[(String, KernelStats)], autotune: &AutotunePoint) {
+/// the engine-level skip-rate counters and the host fingerprint to
+/// `results/BENCH_kernels.json`.
+fn write_results(h: &Harness, skips: &[(String, KernelStats)]) {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"bench\": {},", json_string("sc_kernels"));
     let _ = writeln!(out, "  \"host\": {},", HostFingerprint::detect().json());
-    let speedup = autotune.fixed_ns_per_image / autotune.autotuned_ns_per_image;
-    let _ = writeln!(
-        out,
-        "  \"autotune\": {{\"model\": {}, \"stream_len\": {}, \"batch\": {}, \
-         \"plan_kernel\": {}, \"plan_tile\": {}, \"calibration_ns\": {}, \
-         \"prepare_secs\": {:.6}, \"calibration_fraction_of_prepare\": {:.6}, \
-         \"fixed_tile16_best_ns_per_image\": {:.1}, \"autotuned_best_ns_per_image\": {:.1}, \
-         \"speedup_vs_fixed\": {:.4}}},",
-        json_string(autotune.model),
-        autotune.stream_len,
-        autotune.batch,
-        json_string(autotune.plan_kernel),
-        autotune.plan_tile,
-        autotune.calibration_ns,
-        autotune.prepare_secs,
-        autotune.calibration_ns as f64 / 1e9 / autotune.prepare_secs.max(f64::MIN_POSITIVE),
-        autotune.fixed_ns_per_image,
-        autotune.autotuned_ns_per_image,
-        speedup,
-    );
     out.push_str("  \"skip_rates\": [\n");
     for (i, (id, s)) in skips.iter().enumerate() {
         let presented = s.mac_lanes + s.sat_lanes_skipped + s.zero_seg_skips;

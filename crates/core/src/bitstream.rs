@@ -413,24 +413,16 @@ pub fn count_ones_words_auto(words: &[u64]) -> u64 {
     count_ones_words(words)
 }
 
-/// x86-64 SIMD popcount kernels, dispatched at run time by
-/// [`count_ones_words_auto`] and the simulator's AVX2 MAC kernel.
+/// x86-64 SIMD popcount kernel, dispatched at run time by
+/// [`count_ones_words_auto`].
 #[cfg(target_arch = "x86_64")]
 pub mod x86 {
     use std::sync::OnceLock;
 
-    /// Whether the AVX2 kernels are usable on this host (cpuid, cached).
+    /// Whether the AVX2 popcount is usable on this host (cpuid, cached).
     pub fn avx2_available() -> bool {
         static AVX2: OnceLock<bool> = OnceLock::new();
         *AVX2.get_or_init(|| std::is_x86_feature_detected!("avx2"))
-    }
-
-    /// Whether the AVX-512 kernels are usable on this host (cpuid, cached).
-    /// Requires both `avx512f` (the 512-bit ALU ops) and AVX2 (the popcount
-    /// tail shared with the 256-bit kernels).
-    pub fn avx512_available() -> bool {
-        static AVX512: OnceLock<bool> = OnceLock::new();
-        *AVX512.get_or_init(|| std::is_x86_feature_detected!("avx512f") && avx2_available())
     }
 
     /// Popcount of a packed word buffer via the Mula/Harley-Seal vectorized

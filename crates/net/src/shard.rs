@@ -1,9 +1,7 @@
 //! Sharded, bounded, *rejecting* MPMC admission queue with work-stealing.
 //!
-//! The serving layer's original `BoundedQueue` is a single mutex+condvar
-//! pair — correct, but every acceptor and every worker contends on one
-//! lock. `ShardedQueue` splits the same contract across per-worker-group
-//! shards:
+//! `ShardedQueue` splits the queue across per-worker-group shards, so
+//! acceptors and workers do not all contend on one lock:
 //!
 //! * **Capacity is global and exact.** The requested capacity is divided
 //!   across shards (shard `i` gets `base + (i < extra)`), so the sum of

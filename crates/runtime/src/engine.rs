@@ -13,19 +13,12 @@ use std::time::{Duration, Instant};
 
 use acoustic_nn::train::Sample;
 use acoustic_nn::Tensor;
-use acoustic_simfunc::{KernelStats, SimError, SimScratch, StepTiming};
+use acoustic_simfunc::{KernelStats, SimError, SimScratch, StepTiming, TILE};
 
 use crate::{BatchReport, ExitPolicy, KernelCounters, LayerTiming, PreparedModel, RuntimeError};
 
 /// Default number of images a worker claims per queue access.
 const DEFAULT_CHUNK: usize = 8;
-
-// Tile width — how many images share one weight-bank walk on the
-// fixed-length (non-adaptive) paths — is no longer a fixed constant: each
-// `PreparedModel` carries an autotuned `TilePlan` chosen by a prepare-time
-// calibration sweep over candidate tiles × available kernels on the model's
-// real bank geometry (`acoustic_simfunc::autotune`). The engine follows the
-// model's plan unless `with_tile_size` pins an explicit width.
 
 /// One admitted serving request, ready for batch execution.
 ///
@@ -95,9 +88,6 @@ const MARGIN_OVERRIDE_TEMPLATE: ExitPolicy = ExitPolicy {
 pub struct BatchEngine {
     workers: usize,
     chunk_size: usize,
-    /// Explicit tile-width override; `None` follows each model's autotuned
-    /// [`TilePlan`](acoustic_simfunc::TilePlan).
-    tile_size: Option<usize>,
     exit_policy: Option<ExitPolicy>,
 }
 
@@ -116,7 +106,6 @@ impl BatchEngine {
         Ok(BatchEngine {
             workers,
             chunk_size: DEFAULT_CHUNK,
-            tile_size: None,
             exit_policy: None,
         })
     }
@@ -138,43 +127,6 @@ impl BatchEngine {
         }
         self.chunk_size = chunk_size;
         Ok(self)
-    }
-
-    /// Pins how many images share one weight-bank walk on the fixed-length
-    /// paths ([`BatchEngine::run`], [`BatchEngine::evaluate`], and tileable
-    /// [`BatchEngine::run_ready`] requests), overriding each model's
-    /// autotuned [`TilePlan`](acoustic_simfunc::TilePlan). `1` disables
-    /// tiling.
-    ///
-    /// Tiling never affects results: tiled execution is bit-identical to
-    /// running every image solo at its own seed index (the kernel layer's
-    /// tiling invariant), so this knob trades nothing but memory for
-    /// weight-stream locality.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::InvalidConfig`] if `tile_size` is zero.
-    pub fn with_tile_size(mut self, tile_size: usize) -> Result<Self, RuntimeError> {
-        if tile_size == 0 {
-            return Err(RuntimeError::InvalidConfig(
-                "tile size must be at least 1".into(),
-            ));
-        }
-        self.tile_size = Some(tile_size);
-        Ok(self)
-    }
-
-    /// The explicit tile-width override, if one was pinned with
-    /// [`BatchEngine::with_tile_size`]; `None` follows each model's
-    /// autotuned plan.
-    pub fn tile_size(&self) -> Option<usize> {
-        self.tile_size
-    }
-
-    /// The tile width used for `model`: the explicit override when pinned,
-    /// the model's autotuned plan otherwise.
-    pub fn effective_tile(&self, model: &PreparedModel) -> usize {
-        self.tile_size.unwrap_or_else(|| model.plan().tile)
     }
 
     /// Attaches an early-exit policy; the engine runs each image at the
@@ -234,7 +186,7 @@ impl BatchEngine {
                 Ok(pairs.into_iter().map(|(logits, _)| logits).collect())
             }
             None => {
-                let tiles = consecutive_tiles(inputs.len(), self.effective_tile(model));
+                let tiles = consecutive_tiles(inputs.len(), TILE);
                 let (per_tile, _, _) = self.dispatch(model, tiles.len(), |ti, scratch| {
                     let (lo, hi) = tiles[ti];
                     Ok(run_tile_or_solo(model, inputs, lo, hi, scratch, None))
@@ -323,7 +275,7 @@ impl BatchEngine {
         }
         let policy = self.exit_policy;
         let full_len = model.max_stream_len();
-        let units = ready_units(requests, &policy, self.effective_tile(model));
+        let units = ready_units(requests, &policy);
         let tally = TileTally::default();
 
         // One solo request, exactly as the pre-tiling engine ran it.
@@ -446,11 +398,7 @@ impl BatchEngine {
         let full_len = model.config().stream_len;
         // The adaptive path escalates per image, so it cannot tile; the
         // fixed-length path tiles consecutive samples.
-        let tile = if policy.is_some() {
-            1
-        } else {
-            self.effective_tile(model)
-        };
+        let tile = if policy.is_some() { 1 } else { TILE };
         let tiles = consecutive_tiles(samples.len(), tile);
         let tally = TileTally::default();
         let (per_tile, cpu_busy, stats) = self.dispatch(model, tiles.len(), |ti, scratch| {
@@ -710,19 +658,15 @@ enum ReadyUnit {
 /// Adaptive requests (margin override, or plain requests under an engine
 /// policy) are always solo. Fixed-length requests group by effective
 /// stream length; a group flushes into a tile as soon as it reaches
-/// `tile_size`, and leftovers flush at the end in first-appearance order.
-/// The unit list is a pure function of `(requests, policy, tile_size)` —
-/// never of worker scheduling.
-fn ready_units(
-    requests: &[ReadyRequest<'_>],
-    policy: &Option<ExitPolicy>,
-    tile_size: usize,
-) -> Vec<ReadyUnit> {
+/// [`TILE`], and leftovers flush at the end in first-appearance order.
+/// The unit list is a pure function of `(requests, policy)` — never of
+/// worker scheduling.
+fn ready_units(requests: &[ReadyRequest<'_>], policy: &Option<ExitPolicy>) -> Vec<ReadyUnit> {
     let mut units = Vec::new();
     let mut groups: Vec<(Option<usize>, Vec<usize>)> = Vec::new();
     for (i, r) in requests.iter().enumerate() {
         let adaptive = r.margin.is_some() || (r.stream_len.is_none() && policy.is_some());
-        if tile_size <= 1 || adaptive {
+        if adaptive {
             units.push(ReadyUnit::Solo(i));
             continue;
         }
@@ -733,7 +677,7 @@ fn ready_units(
         }
         let full = groups
             .iter_mut()
-            .find(|(k, members)| *k == key && members.len() == tile_size);
+            .find(|(k, members)| *k == key && members.len() == TILE);
         if let Some((_, members)) = full {
             units.push(ReadyUnit::Tile {
                 len: key,
@@ -823,40 +767,18 @@ mod tests {
     fn rejects_zero_workers_and_zero_chunk() {
         assert!(BatchEngine::new(0).is_err());
         assert!(BatchEngine::new(2).unwrap().with_chunk_size(0).is_err());
-        assert!(BatchEngine::new(2).unwrap().with_tile_size(0).is_err());
-        // No explicit override by default — the engine follows each model's
-        // autotuned plan.
-        assert_eq!(BatchEngine::new(2).unwrap().tile_size(), None);
-        assert_eq!(
-            BatchEngine::new(2)
-                .unwrap()
-                .with_tile_size(4)
-                .unwrap()
-                .tile_size(),
-            Some(4)
-        );
     }
 
     #[test]
-    fn run_is_tile_size_invariant() {
+    fn run_matches_solo_per_image() {
         let model =
             PreparedModel::compile(SimConfig::with_stream_len(64).unwrap(), &small_net()).unwrap();
         let xs = inputs(11);
-        // tile_size 1 is the pre-tiling solo path — the golden reference.
-        let solo = BatchEngine::new(1)
-            .unwrap()
-            .with_tile_size(1)
-            .unwrap()
-            .run(&model, &xs)
-            .unwrap();
-        for tile in [2, 3, 4, 8, 16] {
-            let tiled = BatchEngine::new(1)
-                .unwrap()
-                .with_tile_size(tile)
-                .unwrap()
-                .run(&model, &xs)
-                .unwrap();
-            assert_eq!(solo, tiled, "tile={tile}");
+        let mut scratch = SimScratch::default();
+        let tiled = BatchEngine::new(1).unwrap().run(&model, &xs).unwrap();
+        for (i, x) in xs.iter().enumerate() {
+            let solo = model.logits_with(i as u64, x, &mut scratch).unwrap();
+            assert_eq!(tiled[i], solo, "image {i}");
         }
     }
 
@@ -900,8 +822,8 @@ mod tests {
         // Prepared net with clamped relu folded: conv, relu, flatten, dense.
         assert_eq!(report.layer_timings.len(), model.prepared().step_count());
         // Fixed-length evaluation tiles consecutive samples: one call per
-        // tile, at the model's autotuned tile width.
-        let tiles = 6usize.div_ceil(model.plan().tile) as u64;
+        // tile of up to TILE images.
+        let tiles = 6usize.div_ceil(TILE) as u64;
         assert!(report.layer_timings.iter().all(|t| t.calls == tiles));
         assert_eq!(report.kernel.tiles, tiles);
         assert_eq!(report.kernel.tiled_images, 6);
@@ -1010,56 +932,75 @@ mod tests {
         assert_eq!(got[0].as_ref().unwrap().effective_len, want_len);
     }
 
+    /// A tile unit's stream-length override and member count.
+    type TileShape = (Option<usize>, usize);
+
     #[test]
     fn run_ready_tiles_compatible_requests_and_counts_them() {
         let model =
             PreparedModel::compile(SimConfig::with_stream_len(128).unwrap(), &small_net()).unwrap();
-        let xs = inputs(7);
-        // A mix of plain (full-length) and prefix-override requests, plus
-        // one adaptive request that must run solo.
-        let reqs: Vec<ReadyRequest> = xs
-            .iter()
-            .enumerate()
-            .map(|(i, x)| match i {
-                2 | 5 => ReadyRequest {
-                    stream_len: Some(64),
+        // Plain (full-length) requests mixed with prefix-override requests
+        // and one adaptive request that must run solo. The second case has
+        // 2*TILE+3 plain requests, so the plain group is cut into two full
+        // tiles mid-batch plus a 3-request remainder.
+        // (requests, prefix-request indices, adaptive index, tile shapes)
+        type Case = (usize, &'static [usize], usize, &'static [TileShape]);
+        let cases: [Case; 2] = [
+            (7, &[2, 5], 3, &[(None, 4), (Some(64), 2)]),
+            (
+                2 * TILE + 7,
+                &[10, 55, 100],
+                77,
+                &[(None, TILE), (None, TILE), (None, 3), (Some(64), 3)],
+            ),
+        ];
+        for (n, prefix, adaptive, shapes) in cases {
+            let xs = inputs(n);
+            let reqs: Vec<ReadyRequest> = xs
+                .iter()
+                .enumerate()
+                .map(|(i, x)| ReadyRequest {
+                    stream_len: prefix.contains(&i).then_some(64),
+                    margin: (i == adaptive).then_some(10.0),
                     ..ReadyRequest::plain(i as u64, x)
-                },
-                3 => ReadyRequest {
-                    margin: Some(10.0),
-                    ..ReadyRequest::plain(i as u64, x)
-                },
-                _ => ReadyRequest::plain(i as u64, x),
-            })
-            .collect();
-        let reference: Vec<ReadyOutcome> = BatchEngine::new(1)
-            .unwrap()
-            .with_tile_size(1)
-            .unwrap()
-            .run_ready(&model, &reqs)
-            .unwrap()
-            .into_iter()
-            .map(Result::unwrap)
-            .collect();
-        for (workers, tile) in [(1, 2), (1, 4), (3, 2), (3, 4)] {
-            let (got, counters) = BatchEngine::new(workers)
-                .unwrap()
-                .with_tile_size(tile)
-                .unwrap()
-                .run_ready_counted(&model, &reqs)
-                .unwrap();
-            for (i, out) in got.into_iter().enumerate() {
+                })
+                .collect();
+            // One tile per full group or leftover group, per stream length;
+            // the adaptive request never tiles.
+            let got_shapes: Vec<TileShape> = ready_units(&reqs, &None)
+                .iter()
+                .filter_map(|u| match u {
+                    ReadyUnit::Tile { len, members } => Some((*len, members.len())),
+                    ReadyUnit::Solo(_) => None,
+                })
+                .collect();
+            assert_eq!(got_shapes, shapes, "n={n}");
+            // A micro-batch of one runs solo: the per-request reference.
+            let solo = BatchEngine::new(1).unwrap();
+            let reference: Vec<ReadyOutcome> = reqs
+                .iter()
+                .map(|r| solo.run_ready(&model, &[*r]).unwrap().remove(0).unwrap())
+                .collect();
+            for workers in [1, 3] {
+                let (got, counters) = BatchEngine::new(workers)
+                    .unwrap()
+                    .run_ready_counted(&model, &reqs)
+                    .unwrap();
+                for (i, out) in got.into_iter().enumerate() {
+                    assert_eq!(out.unwrap(), reference[i], "n={n} workers={workers} i={i}");
+                }
                 assert_eq!(
-                    out.unwrap(),
-                    reference[i],
-                    "workers={workers} tile={tile} i={i}"
+                    counters.tiles,
+                    shapes.len() as u64,
+                    "n={n} workers={workers}"
                 );
+                assert_eq!(
+                    counters.tiled_images,
+                    n as u64 - 1,
+                    "n={n} workers={workers}"
+                );
+                assert!(counters.mac_lanes > 0);
             }
-            // 4 plain + 2 prefix requests are tileable; the adaptive one
-            // never is.
-            assert!(counters.tiles >= 2, "workers={workers} tile={tile}");
-            assert_eq!(counters.tiled_images, 6, "workers={workers} tile={tile}");
-            assert!(counters.mac_lanes > 0);
         }
     }
 

@@ -17,8 +17,8 @@ use acoustic_core::prng::splitmix64;
 use acoustic_nn::layers::Network;
 use acoustic_nn::Tensor;
 use acoustic_simfunc::{
-    DedupStats, HostFingerprint, KernelChoice, PrepareOptions, PreparedNetwork, ScSimulator,
-    SharedStreamPool, SimConfig, SimError, SimScratch, StepTiming, TilePlan,
+    DedupStats, PrepareOptions, PreparedNetwork, ScSimulator, SharedStreamPool, SimConfig,
+    SimError, SimScratch, StepTiming, TilePlan,
 };
 
 use crate::{ExitPolicy, RuntimeError};
@@ -49,36 +49,14 @@ pub struct PreparedModel {
     cfg: SimConfig,
     prepared: PreparedNetwork,
     fingerprint: u64,
-    plan: TilePlan,
     /// Wall-clock cost of the bank preparation (quantize + stream
-    /// generation; excludes the autotune sweep), in nanoseconds.
+    /// generation), in nanoseconds.
     prepare_ns: u64,
-}
-
-/// The autotuned plan for `(model fingerprint, host fingerprint)`, computed
-/// once per process and memoized. The memo is what makes plan selection
-/// deterministic within a process: recompiling the same model (cache
-/// eviction, a second `ModelCache`, a test re-preparing a network) replays
-/// the recorded plan instead of re-racing the micro-benchmark against
-/// scheduler noise.
-fn cached_plan(model_fp: u64, sim: &ScSimulator, prepared: &PreparedNetwork) -> TilePlan {
-    static PLANS: Mutex<Option<HashMap<(u64, u64), TilePlan>>> = Mutex::new(None);
-    let host = HostFingerprint::detect().id();
-    let mut guard = PLANS.lock().expect("plan cache poisoned");
-    let plans = guard.get_or_insert_with(HashMap::new);
-    if let Some(plan) = plans.get(&(model_fp, host)) {
-        return *plan;
-    }
-    let plan = sim.calibrate_plan(prepared);
-    plans.insert((model_fp, host), plan);
-    plan
 }
 
 impl PreparedModel {
     /// Quantizes `network`'s weights and generates all split-unipolar
-    /// weight streams — once — then runs the prepare-time calibration
-    /// sweep that picks this model's (kernel, tile) execution plan (see
-    /// [`PreparedModel::plan`]).
+    /// weight streams — once.
     ///
     /// # Errors
     ///
@@ -105,41 +83,28 @@ impl PreparedModel {
         let started = std::time::Instant::now();
         let prepared = sim.prepare_with(network, opts)?;
         let prepare_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let fingerprint = cache_key(network, &cfg);
-        let plan = cached_plan(fingerprint, &sim, &prepared);
         Ok(PreparedModel {
             cfg,
             prepared,
-            fingerprint,
-            plan,
+            fingerprint: cache_key(network, &cfg),
             prepare_ns,
         })
     }
 
     /// Wall-clock nanoseconds the bank preparation took (quantization plus
-    /// weight-stream generation; the autotune sweep is excluded). A warm
+    /// weight-stream generation). A warm
     /// re-prepare against a shared pool shows up here as a sharply smaller
     /// figure — the number the serve stats and the prepare bench surface.
     pub fn prepare_ns(&self) -> u64 {
         self.prepare_ns
     }
 
-    /// The autotuned (kernel, tile) execution plan chosen at prepare time.
-    ///
-    /// Every `logits_*` entry point pins its simulator to `plan.kernel`
-    /// (bit-identical to any other kernel, so only throughput changes),
-    /// and the batch engine tiles ready requests in groups of `plan.tile`
-    /// unless explicitly overridden.
+    /// The (kernel, tile) execution plan: the host rule of
+    /// [`TilePlan::for_choice`] for the configured kernel choice. Every
+    /// `logits_*` entry point runs `plan.kernel`, and the batch engine
+    /// tiles images in groups of `plan.tile`.
     pub fn plan(&self) -> TilePlan {
-        self.plan
-    }
-
-    /// The prepared config with the kernel pinned to the autotuned plan.
-    fn run_cfg(&self) -> SimConfig {
-        SimConfig {
-            kernel: KernelChoice::pinned(self.plan.kernel),
-            ..self.cfg
-        }
+        TilePlan::for_choice(self.cfg.kernel)
     }
 
     /// The simulation configuration the model was prepared with.
@@ -186,10 +151,9 @@ impl PreparedModel {
         self.prepared.dedup_stats()
     }
 
-    /// A simulator whose activation seed is derived for `image_index` and
-    /// whose kernel is pinned to the autotuned plan.
+    /// A simulator whose activation seed is derived for `image_index`.
     fn image_sim(&self, image_index: u64) -> ScSimulator {
-        let mut cfg = self.run_cfg();
+        let mut cfg = self.cfg;
         cfg.act_seed = derive_image_seed(self.cfg.act_seed, image_index);
         ScSimulator::new(cfg)
     }
@@ -275,12 +239,7 @@ impl PreparedModel {
         scratch: &mut SimScratch,
     ) -> Result<Vec<Tensor>, SimError> {
         let seeds = self.tile_seeds(image_indices);
-        ScSimulator::new(self.run_cfg()).run_prepared_tile_with(
-            &self.prepared,
-            inputs,
-            &seeds,
-            scratch,
-        )
+        ScSimulator::new(self.cfg).run_prepared_tile_with(&self.prepared, inputs, &seeds, scratch)
     }
 
     /// Tiled variant of [`PreparedModel::logits_at_with`]: the whole tile
@@ -298,7 +257,7 @@ impl PreparedModel {
         scratch: &mut SimScratch,
     ) -> Result<Vec<Tensor>, SimError> {
         let seeds = self.tile_seeds(image_indices);
-        ScSimulator::new(self.run_cfg()).run_prepared_tile_at_with(
+        ScSimulator::new(self.cfg).run_prepared_tile_at_with(
             &self.prepared,
             inputs,
             &seeds,
@@ -321,7 +280,7 @@ impl PreparedModel {
         scratch: &mut SimScratch,
     ) -> Result<(Vec<Tensor>, Vec<StepTiming>), SimError> {
         let seeds = self.tile_seeds(image_indices);
-        ScSimulator::new(self.run_cfg()).run_prepared_tile_timed_with(
+        ScSimulator::new(self.cfg).run_prepared_tile_timed_with(
             &self.prepared,
             inputs,
             &seeds,

@@ -119,11 +119,9 @@ pub struct BatchReport {
     pub mean_effective_len: f64,
     /// Kernel skip/tile counters accumulated across the batch.
     pub kernel: KernelCounters,
-    /// The autotuned `(kernel, tile)` execution plan of the model the batch
-    /// ran on (prepare-time calibration; see `acoustic_simfunc::autotune`).
-    /// A property of the prepared model, constant across batches on it.
-    /// Note an engine-level `with_tile_size` override supersedes the plan's
-    /// tile width at execution time without changing this field.
+    /// The `(kernel, tile)` execution plan of the model the batch ran on
+    /// (see [`PreparedModel::plan`](crate::PreparedModel::plan)). A property
+    /// of the prepared model, constant across batches on it.
     pub plan: TilePlan,
     /// Weight-storage accounting of the model the batch ran on: lanes,
     /// distinct canonical streams, pool/index/resident bytes and the
@@ -181,10 +179,9 @@ impl fmt::Display for BatchReport {
         )?;
         writeln!(
             f,
-            "plan:  {} kernel, tile {} (calibrated in {:.2} ms)",
+            "plan:  {} kernel, tile {}",
             self.plan.kernel.name(),
-            self.plan.tile,
-            self.plan.calibration_ns as f64 / 1e6
+            self.plan.tile
         )?;
         writeln!(
             f,
@@ -247,9 +244,9 @@ mod tests {
                 tiled_images: 4,
             },
             plan: acoustic_simfunc::TilePlan {
-                kernel: acoustic_simfunc::KernelKind::Autovec,
-                tile: 32,
-                calibration_ns: 2_000_000,
+                kernel: acoustic_simfunc::KernelKind::Avx512,
+                tile: 64,
+                calibration_ns: 0,
             },
             dedup: DedupStats {
                 lanes: 100,
@@ -268,7 +265,7 @@ mod tests {
         assert!(text.contains("112.0 bits/image"));
         assert!(text.contains("40.0% skipped"));
         assert!(text.contains("4 images tiled in 1 tiles"));
-        assert!(text.contains("autovec kernel, tile 32"));
+        assert!(text.contains("avx512 kernel, tile 64"));
         assert!(text.contains("100 lanes over 25 distinct streams"));
         assert!(text.contains("4.0x dedup"));
         assert_eq!(r.layer_timings[0].mean(), Duration::from_millis(1));

@@ -98,6 +98,13 @@ fn report_is_consistent_across_worker_counts() {
     assert_eq!(serial.classes, 10);
     let row_sum: u64 = serial.confusion.iter().flatten().sum();
     assert_eq!(row_sum, 8);
+    // The report carries the model's plan.
+    assert_eq!(serial.plan, model.plan());
+    assert!(serial.to_string().contains(&format!(
+        "plan:  {} kernel, tile {}",
+        model.plan().kernel.name(),
+        model.plan().tile
+    )));
 }
 
 #[test]

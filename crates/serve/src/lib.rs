@@ -59,7 +59,6 @@
 pub mod client;
 pub mod loadgen;
 pub mod protocol;
-pub mod queue;
 mod reactor;
 pub mod registry;
 mod serve_error;

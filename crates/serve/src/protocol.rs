@@ -151,7 +151,7 @@ pub struct ErrorFrame {
 }
 
 /// Number of `u64` words in a [`StatsSnapshot`] wire payload.
-const STATS_WORDS: usize = 40;
+const STATS_WORDS: usize = 38;
 
 /// A point-in-time server statistics snapshot, servable over the wire.
 /// Payload: `STATS_WORDS` × `u64` in field order.
@@ -212,12 +212,6 @@ pub struct StatsSnapshot {
     pub materialized_bytes: u64,
     /// Weight-bank bytes actually resident across cached models.
     pub resident_bytes: u64,
-    /// Kernel-tier code (`KernelKind::code`) of the autotuned plan of the
-    /// most recently executed model — a gauge; 0 (`scalar`) until the
-    /// first micro-batch runs.
-    pub plan_kernel: u64,
-    /// Tile width of that plan (0 until the first micro-batch runs).
-    pub plan_tile: u64,
     /// Requests answered with `ShuttingDown` (arrived after the admission
     /// queue closed for shutdown).
     pub rejected_shutdown: u64,
@@ -319,8 +313,6 @@ impl StatsSnapshot {
             self.index_bytes,
             self.materialized_bytes,
             self.resident_bytes,
-            self.plan_kernel,
-            self.plan_tile,
             self.rejected_shutdown,
             self.shards,
             self.shard_depth_hwm,
@@ -364,27 +356,25 @@ impl StatsSnapshot {
             index_bytes: w[22],
             materialized_bytes: w[23],
             resident_bytes: w[24],
-            plan_kernel: w[25],
-            plan_tile: w[26],
-            rejected_shutdown: w[27],
-            shards: w[28],
-            shard_depth_hwm: w[29],
-            queue_steals: w[30],
-            active_connections: w[31],
-            conns_opened: w[32],
-            idle_reaped: w[33],
-            reactor_mode: w[34],
-            active_connections_hwm: w[35],
-            rejected_warming: w[36],
-            prepares_completed: w[37],
-            prepare_ms_total: w[38],
-            prepares_in_flight: w[39],
+            rejected_shutdown: w[25],
+            shards: w[26],
+            shard_depth_hwm: w[27],
+            queue_steals: w[28],
+            active_connections: w[29],
+            conns_opened: w[30],
+            idle_reaped: w[31],
+            reactor_mode: w[32],
+            active_connections_hwm: w[33],
+            rejected_warming: w[34],
+            prepares_completed: w[35],
+            prepare_ms_total: w[36],
+            prepares_in_flight: w[37],
         }
     }
 }
 
 /// A decoded protocol frame.
-// The stats variant dominates the enum size (40 gauge words), but stats
+// The stats variant dominates the enum size (38 gauge words), but stats
 // frames are rare one-off exchanges — boxing would cost every match site
 // for a path that is never hot.
 #[allow(clippy::large_enum_variant)]

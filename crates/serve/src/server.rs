@@ -1003,7 +1003,6 @@ fn execute_batch(batch: Vec<Pending>, engine: &BatchEngine, shared: &Arc<Shared>
             .run_ready_counted(&model, &requests)
             .map(|(outs, kernel)| {
                 shared.stats.absorb_kernel(&kernel);
-                shared.stats.record_plan(&model.plan());
                 outs
             });
         let service = started.elapsed();

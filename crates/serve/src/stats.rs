@@ -53,12 +53,6 @@ pub struct Stats {
     pub tiles: AtomicU64,
     /// Requests executed inside those tiles (the rest ran solo).
     pub tiled_requests: AtomicU64,
-    /// Kernel-tier code (`KernelKind::code`) of the autotuned plan of the
-    /// most recently executed model — a gauge, not a counter. On a
-    /// multi-model server this tracks whichever model ran last.
-    pub plan_kernel: AtomicU64,
-    /// Tile width of that plan (0 until the first micro-batch runs).
-    pub plan_tile: AtomicU64,
     /// `ShuttingDown` rejections (request arrived after the queue closed).
     pub rejected_shutdown: AtomicU64,
     /// Currently open client connections (gauge: incremented on accept,
@@ -141,8 +135,6 @@ impl Stats {
             zero_seg_skips: self.zero_seg_skips.load(Ordering::Relaxed),
             tiles: self.tiles.load(Ordering::Relaxed),
             tiled_requests: self.tiled_requests.load(Ordering::Relaxed),
-            plan_kernel: self.plan_kernel.load(Ordering::Relaxed),
-            plan_tile: self.plan_tile.load(Ordering::Relaxed),
             distinct_streams: dedup.distinct_streams,
             pool_bytes: dedup.pool_bytes,
             index_bytes: dedup.index_bytes,
@@ -172,14 +164,6 @@ impl Stats {
         Stats::add(&self.zero_seg_skips, k.zero_seg_skips);
         Stats::add(&self.tiles, k.tiles);
         Stats::add(&self.tiled_requests, k.tiled_images);
-    }
-
-    /// Records the autotuned plan of the model a micro-batch just ran on
-    /// (last-writer-wins gauges).
-    pub fn record_plan(&self, plan: &acoustic_runtime::TilePlan) {
-        self.plan_kernel
-            .store(plan.kernel.code(), Ordering::Relaxed);
-        self.plan_tile.store(plan.tile as u64, Ordering::Relaxed);
     }
 }
 

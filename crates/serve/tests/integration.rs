@@ -5,8 +5,9 @@
 //! requesting a long stream-length prefix rather than by sleeping, which
 //! keeps the overload/deadline scenarios reproducible on a 1-core host.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use acoustic_core::DetRng;
 use acoustic_nn::layers::{AccumMode, AvgPool2d, Conv2d, Dense, Network, Relu};
@@ -430,10 +431,6 @@ fn stats_travel_over_the_wire() {
     assert_eq!(snap.completed, 3);
     assert!(snap.batches >= 1);
     assert!(snap.mean_batch_size() >= 1.0);
-    // After at least one micro-batch, the plan gauges reflect the executed
-    // model's autotuned plan: a decodable kernel code and a non-zero tile.
-    assert!(acoustic_runtime::KernelKind::from_code(snap.plan_kernel).is_some());
-    assert!(snap.plan_tile > 0);
     handle.shutdown();
 }
 
@@ -557,11 +554,17 @@ fn many_persistent_connections_share_one_reactor() {
     );
     let addr = handle.addr();
     let images = tiny_images(4);
+    // A reply proves the server accepted that connection. Every client
+    // holds its connection open until all CONNS have had their first
+    // reply, so the server sees all of them open at once however fast it
+    // answers.
+    let first_replies = AtomicUsize::new(0);
 
     let replies: Vec<(u64, Vec<u32>)> = std::thread::scope(|scope| {
         let mut joins = Vec::new();
         for c in 0..CONNS as u64 {
             let images = &images;
+            let first_replies = &first_replies;
             joins.push(scope.spawn(move || {
                 let mut client = Client::connect(addr).unwrap();
                 let mut got = Vec::new();
@@ -575,6 +578,16 @@ fn many_persistent_connections_share_one_reactor() {
                             got.push((id, r.logits.iter().map(|v| v.to_bits()).collect()))
                         }
                         InferReply::Err(e) => panic!("conn {c} id {id}: {e:?}"),
+                    }
+                    if k == 0 {
+                        first_replies.fetch_add(1, Ordering::SeqCst);
+                        // Bounded, so a failed client fails the test
+                        // instead of hanging it.
+                        let deadline = Instant::now() + Duration::from_secs(60);
+                        while first_replies.load(Ordering::SeqCst) < CONNS {
+                            assert!(Instant::now() < deadline, "conn {c}: peers never answered");
+                            std::thread::sleep(Duration::from_millis(1));
+                        }
                     }
                 }
                 got

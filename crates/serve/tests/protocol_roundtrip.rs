@@ -104,8 +104,6 @@ fn stats_frames_roundtrip() {
         index_bytes: 23,
         materialized_bytes: 24,
         resident_bytes: 25,
-        plan_kernel: 3,
-        plan_tile: 32,
         rejected_shutdown: 33,
         shards: 34,
         shard_depth_hwm: 35,

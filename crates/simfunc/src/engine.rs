@@ -27,10 +27,9 @@ use crate::{SimConfig, SimError, WeightStorage};
 /// Comparator width of every SNG in the datapath (16-bit LFSRs).
 const SNG_WIDTH: u32 = 16;
 
-/// Environment variable overriding the prepare-time worker-thread count
-/// (parallel to `ACOUSTIC_FORCE_KERNEL` for kernel dispatch). Any positive
-/// integer; ignored when unset, unparsable or zero, and always overridden
-/// by an explicit [`PrepareOptions::threads`]. Thread count never affects
+/// Environment variable overriding the prepare-time worker-thread count.
+/// Any positive integer; ignored when unset, unparsable or zero, and
+/// always overridden by an explicit [`PrepareOptions::threads`]. Thread count never affects
 /// results — prepared banks are bit-identical for any value
 /// (test-enforced), so this is purely a wall-clock knob.
 pub const PREPARE_THREADS_ENV: &str = "ACOUSTIC_PREPARE_THREADS";
@@ -264,45 +263,6 @@ impl PreparedNetwork {
         }
         digest_steps(&self.steps, &mut h);
         h
-    }
-
-    /// The most expensive MAC step's full-length bank shape — the
-    /// calibration workload of the prepare-time tile autotuner. Cost proxy:
-    /// `outputs × fan_in × seg_words` (the tiled weight walk's word work).
-    pub(crate) fn heaviest_mac(&self) -> Option<crate::autotune::MacShape<'_>> {
-        fn walk<'a>(steps: &'a [Step], best: &mut Option<(usize, crate::autotune::MacShape<'a>)>) {
-            for s in steps {
-                let shape = match &s.op {
-                    StepOp::Conv(c) => {
-                        let fan_in = c.in_c * c.k * c.k;
-                        crate::autotune::MacShape {
-                            view: c.weights.level(0),
-                            fan_in,
-                            outs: c.out_c,
-                            segments: c.pool.map_or(1, |k| k * k),
-                        }
-                    }
-                    StepOp::Dense(d) => crate::autotune::MacShape {
-                        view: d.weights.level(0),
-                        fan_in: d.in_n,
-                        outs: d.out_n,
-                        segments: 1,
-                    },
-                    StepOp::Residual(inner) => {
-                        walk(inner, best);
-                        continue;
-                    }
-                    _ => continue,
-                };
-                let cost = shape.outs * shape.fan_in * shape.view.seg_words;
-                if best.as_ref().is_none_or(|&(b, _)| cost > b) {
-                    *best = Some((cost, shape));
-                }
-            }
-        }
-        let mut best = None;
-        walk(&self.steps, &mut best);
-        best.map(|(_, s)| s)
     }
 }
 
@@ -613,8 +573,8 @@ impl ScSimulator {
         self.execute(prepared, input, None, None, scratch, run)
     }
 
-    /// The full-length run selection with the kernel resolved against host
-    /// capabilities (and the force-scalar override).
+    /// The full-length run selection with the kernel resolved against the
+    /// host and the configured [`KernelChoice`](crate::KernelChoice).
     fn full_run(&self) -> RunLen {
         RunLen {
             level: 0,
@@ -627,14 +587,6 @@ impl ScSimulator {
     /// ACOUSTIC fabric default).
     fn or_group(&self) -> usize {
         self.cfg.or_group.unwrap_or(usize::MAX).max(1)
-    }
-
-    /// Runs the prepare-time calibration sweep for `prepared` and returns
-    /// the winning (kernel, tile) plan (see [`crate::autotune`]). Callers
-    /// cache the result per (model, host); the plan never changes logits —
-    /// every kernel × tile combination is bit-identical (test-enforced).
-    pub fn calibrate_plan(&self, prepared: &PreparedNetwork) -> crate::autotune::TilePlan {
-        crate::autotune::calibrate(&self.cfg, self.or_group(), prepared)
     }
 
     /// Runs one inference at a shorter stream-length prefix of the prepared
@@ -1524,7 +1476,6 @@ impl ScSimulator {
                     }
                     for oc in 0..c.out_c {
                         let d = kernels::mac_segment(
-                            run.kernel,
                             &geom,
                             acts.words(),
                             &acts.seg_zero,
@@ -1600,7 +1551,6 @@ impl ScSimulator {
         }
         for (o, slot) in out.iter_mut().enumerate() {
             let count = kernels::mac_segment(
-                run.kernel,
                 &geom,
                 acts.words(),
                 &acts.seg_zero,

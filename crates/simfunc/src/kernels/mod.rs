@@ -1,4 +1,4 @@
-//! Arch-aware MAC kernels behind a runtime dispatch layer.
+//! MAC kernels: the portable scalar kernel and one AVX-512 tile block.
 //!
 //! Every kernel computes the same function — one split-unipolar MAC phase
 //! over a pooling segment: AND each activation lane against its weight
@@ -20,32 +20,22 @@
 //!   per image; zero lanes still consume their OR-group slot (slot
 //!   occupancy is part of the grouped-accumulator semantics).
 //!
-//! Four dispatchable tiers implement that contract:
+//! Two kernels implement that contract:
 //!
-//! * [`scalar`] — the portable golden reference; accumulator in a register
-//!   for single-word segments.
-//! * [`autovec`] — portable blocked loops shaped so LLVM auto-vectorizes
-//!   the `acc |= act & weight` merge on any target; the default fallback
-//!   when no x86 SIMD tier is available.
-//! * [`avx2`] — 256-bit `vpand`/`vpor` merge, Mula/Harley-Seal popcount,
-//!   4 images per register in the lockstep tile walk (x86-64 only).
-//! * [`avx512`] — 512-bit merge packing 8 images per register in the
-//!   lockstep tile walk (x86-64 with `avx512f` only).
+//! * `scalar` — the portable golden reference; runs every shape.
+//! * `avx512` — one block: the single-word, single-OR-group lockstep
+//!   tile walk with 8 images per 512-bit register (x86-64 with `avx512f`
+//!   only). Every other shape — solo runs, tiles under 8 images,
+//!   multi-word segments and OR-grouped layers — runs scalar.
 //!
-//! Tier selection happens at run time via `is_x86_feature_detected!`; an
-//! explicitly requested tier the host lacks degrades gracefully to the
-//! widest available one (never to an instruction set the host lacks).
+//! Dispatch is one host rule ([`active_kernel`]): `avx512` when the CPU
+//! reports `avx512f`, `scalar` otherwise, or `scalar` whenever the
+//! configuration asks for the reference ([`KernelChoice::Scalar`]).
 
-pub(crate) mod autovec;
 pub(crate) mod scalar;
 
 #[cfg(target_arch = "x86_64")]
-pub(crate) mod avx2;
-
-#[cfg(target_arch = "x86_64")]
 pub(crate) mod avx512;
-
-use std::sync::OnceLock;
 
 use crate::banks::{ActBank, PhaseView};
 
@@ -53,30 +43,12 @@ use crate::banks::{ActBank, PhaseView};
 /// [`SimConfig::kernel`](crate::SimConfig::kernel)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelChoice {
-    /// Pick the fastest kernel the host supports, detected at run time.
+    /// The host rule: the AVX-512 tile block where `avx512f` is detected,
+    /// the scalar kernel otherwise.
     #[default]
     Auto,
     /// Always use the portable scalar kernel (the golden reference).
     Scalar,
-    /// Pin the portable auto-vectorized kernel.
-    Autovec,
-    /// Request the 256-bit AVX2 kernel (degrades to autovec off-x86).
-    Avx2,
-    /// Request the 512-bit AVX-512 kernel (degrades to AVX2, then autovec).
-    Avx512,
-}
-
-impl KernelChoice {
-    /// The choice that pins a resolved kernel tier — used to replay an
-    /// autotuned plan through `SimConfig.kernel`.
-    pub fn pinned(kind: KernelKind) -> KernelChoice {
-        match kind {
-            KernelKind::Scalar => KernelChoice::Scalar,
-            KernelKind::Autovec => KernelChoice::Autovec,
-            KernelKind::Avx2 => KernelChoice::Avx2,
-            KernelKind::Avx512 => KernelChoice::Avx512,
-        }
-    }
 }
 
 /// Resolved kernel implementation actually executing the MAC loops.
@@ -84,95 +56,24 @@ impl KernelChoice {
 pub enum KernelKind {
     /// Portable scalar kernel — runs everywhere, defines the semantics.
     Scalar,
-    /// Portable blocked kernel relying on LLVM auto-vectorization.
-    Autovec,
-    /// 256-bit AVX2 kernel (x86-64 only).
-    Avx2,
-    /// 512-bit AVX-512 kernel (x86-64 with `avx512f` only).
+    /// Scalar plus the AVX-512 tile block (x86-64 with `avx512f` only).
     Avx512,
 }
 
 impl KernelKind {
-    /// Stable lowercase name (matches [`FORCE_KERNEL_ENV`] values and the
-    /// serialized bench/stats schema).
+    /// Stable lowercase name (the serialized bench/stats schema).
     pub fn name(self) -> &'static str {
         match self {
             KernelKind::Scalar => "scalar",
-            KernelKind::Autovec => "autovec",
-            KernelKind::Avx2 => "avx2",
             KernelKind::Avx512 => "avx512",
         }
-    }
-
-    /// Stable wire code (serve stats words).
-    pub fn code(self) -> u64 {
-        match self {
-            KernelKind::Scalar => 0,
-            KernelKind::Autovec => 1,
-            KernelKind::Avx2 => 2,
-            KernelKind::Avx512 => 3,
-        }
-    }
-
-    /// Inverse of [`KernelKind::code`].
-    pub fn from_code(code: u64) -> Option<KernelKind> {
-        match code {
-            0 => Some(KernelKind::Scalar),
-            1 => Some(KernelKind::Autovec),
-            2 => Some(KernelKind::Avx2),
-            3 => Some(KernelKind::Avx512),
-            _ => None,
-        }
-    }
-}
-
-/// Environment variable pinning a kernel tier regardless of the configured
-/// [`KernelChoice`]: `scalar`, `autovec`, `avx2`, or `avx512`
-/// (case-insensitive). A tier the host lacks degrades gracefully like an
-/// explicit [`KernelChoice`]; unrecognized values are ignored. Read once
-/// per process.
-pub const FORCE_KERNEL_ENV: &str = "ACOUSTIC_FORCE_KERNEL";
-
-/// Legacy alias of [`FORCE_KERNEL_ENV`]: any non-empty value other than
-/// `0` forces the scalar kernel. Consulted only when `ACOUSTIC_FORCE_KERNEL`
-/// does not name a tier.
-pub const FORCE_SCALAR_ENV: &str = "ACOUSTIC_FORCE_SCALAR";
-
-/// The kernel tier forced via environment, if any; parsed once per process.
-pub fn forced_kernel() -> Option<KernelKind> {
-    static FORCE: OnceLock<Option<KernelKind>> = OnceLock::new();
-    *FORCE.get_or_init(|| {
-        if let Some(v) = std::env::var_os(FORCE_KERNEL_ENV) {
-            let v = v.to_string_lossy().trim().to_ascii_lowercase();
-            match v.as_str() {
-                "scalar" => return Some(KernelKind::Scalar),
-                "autovec" => return Some(KernelKind::Autovec),
-                "avx2" => return Some(KernelKind::Avx2),
-                "avx512" => return Some(KernelKind::Avx512),
-                _ => {}
-            }
-        }
-        std::env::var_os(FORCE_SCALAR_ENV)
-            .is_some_and(|v| !v.is_empty() && v != "0")
-            .then_some(KernelKind::Scalar)
-    })
-}
-
-fn avx2_detected() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        acoustic_core::bitstream::x86::avx2_available()
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
     }
 }
 
 fn avx512_detected() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        acoustic_core::bitstream::x86::avx512_available()
+        std::is_x86_feature_detected!("avx512f")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -180,106 +81,74 @@ fn avx512_detected() -> bool {
     }
 }
 
-/// Degrades a requested tier to the widest one the host actually supports:
-/// AVX-512 → AVX2 → autovec. Scalar and autovec run everywhere.
-fn clamp_to_host(kind: KernelKind) -> KernelKind {
-    match kind {
-        KernelKind::Avx512 if avx512_detected() => KernelKind::Avx512,
-        KernelKind::Avx512 | KernelKind::Avx2 if avx2_detected() => KernelKind::Avx2,
-        KernelKind::Avx512 | KernelKind::Avx2 => KernelKind::Autovec,
-        other => other,
-    }
-}
-
-/// Resolves the configured kernel choice against host capabilities and the
-/// [`FORCE_KERNEL_ENV`]/[`FORCE_SCALAR_ENV`] overrides. `Auto` selects the
-/// widest SIMD tier the host supports (AVX-512 → AVX2 → autovec); explicit
-/// and forced tiers degrade the same way, so the result never names an
-/// instruction set the host lacks.
+/// Resolves the configured kernel choice against the host: `Auto` is
+/// [`KernelKind::Avx512`] exactly when the CPU reports `avx512f`, so the
+/// result never names an instruction set the host lacks.
 pub fn active_kernel(choice: KernelChoice) -> KernelKind {
-    if let Some(forced) = forced_kernel() {
-        return clamp_to_host(forced);
+    match choice {
+        KernelChoice::Auto if avx512_detected() => KernelKind::Avx512,
+        _ => KernelKind::Scalar,
     }
-    let requested = match choice {
-        KernelChoice::Scalar => return KernelKind::Scalar,
-        KernelChoice::Autovec => return KernelKind::Autovec,
-        KernelChoice::Avx2 => KernelKind::Avx2,
-        KernelChoice::Avx512 => KernelKind::Avx512,
-        KernelChoice::Auto => {
-            if avx512_detected() {
-                KernelKind::Avx512
-            } else if avx2_detected() {
-                KernelKind::Avx2
-            } else {
-                return KernelKind::Autovec;
-            }
-        }
-    };
-    clamp_to_host(requested)
 }
 
-/// The kernel tiers the autotuner may choose between for `choice`: every
-/// host-supported SIMD-capable tier for `Auto`, exactly the resolved tier
-/// for an explicit or forced choice. Scalar stays the golden reference and
-/// is never auto-selected (the blocked autovec kernel subsumes it as the
-/// portable fallback).
-pub fn candidate_kernels(choice: KernelChoice) -> Vec<KernelKind> {
-    if forced_kernel().is_some() || choice != KernelChoice::Auto {
-        return vec![active_kernel(choice)];
+/// Images per weight walk on the batched paths. At every stream length
+/// the zoo serves (≤ 64, one word per segment) 64 images fill eight
+/// 8-image AVX-512 blocks.
+pub const TILE: usize = 64;
+
+/// The execution plan of a prepared model: which kernel its runs use and
+/// how many images the batch engine tiles per weight walk. A fixed rule of
+/// the host and the configured [`KernelChoice`] — see
+/// [`TilePlan::for_choice`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TilePlan {
+    /// Kernel every run of the model resolves to.
+    pub kernel: KernelKind,
+    /// Image-tile size for batched execution (always [`TILE`]).
+    pub tile: usize,
+    /// Nanoseconds spent choosing the plan: always 0, because the plan is
+    /// a rule rather than a measurement. Kept so run records that report
+    /// it stay comparable.
+    pub calibration_ns: u64,
+}
+
+impl TilePlan {
+    /// The plan for `choice` on this host.
+    pub fn for_choice(choice: KernelChoice) -> TilePlan {
+        TilePlan {
+            kernel: active_kernel(choice),
+            tile: TILE,
+            calibration_ns: 0,
+        }
     }
-    let mut tiers = vec![KernelKind::Autovec];
-    if avx2_detected() {
-        tiers.push(KernelKind::Avx2);
-    }
-    if avx512_detected() {
-        tiers.push(KernelKind::Avx512);
-    }
-    tiers
 }
 
 /// What the host looks like to the kernel layer: core count, the detected
-/// CPU features relevant to dispatch, and the tier `Auto` resolves to.
+/// CPU features dispatch keys on, and the kernel `Auto` resolves to.
 /// Serialized into `results/BENCH_*.json` so numbers stay attributable to
-/// the machine that produced them, and hashed into the autotune plan cache
-/// key.
+/// the machine that produced them.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct HostFingerprint {
     /// Available parallelism (1 when detection fails).
     pub cores: usize,
     /// Detected CPU features the dispatch layer keys on.
     pub features: Vec<&'static str>,
-    /// The kernel tier `KernelChoice::Auto` resolves to on this host
-    /// (includes any `ACOUSTIC_FORCE_KERNEL` override).
+    /// The kernel `KernelChoice::Auto` resolves to on this host.
     pub kernel: KernelKind,
 }
 
 impl HostFingerprint {
-    /// Detects the current host (feature probes are cached per process).
+    /// Detects the current host.
     pub fn detect() -> HostFingerprint {
-        let mut features = Vec::new();
-        if avx2_detected() {
-            features.push("avx2");
-        }
-        if avx512_detected() {
-            features.push("avx512f");
-        }
         HostFingerprint {
             cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            features,
+            features: if avx512_detected() {
+                vec!["avx512f"]
+            } else {
+                Vec::new()
+            },
             kernel: active_kernel(KernelChoice::Auto),
         }
-    }
-
-    /// Stable hash of the fingerprint (autotune plan cache key component).
-    pub fn id(&self) -> u64 {
-        // FNV-1a over the serialized form: stable across processes, unlike
-        // RandomState hashing.
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in self.json().bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
     }
 
     /// JSON object for the shared `results/BENCH_*.json` schema.
@@ -447,7 +316,6 @@ pub(crate) struct TileState<'a> {
 /// state before returning, so one layer-level zeroing suffices.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn mac_segment(
-    kind: KernelKind,
     geom: &SegGeom,
     act_words: &[u64],
     seg_zero: &[bool],
@@ -472,27 +340,9 @@ pub(crate) fn mac_segment(
             w_off,
             segment,
         };
-        count += sign * mac_phase(kind, &args, acc, stats) as i64;
+        count += sign * scalar::mac_phase(&args, acc, stats) as i64;
     }
     count
-}
-
-fn mac_phase(
-    kind: KernelKind,
-    args: &PhaseArgs<'_>,
-    acc: &mut [u64],
-    stats: &mut KernelStats,
-) -> u64 {
-    match kind {
-        KernelKind::Scalar => scalar::mac_phase(args, acc, stats),
-        KernelKind::Autovec => autovec::mac_phase(args, acc, stats),
-        #[cfg(target_arch = "x86_64")]
-        KernelKind::Avx2 => avx2::mac_phase(args, acc, stats),
-        #[cfg(target_arch = "x86_64")]
-        KernelKind::Avx512 => avx512::mac_phase(args, acc, stats),
-        #[cfg(not(target_arch = "x86_64"))]
-        KernelKind::Avx2 | KernelKind::Avx512 => autovec::mac_phase(args, acc, stats),
-    }
 }
 
 /// One tiled split-unipolar MAC over a segment: walks each weight word once
@@ -532,21 +382,30 @@ pub(crate) fn mac_segment_tile(
     }
 }
 
+/// One tiled MAC phase: each weight word is loaded once and merged into
+/// every image of the tile. The single-word, single-group shape takes the
+/// lockstep walk (the AVX-512 block under [`KernelKind::Avx512`]); every
+/// other shape takes the scalar general walk.
 fn mac_phase_tile(
     kind: KernelKind,
     args: &TilePhaseArgs<'_>,
     state: &mut TileState<'_>,
     stats: &mut KernelStats,
 ) {
+    let geom = args.geom;
+    let tile = args.banks.len();
+    state.phase[..tile].fill(0);
+    state.in_group[..tile].fill(0);
+    state.sat[..tile].fill(false);
+    state.accs[..tile * geom.seg_words].fill(0);
+    if !(geom.single_group() && geom.seg_words == 1) {
+        scalar::mac_phase_tile_general(args, state, stats);
+        return;
+    }
     match kind {
-        KernelKind::Scalar => scalar::mac_phase_tile(args, state, stats),
-        KernelKind::Autovec => autovec::mac_phase_tile(args, state, stats),
         #[cfg(target_arch = "x86_64")]
-        KernelKind::Avx2 => avx2::mac_phase_tile(args, state, stats),
-        #[cfg(target_arch = "x86_64")]
-        KernelKind::Avx512 => avx512::mac_phase_tile(args, state, stats),
-        #[cfg(not(target_arch = "x86_64"))]
-        KernelKind::Avx2 | KernelKind::Avx512 => autovec::mac_phase_tile(args, state, stats),
+        KernelKind::Avx512 => avx512::mac_phase_tile_word_single(args, state, stats),
+        _ => scalar::mac_phase_tile_word_single(args, state, stats, 0),
     }
 }
 
@@ -555,86 +414,32 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scalar_choice_always_resolves_scalar() {
-        if forced_kernel().is_none() {
-            assert_eq!(active_kernel(KernelChoice::Scalar), KernelKind::Scalar);
-            assert_eq!(active_kernel(KernelChoice::Autovec), KernelKind::Autovec);
-        }
-    }
-
-    #[test]
-    fn auto_choice_matches_host_detection() {
-        let kind = active_kernel(KernelChoice::Auto);
-        if let Some(forced) = forced_kernel() {
-            assert_eq!(kind, clamp_to_host(forced));
-        } else if avx512_detected() {
-            assert_eq!(kind, KernelKind::Avx512);
-        } else if avx2_detected() {
-            assert_eq!(kind, KernelKind::Avx2);
+    fn choice_resolves_by_host_rule() {
+        assert_eq!(active_kernel(KernelChoice::Scalar), KernelKind::Scalar);
+        let want = if avx512_detected() {
+            KernelKind::Avx512
         } else {
-            assert_eq!(kind, KernelKind::Autovec);
-        }
+            KernelKind::Scalar
+        };
+        assert_eq!(active_kernel(KernelChoice::Auto), want);
     }
 
     #[test]
-    fn explicit_tiers_degrade_to_supported_ones() {
-        if forced_kernel().is_some() {
-            return; // resolution is pinned; covered by the subprocess tests
-        }
-        let from_512 = active_kernel(KernelChoice::Avx512);
-        let from_256 = active_kernel(KernelChoice::Avx2);
-        match (avx512_detected(), avx2_detected()) {
-            (true, _) => assert_eq!(from_512, KernelKind::Avx512),
-            (false, true) => assert_eq!(from_512, KernelKind::Avx2),
-            (false, false) => assert_eq!(from_512, KernelKind::Autovec),
-        }
-        if avx2_detected() {
-            assert_eq!(from_256, KernelKind::Avx2);
-        } else {
-            assert_eq!(from_256, KernelKind::Autovec);
-        }
-    }
-
-    #[test]
-    fn candidate_kernels_match_host_tiers() {
-        let tiers = candidate_kernels(KernelChoice::Auto);
-        if forced_kernel().is_some() {
-            assert_eq!(tiers, vec![active_kernel(KernelChoice::Auto)]);
-        } else {
-            assert_eq!(tiers[0], KernelKind::Autovec);
-            assert_eq!(tiers.contains(&KernelKind::Avx2), avx2_detected());
-            assert_eq!(tiers.contains(&KernelKind::Avx512), avx512_detected());
-            assert!(!tiers.contains(&KernelKind::Scalar));
-            assert_eq!(
-                candidate_kernels(KernelChoice::Scalar),
-                vec![KernelKind::Scalar]
-            );
-        }
-    }
-
-    #[test]
-    fn kernel_codes_roundtrip() {
-        for kind in [
-            KernelKind::Scalar,
-            KernelKind::Autovec,
-            KernelKind::Avx2,
-            KernelKind::Avx512,
-        ] {
-            assert_eq!(KernelKind::from_code(kind.code()), Some(kind));
-        }
-        assert_eq!(KernelKind::from_code(99), None);
+    fn plan_is_the_host_rule_at_the_fixed_tile() {
+        let plan = TilePlan::for_choice(KernelChoice::Auto);
+        assert_eq!(plan.kernel, active_kernel(KernelChoice::Auto));
+        assert_eq!(plan.tile, TILE);
+        assert_eq!(plan.calibration_ns, 0);
         assert_eq!(
-            KernelChoice::pinned(KernelKind::Avx512),
-            KernelChoice::Avx512
+            TilePlan::for_choice(KernelChoice::Scalar).kernel,
+            KernelKind::Scalar
         );
     }
 
     #[test]
     fn host_fingerprint_is_stable_and_serializable() {
         let a = HostFingerprint::detect();
-        let b = HostFingerprint::detect();
-        assert_eq!(a, b);
-        assert_eq!(a.id(), b.id());
+        assert_eq!(a, HostFingerprint::detect());
         assert!(a.cores >= 1);
         let json = a.json();
         assert!(json.contains("\"cores\""));

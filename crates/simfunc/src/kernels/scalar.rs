@@ -1,5 +1,5 @@
-//! Portable scalar MAC kernel — the golden reference every other kernel
-//! must match bit-for-bit.
+//! Portable scalar MAC kernel — the golden reference the AVX-512 tile
+//! block must match bit-for-bit, and the kernel for every other shape.
 //!
 //! Single-word segments (streams ≤ 64 bits per segment, the common LeNet
 //! shapes) keep the OR accumulator in a register; multi-word segments merge
@@ -83,7 +83,7 @@ fn mac_phase_word(args: &PhaseArgs<'_>, stats: &mut KernelStats) -> u64 {
 
 /// Whether a multi-word accumulator has every in-segment bit set.
 #[inline]
-pub(super) fn is_saturated(acc: &[u64], sat_mask: u64) -> bool {
+fn is_saturated(acc: &[u64], sat_mask: u64) -> bool {
     let (last, body) = acc.split_last().expect("accumulator is non-empty");
     // The last word is the cheap filter: until a group nears saturation it
     // almost never equals the mask, so the body scan rarely runs.
@@ -154,43 +154,15 @@ fn mac_phase_words(args: &PhaseArgs<'_>, acc: &mut [u64], stats: &mut KernelStat
     phase
 }
 
-/// One tiled MAC phase: each weight word is loaded once and merged into
-/// every image of the tile.
-pub(crate) fn mac_phase_tile(
-    args: &TilePhaseArgs<'_>,
-    state: &mut TileState<'_>,
-    stats: &mut KernelStats,
-) {
-    let geom = args.geom;
-    let tile = args.banks.len();
-    state.phase[..tile].fill(0);
-    state.in_group[..tile].fill(0);
-    state.sat[..tile].fill(false);
-    state.accs[..tile * geom.seg_words].fill(0);
-    if geom.single_group() && geom.seg_words == 1 {
-        mac_phase_tile_word_single(args, state, stats);
-        return;
-    }
-    mac_phase_tile_general(args, state, stats);
-}
-
-/// Lockstep fast path: single-word segments, whole fan-in in one OR group.
-/// Gated and all-zero lanes hold all-zero words, so merging them is a no-op
-/// and slot accounting is irrelevant (one group, one final popcount) —
-/// every image shares the unfiltered lane walk with *no per-image branches*
-/// in the inner loop: an unconditional OR is cheaper than predicting a skip,
-/// and a running AND of the accumulators detects the all-saturated exit.
-fn mac_phase_tile_word_single(
-    args: &TilePhaseArgs<'_>,
-    state: &mut TileState<'_>,
-    stats: &mut KernelStats,
-) {
-    mac_phase_tile_word_single_from(args, state, stats, 0);
-}
-
-/// The scalar lockstep walk over images `start..tile` (the AVX2 kernel uses
-/// it for the sub-4-image tail of a tile).
-pub(super) fn mac_phase_tile_word_single_from(
+/// Lockstep walk over images `start..tile`: single-word segments, whole
+/// fan-in in one OR group. Gated and all-zero lanes hold all-zero words, so
+/// merging them is a no-op and slot accounting is irrelevant (one group,
+/// one final popcount) — every image shares the unfiltered lane walk with
+/// *no per-image branches* in the inner loop: an unconditional OR is
+/// cheaper than predicting a skip, and a running AND of the accumulators
+/// detects the all-saturated exit. The AVX-512 block runs this over the
+/// last `tile % 8` images.
+pub(super) fn mac_phase_tile_word_single(
     args: &TilePhaseArgs<'_>,
     state: &mut TileState<'_>,
     stats: &mut KernelStats,
@@ -239,7 +211,7 @@ pub(super) fn mac_phase_tile_word_single_from(
 
 /// General tiled path: per-image gating, OR-group slot accounting, and
 /// saturation tracking — group boundaries may diverge between images.
-fn mac_phase_tile_general(
+pub(super) fn mac_phase_tile_general(
     args: &TilePhaseArgs<'_>,
     state: &mut TileState<'_>,
     stats: &mut KernelStats,

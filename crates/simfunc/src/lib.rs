@@ -36,7 +36,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod autotune;
 mod banks;
 mod engine;
 mod expected;
@@ -44,7 +43,6 @@ pub mod kernels;
 mod pool;
 mod sim_error;
 
-pub use autotune::{TilePlan, DEFAULT_TILE, TILE_CANDIDATES};
 pub use banks::{DedupStats, SimScratch};
 pub use engine::{
     LayerTrace, PrepareOptions, PreparedNetwork, RunTrace, ScSimulator, StepTiming,
@@ -52,8 +50,7 @@ pub use engine::{
 };
 pub use expected::{expected_accuracy, expected_logits};
 pub use kernels::{
-    active_kernel, candidate_kernels, forced_kernel, HostFingerprint, KernelChoice, KernelKind,
-    KernelStats, FORCE_KERNEL_ENV, FORCE_SCALAR_ENV,
+    active_kernel, HostFingerprint, KernelChoice, KernelKind, KernelStats, TilePlan, TILE,
 };
 pub use pool::{SharedPoolStats, SharedStreamPool};
 pub use sim_error::SimError;
@@ -110,10 +107,10 @@ pub struct SimConfig {
     /// correlation problem"). Disabling reuses the same sequences in every
     /// layer — the ablation showing why regeneration matters.
     pub regenerate_streams: bool,
-    /// MAC kernel preference. [`KernelChoice::Auto`] (the default) picks the
-    /// fastest kernel the host supports at run time; every kernel is
-    /// bit-identical, so this never changes results. The
-    /// [`FORCE_SCALAR_ENV`] environment variable overrides any choice.
+    /// MAC kernel preference. [`KernelChoice::Auto`] (the default) runs the
+    /// AVX-512 tile block where the host has `avx512f`;
+    /// [`KernelChoice::Scalar`] pins the golden reference. Both kernels are
+    /// bit-identical, so this never changes results.
     pub kernel: KernelChoice,
     /// Weight-bank storage layout. Both layouts produce bit-identical
     /// logits; [`WeightStorage::Pooled`] (the default) deduplicates
