@@ -2,7 +2,7 @@
 //! stream generation, AND/OR MAC, wide accumulation, and skipped pooling —
 //! plus the fused word-level kernels of the zero-allocation MAC rewrite
 //! (fused `acc |= a & w`, single-pass SNG bank fill, and a full
-//! `mac_segment`-shaped proxy reporting ns per MAC lane), and the tiled
+//! MAC-segment-shaped proxy reporting ns per MAC lane), and the tiled
 //! MAC path across tile widths under both kernel choices.
 //!
 //! Runs on the repo's built-in harness (`acoustic_bench::harness`) — the
@@ -22,7 +22,7 @@ use acoustic_core::{or_accumulate, Bitstream, Lfsr, Sng, SngBank, SplitUnipolarM
 use acoustic_nn::layers::{AccumMode, AvgPool2d, Conv2d, Dense, Network, Relu};
 use acoustic_nn::Tensor;
 use acoustic_simfunc::{
-    HostFingerprint, KernelChoice, KernelStats, ScSimulator, SimConfig, SimScratch,
+    HostFingerprint, KernelChoice, KernelStats, RunSpec, ScSimulator, SimConfig, SimScratch,
 };
 
 fn lane_streams(k: usize, n: usize, v: f64) -> Vec<Bitstream> {
@@ -139,7 +139,7 @@ fn main() {
         );
     }
 
-    // A mac_segment-shaped proxy: word-fused AND-OR over borrowed lane
+    // A MAC-segment-shaped proxy: word-fused AND-OR over borrowed lane
     // views with 96-grouped counter hand-off — `elements` is MAC lanes, so
     // the JSON's ns_per_elem column reads as ns/MAC.
     for fan_in in [96usize, 2304] {
@@ -180,8 +180,8 @@ fn main() {
     // One weight-bank walk shared by `tile` images, under each kernel
     // choice, on a small conv+dense net at stream 128 (single-word
     // segments). `auto` runs the AVX-512 block on 8-image groups where the
-    // host has `avx512f`; a tile of 1 is a solo run, scalar under either
-    // choice. `elements` is the tile width, so ns_per_elem reads as ns per
+    // host has `avx512f`; a tile of 1 takes the per-lane scalar walk under
+    // either choice. `elements` is the tile width, so ns_per_elem reads as ns per
     // image.
     let net = bench_net();
     let mut scratch = SimScratch::default();
@@ -198,18 +198,14 @@ fn main() {
         let prepared = sim.prepare(&net).unwrap();
         for tile in [1usize, 2, 4, 8, 16, 64] {
             let images: Vec<Tensor> = (0..tile).map(bench_image).collect();
-            let refs: Vec<&Tensor> = images.iter().collect();
             let seeds: Vec<u32> = (0..tile as u32).map(|i| 0xACE1 + i).collect();
+            let spec = RunSpec::new(images.iter().collect(), seeds);
             let id = format!("{tag}_{tile}");
             scratch.take_kernel_stats();
-            sim.run_prepared_tile_with(&prepared, &refs, &seeds, &mut scratch)
-                .unwrap();
+            sim.execute(&prepared, &spec, &mut scratch).unwrap();
             skips.push((format!("tile_sweep/{id}"), scratch.take_kernel_stats()));
             h.bench("tile_sweep", &id, Some(tile as u64), || {
-                black_box(
-                    sim.run_prepared_tile_with(&prepared, &refs, &seeds, &mut scratch)
-                        .unwrap(),
-                )
+                black_box(sim.execute(&prepared, &spec, &mut scratch).unwrap())
             });
         }
     }

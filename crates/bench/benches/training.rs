@@ -11,7 +11,7 @@ use acoustic_bench::harness::Harness;
 use acoustic_bench::models::tiny_cnn;
 use acoustic_nn::layers::AccumMode;
 use acoustic_nn::loss::cross_entropy;
-use acoustic_simfunc::{ScSimulator, SimConfig};
+use acoustic_simfunc::{RunSpec, ScSimulator, SimConfig, SimScratch};
 
 fn main() {
     let mut h = Harness::new("training");
@@ -39,8 +39,10 @@ fn main() {
     for stream in [128usize, 256, 512] {
         let sim = ScSimulator::new(SimConfig::with_stream_len(stream).unwrap());
         let prepared = sim.prepare(&net).unwrap();
+        let spec = RunSpec::one(&img, sim.config().act_seed);
+        let mut scratch = SimScratch::default();
         h.bench("sc_inference", stream, None, || {
-            black_box(sim.run_prepared(&prepared, &img).unwrap())
+            black_box(sim.execute(&prepared, &spec, &mut scratch).unwrap())
         });
     }
 

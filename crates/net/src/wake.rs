@@ -24,6 +24,10 @@ pub struct Waker {
     // Collapses wake bursts into at most one in-flight byte, so a worker
     // storm cannot fill the loopback send buffer.
     pending: AtomicBool,
+    /// Runs between `drain`'s read and its clear, so a test can land a
+    /// `wake()` exactly there.
+    #[cfg(test)]
+    drain_hook: std::sync::Mutex<Option<fn(&Waker)>>,
 }
 
 impl Waker {
@@ -52,6 +56,8 @@ impl Waker {
             tx,
             rx,
             pending: AtomicBool::new(false),
+            #[cfg(test)]
+            drain_hook: std::sync::Mutex::new(None),
         })
     }
 
@@ -72,18 +78,29 @@ impl Waker {
     }
 
     /// Consumes any queued wakeup bytes. Reactor-side only, after the
-    /// poller reports [`Waker::fd`] readable.
+    /// poller reports [`Waker::fd`] readable; the reactor must scan its
+    /// inboxes after the drain.
     pub fn drain(&self) {
-        // Clear before reading: a wake() racing with this drain either
-        // lands its byte (next poll tick sees it) or sees pending=true
-        // set again by itself — never a lost wakeup.
-        self.pending.store(false, Ordering::Release);
+        // Read until the socket is empty, then clear. A wake() racing with
+        // the reads or landing before the clear sees pending=true and
+        // returns: the reactor's inbox scan after this drain covers it.
+        // Clearing first would let a racing wake() write a byte that the
+        // reads then consume, leaving pending stuck at true and every
+        // later wake() a no-op.
         let mut buf = [0u8; 64];
         while let Ok(n) = (&self.rx).read(&mut buf) {
             if n == 0 {
                 break;
             }
         }
+        #[cfg(test)]
+        {
+            let hook = *self.drain_hook.lock().expect("drain hook lock");
+            if let Some(hook) = hook {
+                hook(self);
+            }
+        }
+        self.pending.store(false, Ordering::Release);
     }
 }
 
@@ -123,6 +140,26 @@ mod tests {
             .wait(&mut events, Some(Duration::from_millis(10)))
             .unwrap();
         assert_eq!(n, 0);
+    }
+
+    #[test]
+    fn wake_racing_a_drain_is_not_lost() {
+        if !Poller::supported() {
+            return;
+        }
+        let waker = Waker::new().unwrap();
+        waker.wake();
+        // Another thread's wake() lands between the drain's two steps.
+        *waker.drain_hook.lock().unwrap() = Some(Waker::wake);
+        waker.drain();
+        *waker.drain_hook.lock().unwrap() = None;
+        // Whatever that wake did, the next one must reach the poller.
+        waker.wake();
+        let mut p = Poller::new();
+        p.register(0, waker.fd(), Interest::Read);
+        let mut events = Vec::new();
+        let n = p.wait(&mut events, Some(Duration::from_secs(2))).unwrap();
+        assert_eq!(n, 1, "a wake after a racing drain was lost");
     }
 
     #[test]

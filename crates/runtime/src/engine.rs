@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use acoustic_nn::train::Sample;
 use acoustic_nn::Tensor;
-use acoustic_simfunc::{KernelStats, SimError, SimScratch, StepTiming, TILE};
+use acoustic_simfunc::{KernelStats, Observe, RunSpec, SimError, SimScratch, StepTiming, TILE};
 
 use crate::{BatchReport, ExitPolicy, KernelCounters, LayerTiming, PreparedModel, RuntimeError};
 
@@ -168,7 +168,8 @@ impl BatchEngine {
     /// `(model.config().act_seed, i)`, so the returned logits are
     /// bit-identical for any worker count — and, on the fixed-length path,
     /// for any tile size (tiles are formed from consecutive input indices
-    /// before dispatch, and tiled execution is bit-identical to solo).
+    /// before dispatch, and a tile's logits equal its images' tiles of
+    /// one).
     ///
     /// # Errors
     ///
@@ -180,16 +181,24 @@ impl BatchEngine {
     ) -> Result<Vec<Tensor>, RuntimeError> {
         match self.exit_policy {
             Some(policy) => {
-                let (pairs, _, _) = self.dispatch(model, inputs.len(), |i, scratch| {
-                    model.logits_adaptive_with(&policy, i as u64, &inputs[i], scratch)
+                let (out, _, _) = self.dispatch(inputs.len(), |i, scratch| {
+                    model
+                        .logits_adaptive(&policy, i as u64, &inputs[i], false, scratch)
+                        .map(|(logits, _, _)| logits)
                 })?;
-                Ok(pairs.into_iter().map(|(logits, _)| logits).collect())
+                Ok(out)
             }
             None => {
                 let tiles = consecutive_tiles(inputs.len(), TILE);
-                let (per_tile, _, _) = self.dispatch(model, tiles.len(), |ti, scratch| {
+                let tally = TileTally::default();
+                let (per_tile, _, _) = self.dispatch(tiles.len(), |ti, scratch| {
                     let (lo, hi) = tiles[ti];
-                    Ok(run_tile_or_solo(model, inputs, lo, hi, scratch, None))
+                    let tile = Tile {
+                        indices: (lo as u64..hi as u64).collect(),
+                        inputs: inputs[lo..hi].iter().collect(),
+                        stream_len: None,
+                    };
+                    Ok(tile.run(model, false, &tally, scratch).0)
                 })?;
                 let mut out = Vec::with_capacity(inputs.len());
                 for (ti, results) in per_tile.into_iter().enumerate() {
@@ -217,10 +226,10 @@ impl BatchEngine {
     /// `Err` in its own slot without failing the rest of the batch.
     ///
     /// Equivalences (all test-enforced):
-    /// * no overrides, no engine policy → [`PreparedModel::logits_with`] at
-    ///   the request's `image_index` (bit-identical to a
+    /// * no overrides, no engine policy → [`PreparedModel::logits`] of a
+    ///   tile of one at the request's `image_index` (bit-identical to a
     ///   [`BatchEngine::run`] that saw the same index);
-    /// * `stream_len` override → [`PreparedModel::logits_at_with`];
+    /// * `stream_len` override → the same at that [`RunSpec::stream_len`];
     /// * `margin` override → the adaptive path under the engine policy
     ///   with its margin replaced (or [`MARGIN_OVERRIDE_TEMPLATE`]'s shape
     ///   when no policy is attached).
@@ -244,11 +253,11 @@ impl BatchEngine {
     ///
     /// Fixed-length requests (no margin override and, when an engine policy
     /// is attached, a `stream_len` override) are grouped by effective
-    /// stream length and executed through the tiled MAC path; adaptive
-    /// requests always run solo. Grouping happens deterministically before
-    /// dispatch, so outcomes stay invariant to worker count *and* tile
-    /// size. A tile whose execution fails falls back to solo per-request
-    /// runs, preserving per-request error isolation.
+    /// stream length and executed as tiles; adaptive requests escalate one
+    /// image at a time. Grouping happens deterministically before dispatch,
+    /// so outcomes stay invariant to worker count *and* tile size. A tile
+    /// whose execution fails is re-run as tiles of one, preserving
+    /// per-request error isolation.
     ///
     /// # Errors
     ///
@@ -273,86 +282,44 @@ impl BatchEngine {
                 }
             }
         }
-        let policy = self.exit_policy;
         let full_len = model.max_stream_len();
-        let units = ready_units(requests, &policy);
+        let units = ready_units(requests, &self.exit_policy);
         let tally = TileTally::default();
 
-        // One solo request, exactly as the pre-tiling engine ran it.
-        let solo = |i: usize, scratch: &mut SimScratch| {
-            let r = &requests[i];
-            if let Some(margin) = r.margin {
-                let p = ExitPolicy {
-                    margin,
-                    ..policy.unwrap_or(MARGIN_OVERRIDE_TEMPLATE)
-                };
-                model
-                    .logits_adaptive_with(&p, r.image_index, r.input, scratch)
-                    .map(|(logits, len)| ReadyOutcome {
-                        logits,
-                        effective_len: len,
-                    })
-            } else if let Some(len) = r.stream_len {
-                model
-                    .logits_at_with(r.image_index, r.input, len, scratch)
-                    .map(|logits| ReadyOutcome {
-                        logits,
-                        effective_len: len,
-                    })
-            } else if let Some(p) = &policy {
-                model
-                    .logits_adaptive_with(p, r.image_index, r.input, scratch)
-                    .map(|(logits, len)| ReadyOutcome {
-                        logits,
-                        effective_len: len,
-                    })
-            } else {
-                model
-                    .logits_with(r.image_index, r.input, scratch)
-                    .map(|logits| ReadyOutcome {
-                        logits,
-                        effective_len: full_len,
-                    })
-            }
-        };
-
-        let (per_unit, _, stats) = self.dispatch(model, units.len(), |ui, scratch| {
+        let (per_unit, _, stats) = self.dispatch(units.len(), |ui, scratch| {
             // Per-request isolation: errors ride in their slot, never
             // abort the batch.
-            let out: Vec<(usize, Result<ReadyOutcome, SimError>)> = match &units[ui] {
-                ReadyUnit::Solo(i) => vec![(*i, solo(*i, scratch))],
-                ReadyUnit::Tile { len, members } => {
-                    let idxs: Vec<u64> = members.iter().map(|&i| requests[i].image_index).collect();
-                    let refs: Vec<&Tensor> = members.iter().map(|&i| requests[i].input).collect();
-                    let tiled = match len {
-                        Some(l) => model.logits_tile_at_with(&idxs, &refs, *l, scratch),
-                        None => model.logits_tile_with(&idxs, &refs, scratch),
+            let ReadyUnit { precision, members } = &units[ui];
+            let outcomes: Vec<Result<ReadyOutcome, SimError>> = match precision {
+                Precision::Adaptive(policy) => {
+                    let r = &requests[members[0]];
+                    vec![model
+                        .logits_adaptive(policy, r.image_index, r.input, false, scratch)
+                        .map(|(logits, effective_len, _)| ReadyOutcome {
+                            logits,
+                            effective_len,
+                        })]
+                }
+                Precision::Fixed(stream_len) => {
+                    let tile = Tile {
+                        indices: members.iter().map(|&i| requests[i].image_index).collect(),
+                        inputs: members.iter().map(|&i| requests[i].input).collect(),
+                        stream_len: *stream_len,
                     };
-                    match tiled {
-                        Ok(logits) => {
-                            tally.record(members.len());
-                            let effective_len = len.unwrap_or(full_len);
-                            members
-                                .iter()
-                                .zip(logits)
-                                .map(|(&i, logits)| {
-                                    (
-                                        i,
-                                        Ok(ReadyOutcome {
-                                            logits,
-                                            effective_len,
-                                        }),
-                                    )
-                                })
-                                .collect()
-                        }
-                        // Tile-level failure: demote to solo so each
-                        // request gets its own result or error.
-                        Err(_) => members.iter().map(|&i| (i, solo(i, scratch))).collect(),
-                    }
+                    let effective_len = stream_len.unwrap_or(full_len);
+                    tile.run(model, false, &tally, scratch)
+                        .0
+                        .into_iter()
+                        .map(|r| {
+                            r.map(|logits| ReadyOutcome {
+                                logits,
+                                effective_len,
+                            })
+                        })
+                        .collect()
                 }
             };
-            Ok(out)
+            Ok(members.iter().copied().zip(outcomes).collect::<Vec<_>>())
         })?;
 
         let mut slots: Vec<Option<Result<ReadyOutcome, SimError>>> = Vec::new();
@@ -396,61 +363,33 @@ impl BatchEngine {
         let started = Instant::now();
         let policy = self.exit_policy;
         let full_len = model.config().stream_len;
-        // The adaptive path escalates per image, so it cannot tile; the
-        // fixed-length path tiles consecutive samples.
+        // The adaptive path escalates per image, so its tiles are single
+        // samples; the fixed-length path tiles consecutive samples.
         let tile = if policy.is_some() { 1 } else { TILE };
         let tiles = consecutive_tiles(samples.len(), tile);
         let tally = TileTally::default();
-        let (per_tile, cpu_busy, stats) = self.dispatch(model, tiles.len(), |ti, scratch| {
+        let (per_tile, cpu_busy, stats) = self.dispatch(tiles.len(), |ti, scratch| {
             let (lo, hi) = tiles[ti];
-            let mut outs: Vec<Result<(Tensor, usize), SimError>> = Vec::with_capacity(hi - lo);
-            let mut passes: Vec<Vec<StepTiming>> = Vec::new();
-            match &policy {
+            Ok(match &policy {
                 Some(p) => {
-                    // Adaptive tiles are single samples.
-                    match model.logits_adaptive_timed_with(p, lo as u64, &samples[lo].0, scratch) {
-                        Ok((logits, len, ps)) => {
-                            outs.push(Ok((logits, len)));
-                            // Every escalation pass is a real execution;
-                            // count each one.
-                            passes.extend(ps);
-                        }
-                        Err(e) => outs.push(Err(e)),
+                    match model.logits_adaptive(p, lo as u64, &samples[lo].0, true, scratch) {
+                        // Every escalation pass is a real execution; count
+                        // each one.
+                        Ok((logits, len, passes)) => (vec![Ok((logits, len))], passes),
+                        Err(e) => (vec![Err(e)], Vec::new()),
                     }
                 }
-                None if hi - lo > 1 => {
-                    let idxs: Vec<u64> = (lo..hi).map(|i| i as u64).collect();
-                    let refs: Vec<&Tensor> = samples[lo..hi].iter().map(|(x, _)| x).collect();
-                    match model.logits_tile_timed_with(&idxs, &refs, scratch) {
-                        Ok((logits, timings)) => {
-                            tally.record(hi - lo);
-                            outs.extend(logits.into_iter().map(|l| Ok((l, full_len))));
-                            passes.push(timings);
-                        }
-                        // Tile-level failure: demote to solo so the lowest
-                        // failing sample index is reported.
-                        Err(_) => {
-                            for (i, (x, _)) in samples.iter().enumerate().take(hi).skip(lo) {
-                                match model.logits_timed_with(i as u64, x, scratch) {
-                                    Ok((logits, timings)) => {
-                                        outs.push(Ok((logits, full_len)));
-                                        passes.push(timings);
-                                    }
-                                    Err(e) => outs.push(Err(e)),
-                                }
-                            }
-                        }
-                    }
+                None => {
+                    let tile = Tile {
+                        indices: (lo as u64..hi as u64).collect(),
+                        inputs: samples[lo..hi].iter().map(|(x, _)| x).collect(),
+                        stream_len: None,
+                    };
+                    let (outs, passes) = tile.run(model, true, &tally, scratch);
+                    let outs = outs.into_iter().map(|r| r.map(|l| (l, full_len)));
+                    (outs.collect(), passes)
                 }
-                None => match model.logits_timed_with(lo as u64, &samples[lo].0, scratch) {
-                    Ok((logits, timings)) => {
-                        outs.push(Ok((logits, full_len)));
-                        passes.push(timings);
-                    }
-                    Err(e) => outs.push(Err(e)),
-                },
-            }
-            Ok((outs, passes))
+            })
         })?;
         let wall = started.elapsed();
 
@@ -524,7 +463,7 @@ impl BatchEngine {
     /// and the summed kernel skip counters of every worker scratch. On
     /// failure, reports the error of the *lowest* failing index so error
     /// reporting is as deterministic as the results.
-    fn dispatch<T, F>(&self, _model: &PreparedModel, count: usize, job: F) -> DispatchResult<T>
+    fn dispatch<T, F>(&self, count: usize, job: F) -> DispatchResult<T>
     where
         T: Send,
         F: Fn(usize, &mut SimScratch) -> Result<T, SimError> + Sync,
@@ -614,50 +553,82 @@ fn consecutive_tiles(count: usize, tile: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// Runs images `lo..hi` of `inputs` as one tile, demoting to per-image
-/// solo runs when the tile fails so every image gets its own result or
-/// error (solo and tiled logits are bit-identical, so the demotion is
-/// invisible to successful images).
-fn run_tile_or_solo(
-    model: &PreparedModel,
-    inputs: &[Tensor],
-    lo: usize,
-    hi: usize,
-    scratch: &mut SimScratch,
-    tally: Option<&TileTally>,
-) -> Vec<Result<Tensor, SimError>> {
-    if hi - lo > 1 {
-        let idxs: Vec<u64> = (lo..hi).map(|i| i as u64).collect();
-        let refs: Vec<&Tensor> = inputs[lo..hi].iter().collect();
-        if let Ok(outs) = model.logits_tile_with(&idxs, &refs, scratch) {
-            if let Some(tally) = tally {
-                tally.record(hi - lo);
+/// Images sharing one weight-bank walk: their seed indices, inputs and
+/// stream length (`None` = the full prepare-time length).
+struct Tile<'a> {
+    indices: Vec<u64>,
+    inputs: Vec<&'a Tensor>,
+    stream_len: Option<usize>,
+}
+
+impl Tile<'_> {
+    /// Runs the tile, returning one result per image and the step timings
+    /// of every executed pass when `timed`. A failing tile of several
+    /// images is re-run as tiles of one, so every image gets its own
+    /// result or error (a tile's logits equal its images' tiles of one, so
+    /// the re-run is invisible to successful images).
+    fn run(
+        &self,
+        model: &PreparedModel,
+        timed: bool,
+        tally: &TileTally,
+        scratch: &mut SimScratch,
+    ) -> (Vec<Result<Tensor, SimError>>, Vec<Vec<StepTiming>>) {
+        let spec = RunSpec {
+            stream_len: self.stream_len,
+            observe: Observe {
+                timings: timed,
+                traces: false,
+            },
+            ..model.spec(self.indices.iter().copied(), self.inputs.clone())
+        };
+        match model.logits(&spec, scratch) {
+            Ok(out) => {
+                tally.record(self.inputs.len());
+                let passes = if timed { vec![out.timings] } else { Vec::new() };
+                (out.logits.into_iter().map(Ok).collect(), passes)
             }
-            return outs.into_iter().map(Ok).collect();
+            Err(e) if self.inputs.len() == 1 => (vec![Err(e)], Vec::new()),
+            Err(_) => {
+                let mut outs = Vec::with_capacity(self.inputs.len());
+                let mut passes = Vec::new();
+                for (&index, &input) in self.indices.iter().zip(&self.inputs) {
+                    let one = Tile {
+                        indices: vec![index],
+                        inputs: vec![input],
+                        stream_len: self.stream_len,
+                    };
+                    let (out, p) = one.run(model, timed, tally, scratch);
+                    outs.extend(out);
+                    passes.extend(p);
+                }
+                (outs, passes)
+            }
         }
     }
-    (lo..hi)
-        .map(|i| model.logits_with(i as u64, &inputs[i], scratch))
-        .collect()
+}
+
+/// How a ready unit picks its stream length.
+enum Precision {
+    /// Every member runs at this prefix (`None` = the full prepare-time
+    /// length), as one tile.
+    Fixed(Option<usize>),
+    /// The unit's one member escalates under this policy.
+    Adaptive(ExitPolicy),
 }
 
 /// One deterministic execution unit of a ready micro-batch.
-enum ReadyUnit {
-    /// Runs alone (adaptive request, or a tile group of one).
-    Solo(usize),
-    /// Fixed-length requests sharing one weight-bank walk at `len`
-    /// (`None` = the full prepare-time length).
-    Tile {
-        len: Option<usize>,
-        members: Vec<usize>,
-    },
+struct ReadyUnit {
+    precision: Precision,
+    /// Request positions, in request order.
+    members: Vec<usize>,
 }
 
 /// Groups ready requests into execution units, in request order.
 ///
 /// Adaptive requests (margin override, or plain requests under an engine
-/// policy) are always solo. Fixed-length requests group by effective
-/// stream length; a group flushes into a tile as soon as it reaches
+/// policy) are units of one. Fixed-length requests group by effective
+/// stream length; a group flushes into a unit as soon as it reaches
 /// [`TILE`], and leftovers flush at the end in first-appearance order.
 /// The unit list is a pure function of `(requests, policy)` — never of
 /// worker scheduling.
@@ -665,9 +636,19 @@ fn ready_units(requests: &[ReadyRequest<'_>], policy: &Option<ExitPolicy>) -> Ve
     let mut units = Vec::new();
     let mut groups: Vec<(Option<usize>, Vec<usize>)> = Vec::new();
     for (i, r) in requests.iter().enumerate() {
-        let adaptive = r.margin.is_some() || (r.stream_len.is_none() && policy.is_some());
-        if adaptive {
-            units.push(ReadyUnit::Solo(i));
+        let adaptive = match (r.margin, r.stream_len, policy) {
+            (Some(margin), _, _) => Some(ExitPolicy {
+                margin,
+                ..policy.unwrap_or(MARGIN_OVERRIDE_TEMPLATE)
+            }),
+            (None, None, Some(p)) => Some(*p),
+            _ => None,
+        };
+        if let Some(p) = adaptive {
+            units.push(ReadyUnit {
+                precision: Precision::Adaptive(p),
+                members: vec![i],
+            });
             continue;
         }
         let key = r.stream_len;
@@ -679,23 +660,26 @@ fn ready_units(requests: &[ReadyRequest<'_>], policy: &Option<ExitPolicy>) -> Ve
             .iter_mut()
             .find(|(k, members)| *k == key && members.len() == TILE);
         if let Some((_, members)) = full {
-            units.push(ReadyUnit::Tile {
-                len: key,
+            units.push(ReadyUnit {
+                precision: Precision::Fixed(key),
                 members: std::mem::take(members),
             });
         }
     }
-    for (len, members) in groups {
-        match members.len() {
-            0 => {}
-            1 => units.push(ReadyUnit::Solo(members[0])),
-            _ => units.push(ReadyUnit::Tile { len, members }),
-        }
-    }
+    units.extend(
+        groups
+            .into_iter()
+            .filter(|(_, members)| !members.is_empty())
+            .map(|(len, members)| ReadyUnit {
+                precision: Precision::Fixed(len),
+                members,
+            }),
+    );
     units
 }
 
-/// Thread-safe tile-execution tally shared by dispatch jobs.
+/// Thread-safe tally of the tiles that shared one weight walk across two
+/// or more images, shared by dispatch jobs.
 #[derive(Default)]
 struct TileTally {
     tiles: AtomicU64,
@@ -704,8 +688,10 @@ struct TileTally {
 
 impl TileTally {
     fn record(&self, images: usize) {
-        self.tiles.fetch_add(1, Ordering::Relaxed);
-        self.images.fetch_add(images as u64, Ordering::Relaxed);
+        if images > 1 {
+            self.tiles.fetch_add(1, Ordering::Relaxed);
+            self.images.fetch_add(images as u64, Ordering::Relaxed);
+        }
     }
 
     /// Final counters: the dispatch-summed kernel stats plus this tally.
@@ -754,6 +740,19 @@ mod tests {
         net
     }
 
+    /// Image `i` as a tile of one at `stream_len` (`None` = maximum).
+    fn one(model: &PreparedModel, i: u64, x: &Tensor, stream_len: Option<usize>) -> Tensor {
+        let spec = RunSpec {
+            stream_len,
+            ..model.spec([i], vec![x])
+        };
+        model
+            .logits(&spec, &mut SimScratch::default())
+            .unwrap()
+            .logits
+            .remove(0)
+    }
+
     fn inputs(n: usize) -> Vec<Tensor> {
         (0..n)
             .map(|i| {
@@ -774,11 +773,9 @@ mod tests {
         let model =
             PreparedModel::compile(SimConfig::with_stream_len(64).unwrap(), &small_net()).unwrap();
         let xs = inputs(11);
-        let mut scratch = SimScratch::default();
         let tiled = BatchEngine::new(1).unwrap().run(&model, &xs).unwrap();
         for (i, x) in xs.iter().enumerate() {
-            let solo = model.logits_with(i as u64, x, &mut scratch).unwrap();
-            assert_eq!(tiled[i], solo, "image {i}");
+            assert_eq!(tiled[i], one(&model, i as u64, x, None), "image {i}");
         }
     }
 
@@ -885,7 +882,7 @@ mod tests {
         assert_eq!(got[0].as_ref().unwrap().logits, direct[3]);
         assert_eq!(got[1].as_ref().unwrap().logits, direct[0]);
 
-        // stream_len override == logits_at_with.
+        // stream_len override == a tile of one at that prefix.
         let short = ReadyRequest {
             stream_len: Some(64),
             ..plain[2]
@@ -894,7 +891,7 @@ mod tests {
             .unwrap()
             .run_ready(&model, &[short])
             .unwrap();
-        let want = model.logits_at_with(2, &xs[2], 64, &mut scratch).unwrap();
+        let want = one(&model, 2, &xs[2], Some(64));
         assert_eq!(got[0].as_ref().unwrap().logits, want);
         assert_eq!(got[0].as_ref().unwrap().effective_len, 64);
 
@@ -908,8 +905,8 @@ mod tests {
             .run_ready(&model, &[adaptive])
             .unwrap();
         let p = ExitPolicy::new(1, 10.0, 2).unwrap();
-        let (want, want_len) = model
-            .logits_adaptive_with(&p, 1, &xs[1], &mut scratch)
+        let (want, want_len, _) = model
+            .logits_adaptive(&p, 1, &xs[1], false, &mut scratch)
             .unwrap();
         assert_eq!(got[0].as_ref().unwrap().logits, want);
         assert_eq!(got[0].as_ref().unwrap().effective_len, want_len);
@@ -920,11 +917,12 @@ mod tests {
             .with_exit_policy(ExitPolicy::new(1, 0.05, 2).unwrap())
             .unwrap();
         let got = policied.run_ready(&model, &[plain[4]]).unwrap();
-        let (want, want_len) = model
-            .logits_adaptive_with(
+        let (want, want_len, _) = model
+            .logits_adaptive(
                 &ExitPolicy::new(1, 0.05, 2).unwrap(),
                 4,
                 &xs[4],
+                false,
                 &mut scratch,
             )
             .unwrap();
@@ -966,16 +964,17 @@ mod tests {
                 })
                 .collect();
             // One tile per full group or leftover group, per stream length;
-            // the adaptive request never tiles.
+            // the adaptive request is a unit of its own.
             let got_shapes: Vec<TileShape> = ready_units(&reqs, &None)
                 .iter()
-                .filter_map(|u| match u {
-                    ReadyUnit::Tile { len, members } => Some((*len, members.len())),
-                    ReadyUnit::Solo(_) => None,
+                .filter_map(|u| match u.precision {
+                    Precision::Fixed(len) => Some((len, u.members.len())),
+                    Precision::Adaptive(_) => None,
                 })
                 .collect();
             assert_eq!(got_shapes, shapes, "n={n}");
-            // A micro-batch of one runs solo: the per-request reference.
+            // A micro-batch of one is a tile of one: the per-request
+            // reference.
             let solo = BatchEngine::new(1).unwrap();
             let reference: Vec<ReadyOutcome> = reqs
                 .iter()

@@ -17,8 +17,8 @@ use acoustic_core::prng::splitmix64;
 use acoustic_nn::layers::Network;
 use acoustic_nn::Tensor;
 use acoustic_simfunc::{
-    DedupStats, PrepareOptions, PreparedNetwork, ScSimulator, SharedStreamPool, SimConfig,
-    SimError, SimScratch, StepTiming, TilePlan,
+    DedupStats, Observe, PrepareOptions, PreparedNetwork, RunOutput, RunSpec, ScSimulator,
+    SharedStreamPool, SimConfig, SimError, SimScratch, StepTiming, TilePlan,
 };
 
 use crate::{ExitPolicy, RuntimeError};
@@ -42,8 +42,8 @@ pub fn derive_image_seed(base_seed: u32, image_index: u64) -> u32 {
 /// A network prepared once for stochastic batch execution.
 ///
 /// Wraps the quantized, stream-generated [`PreparedNetwork`] together with
-/// its [`SimConfig`] and exposes per-image execution in which image `i`
-/// always draws activation seeds derived from `(cfg.act_seed, i)`.
+/// its [`SimConfig`] and executes [`RunSpec`]s in which image `i` always
+/// draws activation seeds derived from `(cfg.act_seed, i)`.
 #[derive(Debug)]
 pub struct PreparedModel {
     cfg: SimConfig,
@@ -101,8 +101,8 @@ impl PreparedModel {
 
     /// The (kernel, tile) execution plan: the host rule of
     /// [`TilePlan::for_choice`] for the configured kernel choice. Every
-    /// `logits_*` entry point runs `plan.kernel`, and the batch engine
-    /// tiles images in groups of `plan.tile`.
+    /// run of the model uses `plan.kernel`, and the batch engine tiles
+    /// images in groups of `plan.tile`.
     pub fn plan(&self) -> TilePlan {
         TilePlan::for_choice(self.cfg.kernel)
     }
@@ -128,7 +128,7 @@ impl PreparedModel {
     }
 
     /// Every executable stream length, descending, maximum first — the
-    /// prefixes [`PreparedModel::logits_at`] accepts.
+    /// prefixes [`RunSpec::stream_len`] accepts.
     pub fn supported_lengths(&self) -> &[usize] {
         self.prepared.supported_lengths()
     }
@@ -151,221 +151,48 @@ impl PreparedModel {
         self.prepared.dedup_stats()
     }
 
-    /// A simulator whose activation seed is derived for `image_index`.
-    fn image_sim(&self, image_index: u64) -> ScSimulator {
-        let mut cfg = self.cfg;
-        cfg.act_seed = derive_image_seed(self.cfg.act_seed, image_index);
-        ScSimulator::new(cfg)
+    /// A [`RunSpec`] running `inputs[t]` at the activation seed derived for
+    /// image index `image_indices[t]` (see [`derive_image_seed`]).
+    pub fn spec<'a>(
+        &self,
+        image_indices: impl IntoIterator<Item = u64>,
+        inputs: Vec<&'a Tensor>,
+    ) -> RunSpec<'a> {
+        let seeds = image_indices
+            .into_iter()
+            .map(|i| derive_image_seed(self.cfg.act_seed, i))
+            .collect();
+        RunSpec::new(inputs, seeds)
     }
 
-    /// Stochastic logits of one image.
+    /// Executes `spec` against the prepared banks (see
+    /// [`ScSimulator::execute`]).
     ///
     /// Only pays for activation-stream generation and the AND/OR datapath;
-    /// weight streams come from the one-time preparation. The result is a
-    /// pure function of `(model, image_index, input)`.
+    /// weight streams come from the one-time preparation. Built with
+    /// [`PreparedModel::spec`], each image's logits are a pure function of
+    /// `(model, image_index, input, stream_len)`: the same alone, in any
+    /// tile, and at a supported prefix as in a model prepared directly at
+    /// that length.
     ///
     /// # Errors
     ///
-    /// Propagates datapath and shape errors.
-    pub fn logits(&self, image_index: u64, input: &Tensor) -> Result<Tensor, SimError> {
-        self.logits_with(image_index, input, &mut SimScratch::default())
-    }
-
-    /// Like [`PreparedModel::logits`], reusing a caller-owned [`SimScratch`]
-    /// so per-image heap churn amortizes to zero across a batch (the batch
-    /// engine keeps one scratch per worker).
-    ///
-    /// # Errors
-    ///
-    /// Propagates datapath and shape errors.
-    pub fn logits_with(
+    /// See [`ScSimulator::execute`] (a failure anywhere fails the whole
+    /// spec — callers wanting per-image isolation re-run tiles of one).
+    pub fn logits(
         &self,
-        image_index: u64,
-        input: &Tensor,
+        spec: &RunSpec<'_>,
         scratch: &mut SimScratch,
-    ) -> Result<Tensor, SimError> {
-        self.image_sim(image_index)
-            .run_prepared_with(&self.prepared, input, scratch)
-    }
-
-    /// Like [`PreparedModel::logits`], also returning per-step wall-clock
-    /// timings (the batch engine's observability hook).
-    ///
-    /// # Errors
-    ///
-    /// Propagates datapath and shape errors.
-    pub fn logits_timed(
-        &self,
-        image_index: u64,
-        input: &Tensor,
-    ) -> Result<(Tensor, Vec<StepTiming>), SimError> {
-        self.logits_timed_with(image_index, input, &mut SimScratch::default())
-    }
-
-    /// Scratch-reusing variant of [`PreparedModel::logits_timed`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates datapath and shape errors.
-    pub fn logits_timed_with(
-        &self,
-        image_index: u64,
-        input: &Tensor,
-        scratch: &mut SimScratch,
-    ) -> Result<(Tensor, Vec<StepTiming>), SimError> {
-        self.image_sim(image_index)
-            .run_prepared_timed_with(&self.prepared, input, scratch)
-    }
-
-    /// Stochastic logits of a tile of images, walking every weight-bank
-    /// word once per tile instead of once per image.
-    ///
-    /// `image_indices[t]` supplies the seed of `inputs[t]` exactly as in
-    /// [`PreparedModel::logits_with`]; results are bit-identical to running
-    /// each image solo at its own index (the tiling invariant, enforced by
-    /// the kernel-equivalence suite), so tiling is purely a throughput
-    /// decision.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidConfig`] for an empty tile or mismatched
-    /// `image_indices`/`inputs` lengths; otherwise propagates datapath and
-    /// shape errors (a failure anywhere fails the whole tile — callers
-    /// wanting per-image isolation re-run solo).
-    pub fn logits_tile_with(
-        &self,
-        image_indices: &[u64],
-        inputs: &[&Tensor],
-        scratch: &mut SimScratch,
-    ) -> Result<Vec<Tensor>, SimError> {
-        let seeds = self.tile_seeds(image_indices);
-        ScSimulator::new(self.cfg).run_prepared_tile_with(&self.prepared, inputs, &seeds, scratch)
-    }
-
-    /// Tiled variant of [`PreparedModel::logits_at_with`]: the whole tile
-    /// runs at one shorter supported stream-length prefix.
-    ///
-    /// # Errors
-    ///
-    /// See [`PreparedModel::logits_tile_with`] and
-    /// [`PreparedModel::logits_at`].
-    pub fn logits_tile_at_with(
-        &self,
-        image_indices: &[u64],
-        inputs: &[&Tensor],
-        stream_len: usize,
-        scratch: &mut SimScratch,
-    ) -> Result<Vec<Tensor>, SimError> {
-        let seeds = self.tile_seeds(image_indices);
-        ScSimulator::new(self.cfg).run_prepared_tile_at_with(
-            &self.prepared,
-            inputs,
-            &seeds,
-            stream_len,
-            scratch,
-        )
-    }
-
-    /// Timed variant of [`PreparedModel::logits_tile_with`]: also returns
-    /// one [`StepTiming`] per step, each covering the whole tile (a tiled
-    /// layer executes once for all of its images).
-    ///
-    /// # Errors
-    ///
-    /// See [`PreparedModel::logits_tile_with`].
-    pub fn logits_tile_timed_with(
-        &self,
-        image_indices: &[u64],
-        inputs: &[&Tensor],
-        scratch: &mut SimScratch,
-    ) -> Result<(Vec<Tensor>, Vec<StepTiming>), SimError> {
-        let seeds = self.tile_seeds(image_indices);
-        ScSimulator::new(self.cfg).run_prepared_tile_timed_with(
-            &self.prepared,
-            inputs,
-            &seeds,
-            scratch,
-        )
-    }
-
-    fn tile_seeds(&self, image_indices: &[u64]) -> Vec<u32> {
-        image_indices
-            .iter()
-            .map(|&i| derive_image_seed(self.cfg.act_seed, i))
-            .collect()
-    }
-
-    /// Predicted class of one image: argmax of [`PreparedModel::logits`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates datapath and shape errors.
-    pub fn predict(&self, image_index: u64, input: &Tensor) -> Result<usize, SimError> {
-        Ok(self.logits(image_index, input)?.argmax())
-    }
-
-    /// Stochastic logits of one image at a shorter stream-length prefix of
-    /// the prepared banks.
-    ///
-    /// `stream_len` must be one of [`PreparedModel::supported_lengths`];
-    /// the result is bit-identical to a model prepared directly at
-    /// `stream_len` (the prefix-consistency invariant) and, at the maximum
-    /// length, to [`PreparedModel::logits`].
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidConfig`] for an unsupported length; otherwise
-    /// propagates datapath and shape errors.
-    pub fn logits_at(
-        &self,
-        image_index: u64,
-        input: &Tensor,
-        stream_len: usize,
-    ) -> Result<Tensor, SimError> {
-        self.logits_at_with(image_index, input, stream_len, &mut SimScratch::default())
-    }
-
-    /// Scratch-reusing variant of [`PreparedModel::logits_at`].
-    ///
-    /// # Errors
-    ///
-    /// See [`PreparedModel::logits_at`].
-    pub fn logits_at_with(
-        &self,
-        image_index: u64,
-        input: &Tensor,
-        stream_len: usize,
-        scratch: &mut SimScratch,
-    ) -> Result<Tensor, SimError> {
-        self.image_sim(image_index)
-            .run_prepared_at_with(&self.prepared, input, stream_len, scratch)
-    }
-
-    /// Timed scratch-reusing variant of [`PreparedModel::logits_at`].
-    ///
-    /// # Errors
-    ///
-    /// See [`PreparedModel::logits_at`].
-    pub fn logits_at_timed_with(
-        &self,
-        image_index: u64,
-        input: &Tensor,
-        stream_len: usize,
-        scratch: &mut SimScratch,
-    ) -> Result<(Tensor, Vec<StepTiming>), SimError> {
-        self.image_sim(image_index).run_prepared_at_timed_with(
-            &self.prepared,
-            input,
-            stream_len,
-            scratch,
-        )
+    ) -> Result<RunOutput, SimError> {
+        ScSimulator::new(self.cfg).execute(&self.prepared, spec, scratch)
     }
 
     /// Early-exit logits of one image under `policy`: start at the
     /// policy's initial length, accept once the top-1/top-2 margin clears
     /// the threshold (or the maximum length is reached), escalate
-    /// otherwise. Returns the accepted logits and the effective (final)
-    /// stream length.
+    /// otherwise. Returns the accepted logits, the effective (final)
+    /// stream length and, when `timed`, one step-timing vector per executed
+    /// pass (initial attempt plus each escalation).
     ///
     /// Every escalation decision depends only on `(model, image_index,
     /// input, policy)`, so the result is as worker-count-invariant as
@@ -374,48 +201,35 @@ impl PreparedModel {
     /// # Errors
     ///
     /// Propagates datapath and shape errors.
-    pub fn logits_adaptive_with(
+    pub fn logits_adaptive(
         &self,
         policy: &ExitPolicy,
         image_index: u64,
         input: &Tensor,
-        scratch: &mut SimScratch,
-    ) -> Result<(Tensor, usize), SimError> {
-        let supported = self.prepared.supported_lengths();
-        let mut len = policy.initial_len(supported);
-        loop {
-            let logits = self.logits_at_with(image_index, input, len, scratch)?;
-            if policy.accepts(&logits) {
-                return Ok((logits, len));
-            }
-            match policy.next_len(len, supported) {
-                Some(next) => len = next,
-                None => return Ok((logits, len)),
-            }
-        }
-    }
-
-    /// Timed variant of [`PreparedModel::logits_adaptive_with`]: also
-    /// returns one step-timing vector per executed pass (initial attempt
-    /// plus each escalation), so batch aggregation can count every pass.
-    ///
-    /// # Errors
-    ///
-    /// Propagates datapath and shape errors.
-    #[allow(clippy::type_complexity)]
-    pub fn logits_adaptive_timed_with(
-        &self,
-        policy: &ExitPolicy,
-        image_index: u64,
-        input: &Tensor,
+        timed: bool,
         scratch: &mut SimScratch,
     ) -> Result<(Tensor, usize, Vec<Vec<StepTiming>>), SimError> {
         let supported = self.prepared.supported_lengths();
         let mut len = policy.initial_len(supported);
         let mut passes = Vec::new();
         loop {
-            let (logits, timings) = self.logits_at_timed_with(image_index, input, len, scratch)?;
-            passes.push(timings);
+            let spec = RunSpec {
+                stream_len: Some(len),
+                observe: Observe {
+                    timings: timed,
+                    traces: false,
+                },
+                ..self.spec([image_index], vec![input])
+            };
+            let RunOutput {
+                mut logits,
+                timings,
+                ..
+            } = self.logits(&spec, scratch)?;
+            let logits = logits.remove(0);
+            if timed {
+                passes.push(timings);
+            }
             if policy.accepts(&logits) {
                 return Ok((logits, len, passes));
             }
@@ -778,6 +592,23 @@ mod tests {
         SimConfig::with_stream_len(n).unwrap()
     }
 
+    /// Image `i` as a tile of one at `stream_len` (`None` = maximum).
+    fn run_one(
+        model: &PreparedModel,
+        i: u64,
+        x: &Tensor,
+        stream_len: Option<usize>,
+    ) -> Result<Tensor, SimError> {
+        let spec = RunSpec {
+            stream_len,
+            ..model.spec([i], vec![x])
+        };
+        Ok(model
+            .logits(&spec, &mut SimScratch::default())?
+            .logits
+            .remove(0))
+    }
+
     #[test]
     fn derived_seeds_spread_and_are_reproducible() {
         let mut seen = std::collections::HashSet::new();
@@ -794,11 +625,11 @@ mod tests {
     fn logits_are_a_pure_function_of_index_and_input() {
         let model = PreparedModel::compile(cfg(128), &small_net()).unwrap();
         let x = Tensor::from_vec(&[1, 4, 4], vec![0.5; 16]).unwrap();
-        let a = model.logits(3, &x).unwrap();
-        let b = model.logits(3, &x).unwrap();
+        let a = run_one(&model, 3, &x, None).unwrap();
+        let b = run_one(&model, 3, &x, None).unwrap();
         assert_eq!(a, b);
         // Different image indices draw different activation streams.
-        let c = model.logits(4, &x).unwrap();
+        let c = run_one(&model, 4, &x, None).unwrap();
         assert_ne!(a, c, "distinct images should not share streams");
     }
 
@@ -896,9 +727,9 @@ mod tests {
 
         // Eviction dropped only the cache's Arc; ours still works.
         let x = Tensor::from_vec(&[1, 4, 4], vec![0.5; 16]).unwrap();
-        assert_eq!(a.logits(0, &x).unwrap(), {
+        assert_eq!(run_one(&a, 0, &x, None).unwrap(), {
             let again = cache.get_or_compile(cfg(64), &net).unwrap();
-            again.logits(0, &x).unwrap()
+            run_one(&again, 0, &x, None).unwrap()
         });
     }
 
@@ -973,10 +804,10 @@ mod tests {
         assert_eq!(model.max_stream_len(), 256);
         assert!(model.supported_lengths().contains(&64));
         let x = Tensor::from_vec(&[1, 4, 4], vec![0.5; 16]).unwrap();
-        let full = model.logits(0, &x).unwrap();
-        let at_max = model.logits_at(0, &x, 256).unwrap();
-        assert_eq!(full, at_max, "logits_at(max) must equal logits()");
-        assert!(model.logits_at(0, &x, 100).is_err());
+        let full = run_one(&model, 0, &x, None).unwrap();
+        let at_max = run_one(&model, 0, &x, Some(256)).unwrap();
+        assert_eq!(full, at_max, "the maximum prefix must equal the full run");
+        assert!(run_one(&model, 0, &x, Some(100)).is_err());
     }
 
     #[test]
@@ -987,23 +818,24 @@ mod tests {
 
         // Zero margin accepts immediately at the initial length.
         let lax = ExitPolicy::new(1, 0.0, 2).unwrap();
-        let (_, len) = model
-            .logits_adaptive_with(&lax, 0, &x, &mut scratch)
+        let (_, len, passes) = model
+            .logits_adaptive(&lax, 0, &x, false, &mut scratch)
             .unwrap();
         assert_eq!(len, lax.initial_len(model.supported_lengths()));
+        assert!(passes.is_empty(), "untimed runs record no passes");
 
         // An unreachable margin escalates to the maximum and returns those
         // logits — exactly the full-length result.
         let strict = ExitPolicy::new(1, 10.0, 2).unwrap();
-        let (logits, len) = model
-            .logits_adaptive_with(&strict, 0, &x, &mut scratch)
+        let (logits, len, _) = model
+            .logits_adaptive(&strict, 0, &x, false, &mut scratch)
             .unwrap();
         assert_eq!(len, model.max_stream_len());
-        assert_eq!(logits, model.logits(0, &x).unwrap());
+        assert_eq!(logits, run_one(&model, 0, &x, None).unwrap());
 
-        // The timed variant reports one pass per visited length.
+        // A timed run reports one pass per visited length.
         let (_, len_t, passes) = model
-            .logits_adaptive_timed_with(&strict, 0, &x, &mut scratch)
+            .logits_adaptive(&strict, 0, &x, true, &mut scratch)
             .unwrap();
         assert_eq!(len_t, len);
         // Factor-2 escalation visits every supported length from the

@@ -28,13 +28,14 @@ impl LayerTiming {
 }
 
 /// Kernel-efficiency counters of one batch or micro-batch: the MAC
-/// kernels' skip-work statistics plus how much of the batch ran through
-/// the image-tiled path.
+/// kernels' skip-work statistics plus how much of the batch shared a
+/// weight walk with other images.
 ///
 /// Counters are observability only — they never influence results — and
-/// skip attribution depends on the execution path (solo runs prefilter
-/// zero segments out of the lane lists where tiled runs skip them per
-/// image), so compare counter values only between runs of the same shape.
+/// skip attribution depends on the tile shape (a tile of one counts each
+/// zero segment it meets as a skip, the lockstep walk of larger tiles
+/// merges zero words and counts them as MAC lanes), so compare counter
+/// values only between runs of the same shape.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct KernelCounters {
     /// Lanes whose AND/OR word work actually ran.
@@ -45,9 +46,9 @@ pub struct KernelCounters {
     pub sat_lanes_skipped: u64,
     /// Lanes skipped because the activation segment was all zero.
     pub zero_seg_skips: u64,
-    /// Image tiles executed through the tiled MAC path.
+    /// Tiles of two or more images (one weight walk shared across images).
     pub tiles: u64,
-    /// Images executed inside those tiles (the rest ran solo).
+    /// Images executed inside those tiles (the rest ran as tiles of one).
     pub tiled_images: u64,
 }
 

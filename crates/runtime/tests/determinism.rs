@@ -7,7 +7,17 @@ use acoustic_nn::layers::{AccumMode, AvgPool2d, Conv2d, Dense, Network, Relu};
 use acoustic_nn::train::Sample;
 use acoustic_nn::Tensor;
 use acoustic_runtime::{derive_image_seed, BatchEngine, ExitPolicy, PreparedModel, RuntimeError};
-use acoustic_simfunc::{ScSimulator, SimConfig};
+use acoustic_simfunc::{ScSimulator, SimConfig, SimScratch};
+
+/// Image `i` as a tile of one through the prepared model.
+fn logits_of(model: &PreparedModel, i: u64, x: &Tensor) -> Tensor {
+    let spec = model.spec([i], vec![x]);
+    model
+        .logits(&spec, &mut SimScratch::default())
+        .unwrap()
+        .logits
+        .remove(0)
+}
 
 fn digit_net() -> Network {
     let mut net = Network::new();
@@ -60,7 +70,7 @@ fn repeated_runs_are_bit_identical() {
 
 #[test]
 fn per_image_execution_matches_plain_simulator_with_derived_seed() {
-    // PreparedModel::logits(i, x) must be exactly ScSimulator::run with the
+    // Image i through PreparedModel::logits must be exactly ScSimulator::run with the
     // same config except act_seed = derive_image_seed(base, i) — the
     // prepared path may not drift from the reference path.
     let net = digit_net();
@@ -68,7 +78,7 @@ fn per_image_execution_matches_plain_simulator_with_derived_seed() {
     let model = PreparedModel::compile(base_cfg, &net).expect("prepare");
     let samples = batch(4);
     for (i, (x, _)) in samples.iter().enumerate() {
-        let fast = model.logits(i as u64, x).unwrap();
+        let fast = logits_of(&model, i as u64, x);
         let mut cfg = base_cfg;
         cfg.act_seed = derive_image_seed(base_cfg.act_seed, i as u64);
         let slow = ScSimulator::new(cfg).run(&net, x).unwrap();
@@ -138,7 +148,7 @@ fn worker_invariance_holds_across_datapath_config_matrix() {
                      skip_pooling={skip_pooling} shared_act_rng={shared_act_rng}"
                 );
                 for (i, x) in inputs.iter().enumerate() {
-                    let single = model.logits(i as u64, x).unwrap();
+                    let single = logits_of(&model, i as u64, x);
                     assert_eq!(serial[i], single, "batch vs per-image drift at {i}");
                 }
             }

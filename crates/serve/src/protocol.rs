@@ -196,9 +196,9 @@ pub struct StatsSnapshot {
     pub sat_lanes_skipped: u64,
     /// MAC lanes skipped because the activation segment was all zero.
     pub zero_seg_skips: u64,
-    /// Image tiles executed through the tiled MAC path.
+    /// Tiles of two or more requests (one weight walk shared).
     pub tiles: u64,
-    /// Requests executed inside those tiles (the rest ran solo).
+    /// Requests executed inside those tiles (the rest ran as tiles of one).
     pub tiled_requests: u64,
     /// Distinct canonical weight streams across resident cached models
     /// (gauge sampled at snapshot time, not a counter).

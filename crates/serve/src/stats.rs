@@ -49,9 +49,9 @@ pub struct Stats {
     pub sat_lanes_skipped: AtomicU64,
     /// Lanes skipped because the activation segment was all zero.
     pub zero_seg_skips: AtomicU64,
-    /// Image tiles executed through the tiled MAC path.
+    /// Tiles of two or more requests (one weight walk shared).
     pub tiles: AtomicU64,
-    /// Requests executed inside those tiles (the rest ran solo).
+    /// Requests executed inside those tiles (the rest ran as tiles of one).
     pub tiled_requests: AtomicU64,
     /// `ShuttingDown` rejections (request arrived after the queue closed).
     pub rejected_shutdown: AtomicU64,

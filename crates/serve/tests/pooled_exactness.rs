@@ -8,7 +8,7 @@
 //! `zoo_registry::imagenet_scale_builtin_zoo_resolves_evicts_and_recompiles`
 //! (their forward pass is intentionally out of scope).
 
-use acoustic_simfunc::{ScSimulator, SimConfig, WeightStorage};
+use acoustic_simfunc::{RunSpec, ScSimulator, SimConfig, SimScratch, WeightStorage};
 use acoustic_train::ZooModel;
 
 #[test]
@@ -40,9 +40,17 @@ fn pooled_logits_are_bit_identical_on_every_trainable_zoo_model() {
             model.slug()
         );
 
+        let mut scratch = SimScratch::default();
         for (i, x) in images.iter().enumerate() {
-            let a = pooled_sim.run_prepared(&pooled, x).unwrap();
-            let b = mat_sim.run_prepared(&materialized, x).unwrap();
+            let spec = RunSpec::one(x, base.act_seed);
+            let a = &pooled_sim
+                .execute(&pooled, &spec, &mut scratch)
+                .unwrap()
+                .logits[0];
+            let b = &mat_sim
+                .execute(&materialized, &spec, &mut scratch)
+                .unwrap()
+                .logits[0];
             assert_eq!(
                 a.as_slice(),
                 b.as_slice(),

@@ -478,12 +478,6 @@ impl ActBank {
         self.seg_zero.resize(streams * segments, true);
     }
 
-    /// The whole word bank; lane offsets computed by the caller index into
-    /// this slice directly.
-    pub(crate) fn words(&self) -> &[u64] {
-        &self.words
-    }
-
     #[cfg(test)]
     pub(crate) fn segment(&self, idx: usize, e: usize) -> &[u64] {
         let base = (idx * self.segments + e) * self.seg_words;
@@ -518,33 +512,25 @@ impl ActBank {
     }
 }
 
-/// Reusable per-inference working memory: the segmented activation bank(s),
-/// MAC accumulators, geometry/lane lists, SNG staging buffers, and kernel
+/// Reusable per-run working memory: the per-image segmented activation
+/// banks, MAC accumulators, lane lists, SNG staging buffers, and kernel
 /// skip counters.
 ///
 /// Construct once (it is `Default`) and thread through
-/// [`ScSimulator::run_prepared_with`] to amortise every per-image buffer
-/// across a batch — a fresh scratch gives bit-identical results, only slower.
-/// The batch runtime keeps one per worker thread.
+/// [`ScSimulator::execute`] to amortise every per-run buffer across a
+/// batch — a fresh scratch gives bit-identical results, only slower. The
+/// batch runtime keeps one per worker thread.
 ///
-/// [`ScSimulator::run_prepared_with`]: crate::ScSimulator::run_prepared_with
+/// [`ScSimulator::execute`]: crate::ScSimulator::execute
 #[derive(Debug, Default)]
 pub struct SimScratch {
-    /// Word-aligned segmented activation streams of the current layer.
-    pub(crate) acts: ActBank,
     /// One full-length activation stream being generated/segmented.
     pub(crate) full: Vec<u64>,
     /// Pre-quantized comparator thresholds (shared-RNG path).
     pub(crate) thresholds: Vec<u32>,
-    /// Fused MAC accumulator words (one OR group), sized once per layer.
-    pub(crate) acc: Vec<u64>,
-    /// Per-output-channel signed counters of the pixel in flight.
-    pub(crate) counts: Vec<i64>,
-    /// Receptive-field lanes of the current spatial position — shared by
-    /// every output channel. Solo runs store `(segment_index, weight_base)`
-    /// with the pooling segment resolved; tiled runs store
-    /// `(activation_index, weight_base)` so per-image gating can be applied
-    /// inside the kernel.
+    /// Receptive-field lanes `(segment_index, weight_base)` of the current
+    /// spatial position and pooling segment — shared by every output
+    /// channel and every image of the tile.
     pub(crate) lanes: Vec<(usize, usize)>,
     /// Per-image activation banks of the tile in flight.
     pub(crate) tile_acts: Vec<ActBank>,
@@ -565,8 +551,8 @@ pub struct SimScratch {
 impl SimScratch {
     /// Kernel skip counters accumulated so far (saturated-group early-outs,
     /// zero-segment skips, merged lanes). Counters are observability only:
-    /// they never influence results, and their exact values depend on which
-    /// execution path (solo vs tiled) produced them.
+    /// they never influence results, and their exact split depends on the
+    /// tile shapes that produced them (see [`KernelStats`]).
     pub fn kernel_stats(&self) -> KernelStats {
         self.stats
     }

@@ -20,7 +20,7 @@ use crate::banks::{
     fnv1a, ActBank, DedupStats, LayerWeights, LeveledWeights, PhaseBank, PoolLevel, PoolMap,
     SimScratch, StreamPool, WeightStreams, NO_SLOT,
 };
-use crate::kernels::{self, active_kernel, KernelKind, SegGeom, TileState};
+use crate::kernels::{self, active_kernel, KernelKind, SegGeom, TileState, TILE};
 use crate::pool::{layer_content_key, SharedStreamPool};
 use crate::{SimConfig, SimError, WeightStorage};
 
@@ -113,6 +113,65 @@ pub struct StepTiming {
     pub nanos: u128,
 }
 
+/// What a run records besides its logits.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Observe {
+    /// One [`StepTiming`] per executed step, covering the whole run (a step
+    /// executes once for every input of the spec).
+    pub timings: bool,
+    /// Every step's decoded output, per input ([`LayerTrace`]).
+    pub traces: bool,
+}
+
+/// One execution of a prepared network: the inputs, one activation seed
+/// per input, the stream-length prefix and what to observe.
+///
+/// Every run is a tile: the weight banks are walked once for all inputs,
+/// and input `t`'s logits are a pure function of `(network, inputs[t],
+/// act_seeds[t], stream_len)` — the same whether it runs alone or next to
+/// any other inputs. A single image is a tile of one.
+#[derive(Debug, Clone)]
+pub struct RunSpec<'a> {
+    /// The images to run.
+    pub inputs: Vec<&'a Tensor>,
+    /// Activation seed of each input (replaces [`SimConfig::act_seed`]).
+    pub act_seeds: Vec<u32>,
+    /// Total stream length to run at: one of
+    /// [`PreparedNetwork::supported_lengths`], or `None` for the
+    /// prepare-time maximum.
+    pub stream_len: Option<usize>,
+    /// What to record besides logits.
+    pub observe: Observe,
+}
+
+impl<'a> RunSpec<'a> {
+    /// A full-length, unobserved run of `inputs` at `act_seeds`.
+    pub fn new(inputs: Vec<&'a Tensor>, act_seeds: Vec<u32>) -> Self {
+        RunSpec {
+            inputs,
+            act_seeds,
+            stream_len: None,
+            observe: Observe::default(),
+        }
+    }
+
+    /// A full-length, unobserved run of one image (a tile of one).
+    pub fn one(input: &'a Tensor, act_seed: u32) -> Self {
+        RunSpec::new(vec![input], vec![act_seed])
+    }
+}
+
+/// The result of one [`RunSpec`].
+#[derive(Debug, Clone)]
+pub struct RunOutput {
+    /// Logits of each input, in spec order.
+    pub logits: Vec<Tensor>,
+    /// Per-step timings (empty unless [`Observe::timings`]).
+    pub timings: Vec<StepTiming>,
+    /// Per-input layer traces (empty unless [`Observe::traces`]).
+    pub traces: Vec<Vec<LayerTrace>>,
+}
+
 /// Stream-length and kernel selection of one engine run: a level into the
 /// prepared banks, its per-phase bit budget, and the MAC kernel resolved
 /// against host capabilities at run start.
@@ -188,8 +247,8 @@ impl Step {
 /// The weight banks are *prefix-reusable*: they are generated once at the
 /// configured maximum stream length, and any length in
 /// [`PreparedNetwork::supported_lengths`] (the power-of-two-halving
-/// prefixes of the maximum) can be executed from the same banks via
-/// [`ScSimulator::run_prepared_at`] with no stream regeneration.
+/// prefixes of the maximum) can be executed from the same banks by setting
+/// [`RunSpec::stream_len`], with no stream regeneration.
 #[derive(Debug, Clone)]
 pub struct PreparedNetwork {
     steps: Vec<Step>,
@@ -531,56 +590,102 @@ impl ScSimulator {
         Ok(steps)
     }
 
-    /// Runs one stochastic inference, returning the logits.
+    /// Runs one stochastic inference at the configured activation seed,
+    /// returning the logits.
     ///
     /// # Errors
     ///
     /// See [`ScSimulator::prepare`]; additionally propagates shape errors.
     pub fn run(&self, net: &Network, input: &Tensor) -> Result<Tensor, SimError> {
         let prepared = self.prepare(net)?;
-        self.run_prepared(&prepared, input)
+        let spec = RunSpec::one(input, self.cfg.act_seed);
+        let mut out = self.execute(&prepared, &spec, &mut SimScratch::default())?;
+        Ok(out.logits.remove(0))
     }
 
-    /// Runs one inference on an already-prepared network.
+    /// Runs one inference collecting per-step decoded outputs.
     ///
     /// # Errors
     ///
-    /// Propagates datapath and shape errors.
-    pub fn run_prepared(
-        &self,
-        prepared: &PreparedNetwork,
-        input: &Tensor,
-    ) -> Result<Tensor, SimError> {
-        self.run_prepared_with(prepared, input, &mut SimScratch::default())
+    /// See [`ScSimulator::run`].
+    pub fn run_traced(&self, net: &Network, input: &Tensor) -> Result<RunTrace, SimError> {
+        let prepared = self.prepare(net)?;
+        let spec = RunSpec {
+            observe: Observe {
+                traces: true,
+                ..Observe::default()
+            },
+            ..RunSpec::one(input, self.cfg.act_seed)
+        };
+        let mut out = self.execute(&prepared, &spec, &mut SimScratch::default())?;
+        Ok(RunTrace {
+            layers: out.traces.remove(0),
+            logits: out.logits.remove(0),
+        })
     }
 
-    /// Runs one inference reusing caller-owned working memory.
+    /// Executes `spec` against a prepared network — the one execution
+    /// entry point.
     ///
-    /// Bit-identical to [`ScSimulator::run_prepared`]; the scratch only
-    /// recycles buffers (activation bank, MAC accumulator, lane lists)
-    /// between images so the steady-state datapath is allocation-free.
+    /// Every weight-bank word is walked once for the whole tile of inputs
+    /// (the weight banks are the large, cold operand — activations are
+    /// regenerated per layer and stay hot). `spec.act_seeds[t]` replaces
+    /// the configured activation seed for input `t`; everything else comes
+    /// from this simulator's [`SimConfig`]. A shorter `spec.stream_len` is
+    /// bit-identical to preparing the network directly at that length:
+    /// weight streams are length-`L` prefixes of the max-length banks
+    /// (sliced at prepare time) and activation streams are generated at the
+    /// short length from the same seeds. The scratch only recycles buffers
+    /// between runs, so a fresh one gives bit-identical results.
     ///
     /// # Errors
     ///
-    /// Propagates datapath and shape errors.
-    pub fn run_prepared_with(
+    /// [`SimError::InvalidConfig`] for an empty spec, mismatched
+    /// `inputs`/`act_seeds` lengths or an unsupported stream length;
+    /// otherwise propagates datapath and shape errors (a failure anywhere
+    /// fails the whole spec).
+    pub fn execute(
         &self,
         prepared: &PreparedNetwork,
-        input: &Tensor,
+        spec: &RunSpec<'_>,
         scratch: &mut SimScratch,
-    ) -> Result<Tensor, SimError> {
-        let run = self.full_run();
-        self.execute(prepared, input, None, None, scratch, run)
-    }
-
-    /// The full-length run selection with the kernel resolved against the
-    /// host and the configured [`KernelChoice`](crate::KernelChoice).
-    fn full_run(&self) -> RunLen {
-        RunLen {
-            level: 0,
-            per_phase: self.cfg.per_phase_len(),
-            kernel: active_kernel(self.cfg.kernel),
+    ) -> Result<RunOutput, SimError> {
+        if spec.inputs.is_empty() {
+            return Err(SimError::InvalidConfig("empty run".into()));
         }
+        if spec.inputs.len() != spec.act_seeds.len() {
+            return Err(SimError::InvalidConfig(format!(
+                "run has {} inputs but {} activation seeds",
+                spec.inputs.len(),
+                spec.act_seeds.len()
+            )));
+        }
+        let run = self.resolve_len(prepared, spec.stream_len)?;
+        let aq = Quantizer::unsigned_unit(self.cfg.quant_bits)?;
+        let xs: Vec<Tensor> = spec
+            .inputs
+            .iter()
+            .map(|t| t.map(|v| aq.quantize_value(v.clamp(0.0, 1.0))))
+            .collect();
+        let mut out = RunOutput {
+            logits: Vec::new(),
+            timings: Vec::new(),
+            traces: if spec.observe.traces {
+                vec![Vec::new(); xs.len()]
+            } else {
+                Vec::new()
+            },
+        };
+        out.logits = self.execute_steps(
+            &prepared.steps,
+            xs,
+            &spec.act_seeds,
+            spec.observe,
+            &mut out,
+            scratch,
+            run,
+        )?;
+        Ok(out)
     }
 
     /// The effective OR-group width (`usize::MAX` = whole fan-in, the
@@ -589,156 +694,15 @@ impl ScSimulator {
         self.cfg.or_group.unwrap_or(usize::MAX).max(1)
     }
 
-    /// Runs one inference at a shorter stream-length prefix of the prepared
-    /// banks.
-    ///
-    /// `stream_len` must be one of [`PreparedNetwork::supported_lengths`] —
-    /// the prepare-time maximum or any of its power-of-two halvings. The
-    /// result is bit-identical to preparing the network directly at
-    /// `stream_len` and calling [`ScSimulator::run_prepared`]: weight
-    /// streams are length-`L` prefixes of the max-length banks (sliced at
-    /// prepare time, no regeneration) and activation streams are generated
-    /// at the short length from the same seeds.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidConfig`] when `stream_len` is not a supported
-    /// prefix; otherwise propagates datapath and shape errors.
-    pub fn run_prepared_at(
-        &self,
-        prepared: &PreparedNetwork,
-        input: &Tensor,
-        stream_len: usize,
-    ) -> Result<Tensor, SimError> {
-        self.run_prepared_at_with(prepared, input, stream_len, &mut SimScratch::default())
-    }
-
-    /// Scratch-reusing variant of [`ScSimulator::run_prepared_at`].
-    ///
-    /// # Errors
-    ///
-    /// See [`ScSimulator::run_prepared_at`].
-    pub fn run_prepared_at_with(
-        &self,
-        prepared: &PreparedNetwork,
-        input: &Tensor,
-        stream_len: usize,
-        scratch: &mut SimScratch,
-    ) -> Result<Tensor, SimError> {
-        let run = self.resolve_len(prepared, stream_len)?;
-        self.execute(prepared, input, None, None, scratch, run)
-    }
-
-    /// Timed variant of [`ScSimulator::run_prepared_at_with`].
-    ///
-    /// # Errors
-    ///
-    /// See [`ScSimulator::run_prepared_at`].
-    pub fn run_prepared_at_timed_with(
-        &self,
-        prepared: &PreparedNetwork,
-        input: &Tensor,
-        stream_len: usize,
-        scratch: &mut SimScratch,
-    ) -> Result<(Tensor, Vec<StepTiming>), SimError> {
-        let run = self.resolve_len(prepared, stream_len)?;
-        let mut timings = Vec::with_capacity(prepared.step_count());
-        let logits = self.execute(prepared, input, None, Some(&mut timings), scratch, run)?;
-        Ok((logits, timings))
-    }
-
-    /// Runs one inference per image of a tile, walking each weight-bank
-    /// word once per tile instead of once per image (the weight banks are
-    /// the large, cold operand — activations are regenerated per layer and
-    /// stay hot).
-    ///
-    /// `act_seeds[t]` replaces the configured activation seed for image
-    /// `t`, so callers batching distinct images keep per-image stream
-    /// independence. The results are bit-identical to running each image
-    /// solo through [`ScSimulator::run_prepared`] with
-    /// `cfg.act_seed = act_seeds[t]`.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidConfig`] for an empty tile or mismatched
-    /// `inputs`/`act_seeds` lengths; otherwise propagates datapath and
-    /// shape errors.
-    pub fn run_prepared_tile(
-        &self,
-        prepared: &PreparedNetwork,
-        inputs: &[&Tensor],
-        act_seeds: &[u32],
-    ) -> Result<Vec<Tensor>, SimError> {
-        self.run_prepared_tile_with(prepared, inputs, act_seeds, &mut SimScratch::default())
-    }
-
-    /// Scratch-reusing variant of [`ScSimulator::run_prepared_tile`].
-    ///
-    /// # Errors
-    ///
-    /// See [`ScSimulator::run_prepared_tile`].
-    pub fn run_prepared_tile_with(
-        &self,
-        prepared: &PreparedNetwork,
-        inputs: &[&Tensor],
-        act_seeds: &[u32],
-        scratch: &mut SimScratch,
-    ) -> Result<Vec<Tensor>, SimError> {
-        let run = self.full_run();
-        self.execute_tile(prepared, inputs, act_seeds, None, scratch, run)
-    }
-
-    /// Timed variant of [`ScSimulator::run_prepared_tile_with`]: also
-    /// returns one [`StepTiming`] per step, where each entry covers the
-    /// whole tile (a tiled layer executes once for all images).
-    ///
-    /// # Errors
-    ///
-    /// See [`ScSimulator::run_prepared_tile`].
-    pub fn run_prepared_tile_timed_with(
-        &self,
-        prepared: &PreparedNetwork,
-        inputs: &[&Tensor],
-        act_seeds: &[u32],
-        scratch: &mut SimScratch,
-    ) -> Result<(Vec<Tensor>, Vec<StepTiming>), SimError> {
-        let run = self.full_run();
-        let mut timings = Vec::with_capacity(prepared.step_count());
-        let outs = self.execute_tile(
-            prepared,
-            inputs,
-            act_seeds,
-            Some(&mut timings),
-            scratch,
-            run,
-        )?;
-        Ok((outs, timings))
-    }
-
-    /// Tiled variant of [`ScSimulator::run_prepared_at_with`]: executes the
-    /// whole tile at a shorter stream-length prefix of the prepared banks.
-    ///
-    /// # Errors
-    ///
-    /// See [`ScSimulator::run_prepared_at`] and
-    /// [`ScSimulator::run_prepared_tile`].
-    pub fn run_prepared_tile_at_with(
-        &self,
-        prepared: &PreparedNetwork,
-        inputs: &[&Tensor],
-        act_seeds: &[u32],
-        stream_len: usize,
-        scratch: &mut SimScratch,
-    ) -> Result<Vec<Tensor>, SimError> {
-        let run = self.resolve_len(prepared, stream_len)?;
-        self.execute_tile(prepared, inputs, act_seeds, None, scratch, run)
-    }
-
+    /// Resolves a requested stream length (`None` = the prepare-time
+    /// maximum) to its bank level, with the kernel resolved against the
+    /// host and the configured [`KernelChoice`](crate::KernelChoice).
     fn resolve_len(
         &self,
         prepared: &PreparedNetwork,
-        stream_len: usize,
+        stream_len: Option<usize>,
     ) -> Result<RunLen, SimError> {
+        let stream_len = stream_len.unwrap_or_else(|| prepared.max_stream_len());
         let level = prepared.level_of(stream_len).ok_or_else(|| {
             SimError::InvalidConfig(format!(
                 "stream length {stream_len} is not an executable prefix of this \
@@ -753,190 +717,106 @@ impl ScSimulator {
         })
     }
 
-    /// Runs one inference on an already-prepared network, additionally
-    /// recording the wall-clock cost of every executed step.
-    ///
-    /// The logits are bit-identical to [`ScSimulator::run_prepared`]; the
-    /// timings are the runtime's lightweight per-layer observability hook.
-    ///
-    /// # Errors
-    ///
-    /// Propagates datapath and shape errors.
-    pub fn run_prepared_timed(
-        &self,
-        prepared: &PreparedNetwork,
-        input: &Tensor,
-    ) -> Result<(Tensor, Vec<StepTiming>), SimError> {
-        self.run_prepared_timed_with(prepared, input, &mut SimScratch::default())
-    }
-
-    /// Timed variant of [`ScSimulator::run_prepared_with`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates datapath and shape errors.
-    pub fn run_prepared_timed_with(
-        &self,
-        prepared: &PreparedNetwork,
-        input: &Tensor,
-        scratch: &mut SimScratch,
-    ) -> Result<(Tensor, Vec<StepTiming>), SimError> {
-        let run = self.full_run();
-        let mut timings = Vec::with_capacity(prepared.step_count());
-        let logits = self.execute(prepared, input, None, Some(&mut timings), scratch, run)?;
-        Ok((logits, timings))
-    }
-
-    /// Runs one inference collecting per-step decoded outputs.
-    ///
-    /// # Errors
-    ///
-    /// See [`ScSimulator::run`].
-    pub fn run_traced(&self, net: &Network, input: &Tensor) -> Result<RunTrace, SimError> {
-        let prepared = self.prepare(net)?;
-        let mut traces = Vec::new();
-        let run = self.full_run();
-        let logits = self.execute(
-            &prepared,
-            input,
-            Some(&mut traces),
-            None,
-            &mut SimScratch::default(),
-            run,
-        )?;
-        Ok(RunTrace {
-            layers: traces,
-            logits,
-        })
-    }
-
-    /// Stochastic prediction: argmax of the SC logits.
-    ///
-    /// # Errors
-    ///
-    /// See [`ScSimulator::run`].
-    pub fn predict(&self, prepared: &PreparedNetwork, input: &Tensor) -> Result<usize, SimError> {
-        Ok(self.run_prepared(prepared, input)?.argmax())
-    }
-
-    /// Classification accuracy of the stochastic datapath over `samples`.
+    /// Classification accuracy of the stochastic datapath over `samples`,
+    /// every image at the configured activation seed.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] for an empty sample set and
     /// propagates datapath errors.
     pub fn evaluate(&self, net: &Network, samples: &[Sample]) -> Result<f64, SimError> {
-        let prepared = self.prepare(net)?;
-        self.evaluate_prepared(&prepared, samples)
-    }
-
-    /// Classification accuracy over `samples` on an already-prepared
-    /// network (the prepare-once path: weight quantization and stream
-    /// generation are *not* repeated per call).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] for an empty sample set and
-    /// propagates datapath errors.
-    pub fn evaluate_prepared(
-        &self,
-        prepared: &PreparedNetwork,
-        samples: &[Sample],
-    ) -> Result<f64, SimError> {
         if samples.is_empty() {
             return Err(SimError::InvalidConfig("empty evaluation set".into()));
         }
+        let prepared = self.prepare(net)?;
         let mut scratch = SimScratch::default();
         let mut correct = 0usize;
-        for (input, label) in samples {
-            if self
-                .run_prepared_with(prepared, input, &mut scratch)?
-                .argmax()
-                == *label
-            {
-                correct += 1;
-            }
+        for tile in samples.chunks(TILE) {
+            let spec = RunSpec::new(
+                tile.iter().map(|(x, _)| x).collect(),
+                vec![self.cfg.act_seed; tile.len()],
+            );
+            let out = self.execute(&prepared, &spec, &mut scratch)?;
+            correct += out
+                .logits
+                .iter()
+                .zip(tile)
+                .filter(|(logits, (_, label))| logits.argmax() == *label)
+                .count();
         }
         Ok(correct as f64 / samples.len() as f64)
     }
 
-    fn execute(
-        &self,
-        prepared: &PreparedNetwork,
-        input: &Tensor,
-        traces: Option<&mut Vec<LayerTrace>>,
-        timings: Option<&mut Vec<StepTiming>>,
-        scratch: &mut SimScratch,
-        run: RunLen,
-    ) -> Result<Tensor, SimError> {
-        let aq = Quantizer::unsigned_unit(self.cfg.quant_bits)?;
-        let x = input.map(|v| aq.quantize_value(v.clamp(0.0, 1.0)));
-        self.execute_steps(&prepared.steps, x, traces, timings, scratch, run)
-    }
-
+    /// The step walker: executes `steps` for every image of the tile,
+    /// recording what `observe` asks for into `out`.
+    #[allow(clippy::too_many_arguments)]
     fn execute_steps(
         &self,
         steps: &[Step],
-        mut x: Tensor,
-        mut traces: Option<&mut Vec<LayerTrace>>,
-        mut timings: Option<&mut Vec<StepTiming>>,
+        mut xs: Vec<Tensor>,
+        act_seeds: &[u32],
+        observe: Observe,
+        out: &mut RunOutput,
         scratch: &mut SimScratch,
         run: RunLen,
-    ) -> Result<Tensor, SimError> {
+    ) -> Result<Vec<Tensor>, SimError> {
         for step in steps {
-            let started = timings.as_ref().map(|_| std::time::Instant::now());
-            let out = match &step.op {
-                StepOp::Conv(c) => self.exec_conv(c, &x, scratch, run)?,
-                StepOp::Dense(d) => self.exec_dense(d, &x, scratch, run)?,
-                StepOp::BinaryAvgPool(k) => binary_avg_pool(&x, *k)?,
-                StepOp::MaxPool(k) => binary_max_pool(&x, *k)?,
+            let started = observe.timings.then(std::time::Instant::now);
+            xs = match &step.op {
+                StepOp::Conv(c) => self.exec_conv(c, &xs, act_seeds, scratch, run)?,
+                StepOp::Dense(d) => self.exec_dense(d, &xs, act_seeds, scratch, run)?,
+                StepOp::BinaryAvgPool(k) => xs
+                    .iter()
+                    .map(|x| binary_avg_pool(x, *k))
+                    .collect::<Result<_, _>>()?,
+                StepOp::MaxPool(k) => xs
+                    .iter()
+                    .map(|x| binary_max_pool(x, *k))
+                    .collect::<Result<_, _>>()?,
                 StepOp::Relu(hi) => {
                     // The counter/ReLU unit gates the sign and the unipolar
                     // representation caps at 1.0 regardless of the layer's
                     // own clamp setting.
                     let cap = hi.unwrap_or(1.0).min(1.0);
-                    x.map(|v| v.clamp(0.0, cap))
+                    xs.into_iter()
+                        .map(|x| x.map(|v| v.clamp(0.0, cap)))
+                        .collect()
                 }
-                StepOp::Flatten => x.to_flat(),
+                StepOp::Flatten => xs.iter().map(|x| x.to_flat()).collect(),
                 StepOp::Residual(inner) => {
-                    let skip = x.clone();
-                    let mut y = self.execute_steps(
-                        inner,
-                        x.clone(),
-                        traces.as_deref_mut(),
-                        timings.as_deref_mut(),
-                        scratch,
-                        run,
-                    )?;
-                    if y.shape() != skip.shape() {
-                        return Err(SimError::UnsupportedLayer(format!(
-                            "residual inner path changed shape {:?} -> {:?}",
-                            skip.shape(),
-                            y.shape()
-                        )));
+                    let skips = xs.clone();
+                    let mut ys =
+                        self.execute_steps(inner, xs, act_seeds, observe, out, scratch, run)?;
+                    for (y, skip) in ys.iter_mut().zip(&skips) {
+                        if y.shape() != skip.shape() {
+                            return Err(SimError::UnsupportedLayer(format!(
+                                "residual inner path changed shape {:?} -> {:?}",
+                                skip.shape(),
+                                y.shape()
+                            )));
+                        }
+                        // Counter-domain addition of the skip path.
+                        for (o, &s) in y.as_mut_slice().iter_mut().zip(skip.as_slice()) {
+                            *o += s;
+                        }
                     }
-                    // Counter-domain addition of the skip path.
-                    for (o, &s) in y.as_mut_slice().iter_mut().zip(skip.as_slice()) {
-                        *o += s;
-                    }
-                    y
+                    ys
                 }
             };
-            x = out;
-            if let (Some(t), Some(start)) = (timings.as_deref_mut(), started) {
-                t.push(StepTiming {
+            if let Some(start) = started {
+                out.timings.push(StepTiming {
                     name: Arc::clone(&step.label),
                     nanos: start.elapsed().as_nanos(),
                 });
             }
-            if let Some(t) = traces.as_deref_mut() {
-                t.push(LayerTrace {
+            for (trace, x) in out.traces.iter_mut().zip(&xs) {
+                trace.push(LayerTrace {
                     name: step.label.to_string(),
                     output: x.clone(),
                 });
             }
         }
-        Ok(x)
+        Ok(xs)
     }
 
     /// Generates the per-phase, per-segment weight streams of a MAC layer
@@ -1360,305 +1240,6 @@ impl ScSimulator {
         Ok(())
     }
 
-    fn exec_conv(
-        &self,
-        c: &PreparedConv,
-        input: &Tensor,
-        scratch: &mut SimScratch,
-        run: RunLen,
-    ) -> Result<Tensor, SimError> {
-        let weights = c.weights.level(run.level);
-        let shape = input.shape();
-        if shape.len() != 3 || shape[0] != c.in_c {
-            return Err(SimError::Nn(acoustic_nn::NnError::ShapeMismatch {
-                expected: vec![c.in_c, 0, 0],
-                actual: shape.to_vec(),
-            }));
-        }
-        let (h, w) = (shape[1], shape[2]);
-        let oh = (h + 2 * c.pad - c.k) / c.stride + 1;
-        let ow = (w + 2 * c.pad - c.k) / c.stride + 1;
-        let segments = c.pool.map_or(1, |k| k * k);
-        if let Some(pk) = c.pool {
-            if !oh.is_multiple_of(pk) || !ow.is_multiple_of(pk) {
-                return Err(SimError::UnsupportedLayer(format!(
-                    "conv output {oh}x{ow} not divisible by fused pool window {pk}"
-                )));
-            }
-        }
-        let m = run.per_phase;
-        self.fill_activation_bank(
-            input.as_slice(),
-            self.cfg.act_seed,
-            c.ordinal,
-            segments,
-            m,
-            &mut scratch.full,
-            &mut scratch.thresholds,
-            &mut scratch.acts,
-        )?;
-
-        let seg_words = weights.seg_words;
-        let geom = SegGeom::new(segments, seg_words, m / segments, self.or_group());
-        let single = geom.single_group();
-        let fan_in = c.in_c * c.k * c.k;
-        let (out_h, out_w) = match c.pool {
-            Some(pk) => (oh / pk, ow / pk),
-            None => (oh, ow),
-        };
-        let mut out = Tensor::zeros(&[c.out_c, out_h, out_w]);
-
-        let window = c.pool.unwrap_or(1);
-        let SimScratch {
-            acts,
-            acc,
-            counts,
-            lanes,
-            stats,
-            ..
-        } = scratch;
-        // Sized (and zeroed) once per layer; the kernels restore the
-        // all-zero state before returning.
-        acc.clear();
-        acc.resize(seg_words, 0);
-        // The receptive field (`lanes`) depends only on the spatial position,
-        // so it is built once per (py, px, e) and reused across all output
-        // channels; each lane stores its resolved segment index and the
-        // in-kernel weight offset — the per-channel base (`oc * fan_in`) is
-        // added inside the MAC.
-        for py in 0..out_h {
-            for px in 0..out_w {
-                counts.clear();
-                counts.resize(c.out_c, 0);
-                // `e` is the pooling-segment ordinal, mapped to a conv
-                // output position; enumerating would not simplify this.
-                #[allow(clippy::needless_range_loop)]
-                for e in 0..segments {
-                    // Conv output position covered by this segment.
-                    let (oy, ox) = if c.pool.is_some() {
-                        (py * window + e / window, px * window + e % window)
-                    } else {
-                        (py, px)
-                    };
-                    lanes.clear();
-                    for ic in 0..c.in_c {
-                        for ky in 0..c.k {
-                            let iy = (oy * c.stride + ky) as isize - c.pad as isize;
-                            if iy < 0 || iy >= h as isize {
-                                continue;
-                            }
-                            for kx in 0..c.k {
-                                let ix = (ox * c.stride + kx) as isize - c.pad as isize;
-                                if ix < 0 || ix >= w as isize {
-                                    continue;
-                                }
-                                let a_idx = (ic * h + iy as usize) * w + ix as usize;
-                                // Gating is a property of the activation
-                                // alone, so gated lanes are filtered here —
-                                // once per spatial position, not per output
-                                // channel or phase.
-                                if acts.is_gated(a_idx) {
-                                    continue;
-                                }
-                                let seg_idx = a_idx * segments + e;
-                                // With the whole fan-in in one OR group
-                                // there are no group boundaries to keep, so
-                                // all-zero segments can be dropped from the
-                                // lane list outright.
-                                if single && acts.is_seg_zero(seg_idx) {
-                                    stats.zero_seg_skips += 1;
-                                    continue;
-                                }
-                                let w_base = (ic * c.k + ky) * c.k + kx;
-                                lanes.push((seg_idx, w_base));
-                            }
-                        }
-                    }
-                    for oc in 0..c.out_c {
-                        let d = kernels::mac_segment(
-                            &geom,
-                            acts.words(),
-                            &acts.seg_zero,
-                            weights.pos,
-                            weights.neg,
-                            lanes,
-                            oc * fan_in,
-                            e,
-                            acc,
-                            stats,
-                        );
-                        counts[oc] += d;
-                    }
-                }
-                for (oc, &count) in counts.iter().enumerate().take(c.out_c) {
-                    out.set3(oc, py, px, count as f32 / m as f32);
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    fn exec_dense(
-        &self,
-        d: &PreparedDense,
-        input: &Tensor,
-        scratch: &mut SimScratch,
-        run: RunLen,
-    ) -> Result<Tensor, SimError> {
-        if input.len() != d.in_n {
-            return Err(SimError::Nn(acoustic_nn::NnError::ShapeMismatch {
-                expected: vec![d.in_n],
-                actual: input.shape().to_vec(),
-            }));
-        }
-        let weights = d.weights.level(run.level);
-        let m = run.per_phase;
-        self.fill_activation_bank(
-            input.as_slice(),
-            self.cfg.act_seed,
-            d.ordinal,
-            1,
-            m,
-            &mut scratch.full,
-            &mut scratch.thresholds,
-            &mut scratch.acts,
-        )?;
-        let seg_words = weights.seg_words;
-        let geom = SegGeom::new(1, seg_words, m, self.or_group());
-        let single = geom.single_group();
-        let mut out = vec![0.0f32; d.out_n];
-        let SimScratch {
-            acts,
-            acc,
-            lanes,
-            stats,
-            ..
-        } = scratch;
-        acc.clear();
-        acc.resize(seg_words, 0);
-        lanes.clear();
-        for i in 0..d.in_n {
-            if acts.is_gated(i) {
-                continue;
-            }
-            // One segment per stream: the segment index equals the
-            // activation index.
-            if single && acts.is_seg_zero(i) {
-                stats.zero_seg_skips += 1;
-                continue;
-            }
-            lanes.push((i, i));
-        }
-        for (o, slot) in out.iter_mut().enumerate() {
-            let count = kernels::mac_segment(
-                &geom,
-                acts.words(),
-                &acts.seg_zero,
-                weights.pos,
-                weights.neg,
-                lanes,
-                o * d.in_n,
-                0,
-                acc,
-                stats,
-            );
-            *slot = count as f32 / m as f32;
-        }
-
-        Ok(Tensor::from_vec(&[d.out_n], out)?)
-    }
-
-    fn execute_tile(
-        &self,
-        prepared: &PreparedNetwork,
-        inputs: &[&Tensor],
-        act_seeds: &[u32],
-        timings: Option<&mut Vec<StepTiming>>,
-        scratch: &mut SimScratch,
-        run: RunLen,
-    ) -> Result<Vec<Tensor>, SimError> {
-        if inputs.is_empty() {
-            return Err(SimError::InvalidConfig("empty tile".into()));
-        }
-        if inputs.len() != act_seeds.len() {
-            return Err(SimError::InvalidConfig(format!(
-                "tile has {} inputs but {} activation seeds",
-                inputs.len(),
-                act_seeds.len()
-            )));
-        }
-        let aq = Quantizer::unsigned_unit(self.cfg.quant_bits)?;
-        let xs: Vec<Tensor> = inputs
-            .iter()
-            .map(|t| t.map(|v| aq.quantize_value(v.clamp(0.0, 1.0))))
-            .collect();
-        self.execute_steps_tile(&prepared.steps, xs, act_seeds, timings, scratch, run)
-    }
-
-    fn execute_steps_tile(
-        &self,
-        steps: &[Step],
-        mut xs: Vec<Tensor>,
-        act_seeds: &[u32],
-        mut timings: Option<&mut Vec<StepTiming>>,
-        scratch: &mut SimScratch,
-        run: RunLen,
-    ) -> Result<Vec<Tensor>, SimError> {
-        for step in steps {
-            let started = timings.as_ref().map(|_| std::time::Instant::now());
-            xs = match &step.op {
-                StepOp::Conv(c) => self.exec_conv_tile(c, &xs, act_seeds, scratch, run)?,
-                StepOp::Dense(d) => self.exec_dense_tile(d, &xs, act_seeds, scratch, run)?,
-                StepOp::BinaryAvgPool(k) => xs
-                    .iter()
-                    .map(|x| binary_avg_pool(x, *k))
-                    .collect::<Result<_, _>>()?,
-                StepOp::MaxPool(k) => xs
-                    .iter()
-                    .map(|x| binary_max_pool(x, *k))
-                    .collect::<Result<_, _>>()?,
-                StepOp::Relu(hi) => {
-                    let cap = hi.unwrap_or(1.0).min(1.0);
-                    xs.into_iter()
-                        .map(|x| x.map(|v| v.clamp(0.0, cap)))
-                        .collect()
-                }
-                StepOp::Flatten => xs.iter().map(|x| x.to_flat()).collect(),
-                StepOp::Residual(inner) => {
-                    let skips = xs.clone();
-                    let mut ys = self.execute_steps_tile(
-                        inner,
-                        xs,
-                        act_seeds,
-                        timings.as_deref_mut(),
-                        scratch,
-                        run,
-                    )?;
-                    for (y, skip) in ys.iter_mut().zip(&skips) {
-                        if y.shape() != skip.shape() {
-                            return Err(SimError::UnsupportedLayer(format!(
-                                "residual inner path changed shape {:?} -> {:?}",
-                                skip.shape(),
-                                y.shape()
-                            )));
-                        }
-                        for (o, &s) in y.as_mut_slice().iter_mut().zip(skip.as_slice()) {
-                            *o += s;
-                        }
-                    }
-                    ys
-                }
-            };
-            if let (Some(t), Some(start)) = (timings.as_deref_mut(), started) {
-                t.push(StepTiming {
-                    name: Arc::clone(&step.label),
-                    nanos: start.elapsed().as_nanos(),
-                });
-            }
-        }
-        Ok(xs)
-    }
-
     /// Fills one activation bank per tile image (identical layouts, the
     /// image's own seed) and sizes the tiled MAC state.
     #[allow(clippy::too_many_arguments)]
@@ -1699,7 +1280,7 @@ impl ScSimulator {
         Ok(())
     }
 
-    fn exec_conv_tile(
+    fn exec_conv(
         &self,
         c: &PreparedConv,
         xs: &[Tensor],
@@ -1782,25 +1363,14 @@ impl ScSimulator {
                                     continue;
                                 }
                                 let a_idx = (ic * h + iy as usize) * w + ix as usize;
-                                // A lane gated in every image consumes no
-                                // OR-group slot anywhere — drop it. With a
-                                // single group, a lane that is gated or
-                                // all-zero in every image is a no-op too.
-                                if banks.iter().all(|b| b.is_gated(a_idx)) {
-                                    continue;
-                                }
                                 let seg_idx = a_idx * segments + e;
-                                if single
-                                    && banks
-                                        .iter()
-                                        .all(|b| b.is_gated(a_idx) || b.is_seg_zero(seg_idx))
-                                {
-                                    stats.zero_seg_skips +=
-                                        banks.iter().filter(|b| !b.is_gated(a_idx)).count() as u64;
+                                let (live, nonzero) = lane_liveness(banks, a_idx, seg_idx);
+                                if live == 0 || (single && !nonzero) {
+                                    stats.zero_seg_skips += live;
                                     continue;
                                 }
                                 let w_base = (ic * c.k + ky) * c.k + kx;
-                                lanes.push((a_idx, w_base));
+                                lanes.push((seg_idx, w_base));
                             }
                         }
                     }
@@ -1837,7 +1407,7 @@ impl ScSimulator {
         Ok(outs)
     }
 
-    fn exec_dense_tile(
+    fn exec_dense(
         &self,
         d: &PreparedDense,
         xs: &[Tensor],
@@ -1874,11 +1444,9 @@ impl ScSimulator {
         let banks = &tile_acts[..tile];
         lanes.clear();
         for i in 0..d.in_n {
-            if banks.iter().all(|b| b.is_gated(i)) {
-                continue;
-            }
-            if single && banks.iter().all(|b| b.is_gated(i) || b.is_seg_zero(i)) {
-                stats.zero_seg_skips += banks.iter().filter(|b| !b.is_gated(i)).count() as u64;
+            let (live, nonzero) = lane_liveness(banks, i, i);
+            if live == 0 || (single && !nonzero) {
+                stats.zero_seg_skips += live;
                 continue;
             }
             lanes.push((i, i));
@@ -1916,6 +1484,23 @@ impl ScSimulator {
             })
             .collect()
     }
+}
+
+/// Whether a receptive-field lane can still change a MAC of the tile: how
+/// many images have activation `a_idx` ungated, and whether any of them
+/// has a nonzero segment `seg_idx`. A lane gated in every image consumes
+/// no OR-group slot anywhere; with a single OR group, a lane that is gated
+/// or all-zero in every image is a no-op too.
+fn lane_liveness(banks: &[ActBank], a_idx: usize, seg_idx: usize) -> (u64, bool) {
+    let mut live = 0u64;
+    let mut nonzero = false;
+    for b in banks {
+        if !b.is_gated(a_idx) {
+            live += 1;
+            nonzero |= !b.is_seg_zero(seg_idx);
+        }
+    }
+    (live, nonzero)
 }
 
 /// Binary-domain average pooling (used when computation skipping is off).
@@ -2119,6 +1704,21 @@ mod tests {
         SimConfig::with_stream_len(n).unwrap()
     }
 
+    /// One image at the simulator's seed, at `stream_len`.
+    fn run_at(
+        sim: &ScSimulator,
+        prepared: &PreparedNetwork,
+        input: &Tensor,
+        stream_len: Option<usize>,
+    ) -> Result<Tensor, SimError> {
+        let spec = RunSpec {
+            stream_len,
+            ..RunSpec::one(input, sim.cfg.act_seed)
+        };
+        let mut out = sim.execute(prepared, &spec, &mut SimScratch::default())?;
+        Ok(out.logits.remove(0))
+    }
+
     #[test]
     fn mix_seed_is_nonzero_and_spread() {
         let mut seen = std::collections::HashSet::new();
@@ -2140,6 +1740,7 @@ mod tests {
         let values: Vec<f32> = (0..25).map(|i| i as f32 / 24.0 - 0.2).collect();
         let segments = 4;
         let mut scratch = SimScratch::default();
+        let mut acts = ActBank::default();
         let m = sim.cfg.per_phase_len();
         sim.fill_activation_bank(
             &values,
@@ -2149,7 +1750,7 @@ mod tests {
             m,
             &mut scratch.full,
             &mut scratch.thresholds,
-            &mut scratch.acts,
+            &mut acts,
         )
         .unwrap();
         let seg_len = m / segments;
@@ -2162,17 +1763,13 @@ mod tests {
         let streams = bank.generate_many(&vals, m).unwrap();
         for (idx, s) in streams.iter().enumerate() {
             if s.count_ones() == 0 {
-                assert!(scratch.acts.is_gated(idx), "idx {idx} should be gated");
+                assert!(acts.is_gated(idx), "idx {idx} should be gated");
                 continue;
             }
-            assert!(!scratch.acts.is_gated(idx), "idx {idx} wrongly gated");
+            assert!(!acts.is_gated(idx), "idx {idx} wrongly gated");
             for e in 0..segments {
                 let old = s.slice(e * seg_len, seg_len);
-                assert_eq!(
-                    scratch.acts.segment(idx, e),
-                    old.as_words(),
-                    "idx {idx} seg {e}"
-                );
+                assert_eq!(acts.segment(idx, e), old.as_words(), "idx {idx} seg {e}");
             }
         }
     }
@@ -2357,8 +1954,6 @@ mod tests {
         let net = Network::new();
         let sim = ScSimulator::new(cfg(128));
         assert!(sim.evaluate(&net, &[]).is_err());
-        let prepared = sim.prepare(&net).unwrap();
-        assert!(sim.evaluate_prepared(&prepared, &[]).is_err());
     }
 
     fn digit_like_net() -> Network {
@@ -2377,7 +1972,7 @@ mod tests {
     }
 
     #[test]
-    fn run_prepared_is_bit_identical_to_run() {
+    fn execute_is_bit_identical_to_run() {
         // The prepare-once path must not change a single output bit
         // relative to the prepare-per-call wrapper.
         let net = digit_like_net();
@@ -2385,10 +1980,10 @@ mod tests {
         let sim = ScSimulator::new(cfg(256));
         let prepared = sim.prepare(&net).unwrap();
         let via_run = sim.run(&net, &input).unwrap();
-        let via_prepared = sim.run_prepared(&prepared, &input).unwrap();
+        let via_prepared = run_at(&sim, &prepared, &input, None).unwrap();
         assert_eq!(via_run, via_prepared);
         // Reusing the same prepared network is also stable.
-        assert_eq!(via_prepared, sim.run_prepared(&prepared, &input).unwrap());
+        assert_eq!(via_prepared, run_at(&sim, &prepared, &input, None).unwrap());
     }
 
     #[test]
@@ -2412,18 +2007,18 @@ mod tests {
     }
 
     #[test]
-    fn run_prepared_at_max_length_is_bit_identical_to_run_prepared() {
+    fn max_length_prefix_is_bit_identical_to_full_run() {
         let net = digit_like_net();
         let input = ramp_input();
         let sim = ScSimulator::new(cfg(256));
         let prepared = sim.prepare(&net).unwrap();
-        let full = sim.run_prepared(&prepared, &input).unwrap();
-        let at_max = sim.run_prepared_at(&prepared, &input, 256).unwrap();
+        let full = run_at(&sim, &prepared, &input, None).unwrap();
+        let at_max = run_at(&sim, &prepared, &input, Some(256)).unwrap();
         assert_eq!(full, at_max);
     }
 
     #[test]
-    fn run_prepared_at_rejects_unsupported_lengths() {
+    fn unsupported_prefix_lengths_are_rejected() {
         let net = digit_like_net();
         let input = ramp_input();
         let sim = ScSimulator::new(cfg(256));
@@ -2431,7 +2026,7 @@ mod tests {
         for bad in [512usize, 96, 4, 0] {
             assert!(
                 matches!(
-                    sim.run_prepared_at(&prepared, &input, bad),
+                    run_at(&sim, &prepared, &input, Some(bad)),
                     Err(SimError::InvalidConfig(_))
                 ),
                 "length {bad} should be rejected"
@@ -2446,39 +2041,41 @@ mod tests {
         let sim = ScSimulator::new(cfg(256));
         let prepared = sim.prepare(&net).unwrap();
         for &len in prepared.supported_lengths() {
-            let via_prefix = sim.run_prepared_at(&prepared, &input, len).unwrap();
-            let direct_sim = ScSimulator::new(cfg(len));
-            let direct = direct_sim
-                .run_prepared(&direct_sim.prepare(&net).unwrap(), &input)
-                .unwrap();
+            let via_prefix = run_at(&sim, &prepared, &input, Some(len)).unwrap();
+            let direct = ScSimulator::new(cfg(len)).run(&net, &input).unwrap();
             assert_eq!(via_prefix, direct, "prefix diverged at length {len}");
         }
     }
 
-    #[test]
-    fn tiled_run_matches_solo_per_image() {
-        let net = digit_like_net();
-        let sim = ScSimulator::new(cfg(128));
-        let prepared = sim.prepare(&net).unwrap();
-        let inputs: Vec<Tensor> = (0..3)
+    fn three_inputs() -> (Vec<Tensor>, Vec<u32>) {
+        let inputs = (0..3)
             .map(|t| {
                 let vals: Vec<f32> = (0..64).map(|i| ((i + 7 * t) % 64) as f32 / 64.0).collect();
                 Tensor::from_vec(&[1, 8, 8], vals).unwrap()
             })
             .collect();
-        let seeds: Vec<u32> = (0..3).map(|t| 0xACE1 + 17 * t).collect();
+        (inputs, (0..3).map(|t| 0xACE1 + 17 * t).collect())
+    }
+
+    #[test]
+    fn tiled_run_matches_tiles_of_one() {
+        let net = digit_like_net();
+        let sim = ScSimulator::new(cfg(128));
+        let prepared = sim.prepare(&net).unwrap();
+        let (inputs, seeds) = three_inputs();
+        let mut scratch = SimScratch::default();
         let solo: Vec<Tensor> = inputs
             .iter()
             .zip(&seeds)
             .map(|(x, &s)| {
                 let mut c = cfg(128);
                 c.act_seed = s;
-                ScSimulator::new(c).run_prepared(&prepared, x).unwrap()
+                run_at(&ScSimulator::new(c), &prepared, x, None).unwrap()
             })
             .collect();
-        let refs: Vec<&Tensor> = inputs.iter().collect();
-        let tiled = sim.run_prepared_tile(&prepared, &refs, &seeds).unwrap();
-        assert_eq!(solo, tiled);
+        let spec = RunSpec::new(inputs.iter().collect(), seeds);
+        let tiled = sim.execute(&prepared, &spec, &mut scratch).unwrap();
+        assert_eq!(solo, tiled.logits);
     }
 
     #[test]
@@ -2487,28 +2084,59 @@ mod tests {
         let sim = ScSimulator::new(cfg(128));
         let prepared = sim.prepare(&net).unwrap();
         let input = ramp_input();
+        let mut scratch = SimScratch::default();
         assert!(matches!(
-            sim.run_prepared_tile(&prepared, &[], &[]),
+            sim.execute(&prepared, &RunSpec::new(vec![], vec![]), &mut scratch),
             Err(SimError::InvalidConfig(_))
         ));
         assert!(matches!(
-            sim.run_prepared_tile(&prepared, &[&input], &[1, 2]),
+            sim.execute(
+                &prepared,
+                &RunSpec::new(vec![&input], vec![1, 2]),
+                &mut scratch
+            ),
             Err(SimError::InvalidConfig(_))
         ));
     }
 
     #[test]
-    fn timed_run_matches_untimed_and_labels_steps() {
+    fn observed_run_matches_unobserved_and_labels_steps() {
         let net = digit_like_net();
-        let input = ramp_input();
         let sim = ScSimulator::new(cfg(128));
         let prepared = sim.prepare(&net).unwrap();
-        let plain = sim.run_prepared(&prepared, &input).unwrap();
-        let (timed, timings) = sim.run_prepared_timed(&prepared, &input).unwrap();
-        assert_eq!(plain, timed);
-        let names: Vec<String> = timings.iter().map(|t| t.name.to_string()).collect();
+        let (inputs, seeds) = three_inputs();
+        let mut scratch = SimScratch::default();
+        let plain = RunSpec::new(inputs.iter().collect(), seeds.clone());
+        let observed = RunSpec {
+            observe: Observe {
+                timings: true,
+                traces: true,
+            },
+            ..plain.clone()
+        };
+        let a = sim.execute(&prepared, &plain, &mut scratch).unwrap();
+        let b = sim.execute(&prepared, &observed, &mut scratch).unwrap();
+        assert_eq!(a.logits, b.logits);
+        assert!(a.timings.is_empty() && a.traces.is_empty());
+        let names: Vec<String> = b.timings.iter().map(|t| t.name.to_string()).collect();
         assert_eq!(names, prepared.step_names());
         assert_eq!(prepared.step_count(), 4);
+        // Each input's trace is its own run's trace.
+        for (t, (x, &s)) in inputs.iter().zip(&seeds).enumerate() {
+            let mut c = cfg(128);
+            c.act_seed = s;
+            let alone = ScSimulator::new(c).run_traced(&net, x).unwrap();
+            let got: Vec<(&str, &Tensor)> = b.traces[t]
+                .iter()
+                .map(|l| (l.name.as_str(), &l.output))
+                .collect();
+            let want: Vec<(&str, &Tensor)> = alone
+                .layers
+                .iter()
+                .map(|l| (l.name.as_str(), &l.output))
+                .collect();
+            assert_eq!(got, want, "trace of input {t}");
+        }
     }
 }
 
@@ -2676,7 +2304,15 @@ mod residual_tests {
         .unwrap();
         for &len in wide.supported_lengths() {
             let direct = ScSimulator::new(cfg(len)).run(&net, &input).unwrap();
-            let at = sim.run_prepared_at(&wide, &input, len).unwrap();
+            let spec = RunSpec {
+                stream_len: Some(len),
+                ..RunSpec::one(&input, sim.cfg.act_seed)
+            };
+            let at = sim
+                .execute(&wide, &spec, &mut SimScratch::default())
+                .unwrap()
+                .logits
+                .remove(0);
             assert_eq!(direct.as_slice(), at.as_slice(), "prefix {len} differs");
         }
     }

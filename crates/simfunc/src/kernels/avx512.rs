@@ -52,13 +52,12 @@ unsafe fn mac_phase_tile_word_single_avx512(
         let b: [&[u64]; TILE_LANES] =
             std::array::from_fn(|t| args.banks[base + t].words.as_slice());
         let mut acc = _mm512_setzero_si512();
-        for (n, &(a_idx, w_base)) in lanes.iter().enumerate() {
+        for (n, &(seg_idx, w_base)) in lanes.iter().enumerate() {
             let w_idx = args.w_off + w_base;
             if !args.present[w_idx] {
                 continue;
             }
             let w = args.bank_words[args.w_slot(w_idx) * geom.segments + args.segment];
-            let seg_idx = a_idx * geom.segments + args.segment;
             let wv = _mm512_set1_epi64(w as i64);
             let av = _mm512_set_epi64(
                 b[7][seg_idx] as i64,

@@ -25,8 +25,8 @@
 //! * `scalar` — the portable golden reference; runs every shape.
 //! * `avx512` — one block: the single-word, single-OR-group lockstep
 //!   tile walk with 8 images per 512-bit register (x86-64 with `avx512f`
-//!   only). Every other shape — solo runs, tiles under 8 images,
-//!   multi-word segments and OR-grouped layers — runs scalar.
+//!   only). Every other shape — tiles under 8 images, multi-word segments
+//!   and OR-grouped layers — runs scalar.
 //!
 //! Dispatch is one host rule ([`active_kernel`]): `avx512` when the CPU
 //! reports `avx512f`, `scalar` otherwise, or `scalar` whenever the
@@ -164,9 +164,11 @@ impl HostFingerprint {
 }
 
 /// Kernel skip-work counters. Purely observational: values never feed back
-/// into results, and solo vs tiled execution may attribute skips
-/// differently (e.g. solo prefilters zero segments out of the lane list
-/// when the whole fan-in is one OR group, tiled runs skip them per image).
+/// into results, and their split depends on the tile's shape — a tile of
+/// one image counts each zero segment it meets as a skip, while the
+/// lockstep walk of larger single-word, single-group tiles merges zero
+/// words unconditionally and counts them as MAC lanes. Compare counters
+/// only between runs of the same tile shape.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct KernelStats {
     /// Lanes whose AND/OR word work actually ran.
@@ -226,43 +228,6 @@ impl SegGeom {
     }
 }
 
-/// Borrowed operands of one solo MAC phase over one segment.
-pub(crate) struct PhaseArgs<'a> {
-    pub geom: &'a SegGeom,
-    /// The image's activation word bank.
-    pub act_words: &'a [u64],
-    /// Per-segment zero flags of the activation bank (`seg_idx`-indexed).
-    pub seg_zero: &'a [bool],
-    /// The phase's weight word bank (pool words when `windex` is set).
-    pub bank_words: &'a [u64],
-    /// Whether each weight has a component in this phase.
-    pub present: &'a [bool],
-    /// Pooled layout's per-lane slot indices into `bank_words`; `None`
-    /// for the direct layout where lane `j` owns its own word range.
-    /// Only valid for `present` lanes — kernels must check `present`
-    /// before resolving a slot.
-    pub windex: Option<&'a [u32]>,
-    /// Receptive-field lanes `(segment_index, weight_base)`, pre-filtered
-    /// of gated activations.
-    pub lanes: &'a [(usize, usize)],
-    /// Per-output-channel weight offset added to each lane's weight base.
-    pub w_off: usize,
-    /// Pooling segment executed by this call.
-    pub segment: usize,
-}
-
-impl PhaseArgs<'_> {
-    /// Resolves lane `w_idx` to its word-bank slot (identity without a
-    /// pool). Callers must have checked `present[w_idx]` first.
-    #[inline(always)]
-    pub(crate) fn w_slot(&self, w_idx: usize) -> usize {
-        match self.windex {
-            None => w_idx,
-            Some(ix) => ix[w_idx] as usize,
-        }
-    }
-}
-
 /// Borrowed operands of one tiled MAC phase over one segment: the same
 /// weight walk shared by every image of the tile.
 pub(crate) struct TilePhaseArgs<'a> {
@@ -273,9 +238,13 @@ pub(crate) struct TilePhaseArgs<'a> {
     pub bank_words: &'a [u64],
     /// Whether each weight has a component in this phase.
     pub present: &'a [bool],
-    /// Pooled layout's per-lane slot indices; see [`PhaseArgs::windex`].
+    /// Pooled layout's per-lane slot indices into `bank_words`; `None`
+    /// for the direct layout where lane `j` owns its own word range.
+    /// Only valid for `present` lanes — kernels must check `present`
+    /// before resolving a slot.
     pub windex: Option<&'a [u32]>,
-    /// Receptive-field lanes `(activation_index, weight_base)`, *not*
+    /// Receptive-field lanes `(segment_index, weight_base)`, where
+    /// `segment_index = activation_index * segments + segment`; *not*
     /// filtered of per-image gating (gating is applied per image inside
     /// the kernel; lanes gated in every image are dropped by the caller).
     pub lanes: &'a [(usize, usize)],
@@ -306,43 +275,6 @@ pub(crate) struct TileState<'a> {
     pub sat: &'a mut [bool],
     /// Per-image phase counts (output).
     pub phase: &'a mut [u64],
-}
-
-/// One solo split-unipolar MAC over a segment: both phases, OR accumulation
-/// with optional grouping and saturation/zero skipping, returning the
-/// signed count.
-///
-/// `acc` must hold `seg_words` zeroed words; kernels restore the all-zero
-/// state before returning, so one layer-level zeroing suffices.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn mac_segment(
-    geom: &SegGeom,
-    act_words: &[u64],
-    seg_zero: &[bool],
-    pos: PhaseView<'_>,
-    neg: PhaseView<'_>,
-    lanes: &[(usize, usize)],
-    w_off: usize,
-    segment: usize,
-    acc: &mut [u64],
-    stats: &mut KernelStats,
-) -> i64 {
-    let mut count = 0i64;
-    for (sign, view) in [(1i64, pos), (-1i64, neg)] {
-        let args = PhaseArgs {
-            geom,
-            act_words,
-            seg_zero,
-            bank_words: view.words,
-            present: view.present,
-            windex: view.windex,
-            lanes,
-            w_off,
-            segment,
-        };
-        count += sign * scalar::mac_phase(&args, acc, stats) as i64;
-    }
-    count
 }
 
 /// One tiled split-unipolar MAC over a segment: walks each weight word once
@@ -383,9 +315,10 @@ pub(crate) fn mac_segment_tile(
 }
 
 /// One tiled MAC phase: each weight word is loaded once and merged into
-/// every image of the tile. The single-word, single-group shape takes the
-/// lockstep walk (the AVX-512 block under [`KernelKind::Avx512`]); every
-/// other shape takes the scalar general walk.
+/// every image of the tile. A tile of one takes the per-lane scalar walk;
+/// larger single-word, single-group tiles take the lockstep walk (the
+/// AVX-512 block under [`KernelKind::Avx512`]); every other shape takes
+/// the scalar general walk.
 fn mac_phase_tile(
     kind: KernelKind,
     args: &TilePhaseArgs<'_>,
@@ -394,6 +327,16 @@ fn mac_phase_tile(
 ) {
     let geom = args.geom;
     let tile = args.banks.len();
+    if tile == 1 {
+        // Chosen by input size, not a second semantics: with one image
+        // the per-image state lives in registers and zero segments skip
+        // their weight load, which the lockstep walk cannot do for a
+        // tile (measured in EXPERIMENTS.md).
+        let acc = &mut state.accs[..geom.seg_words];
+        acc.fill(0);
+        state.phase[0] = scalar::mac_phase(args, acc, stats);
+        return;
+    }
     state.phase[..tile].fill(0);
     state.in_group[..tile].fill(0);
     state.sat[..tile].fill(false);

@@ -1,21 +1,25 @@
 //! Portable scalar MAC kernel — the golden reference the AVX-512 tile
 //! block must match bit-for-bit, and the kernel for every other shape.
 //!
-//! Single-word segments (streams ≤ 64 bits per segment, the common LeNet
-//! shapes) keep the OR accumulator in a register; multi-word segments merge
-//! word-by-word into the caller's scratch accumulator. Both paths implement
+//! A tile of one image walks its lanes one by one: single-word segments
+//! (streams ≤ 64 bits per segment, the common LeNet shapes) keep the OR
+//! accumulator in a register; multi-word segments merge word-by-word into
+//! the caller's scratch accumulator. Larger tiles take the lockstep walk
+//! (single-word, single-group) or the general walk. Every path implements
 //! OR-saturation short-circuiting and zero-segment skipping (see the
 //! [module docs](crate::kernels) for why both are exact).
 
 use acoustic_core::bitstream::count_ones_words;
 
-use super::{KernelStats, PhaseArgs, TilePhaseArgs, TileState};
+use super::{KernelStats, TilePhaseArgs, TileState};
 
-/// One MAC phase over one segment; returns the phase's ones count.
+/// One MAC phase over one segment of a tile of one image; returns the
+/// phase's ones count. The caller's lane list already dropped every lane
+/// gated in all images of the tile — for a tile of one, every gated lane.
 ///
 /// `acc` must hold `seg_words` zeroed words on entry and is returned
 /// zeroed.
-pub(crate) fn mac_phase(args: &PhaseArgs<'_>, acc: &mut [u64], stats: &mut KernelStats) -> u64 {
+pub(crate) fn mac_phase(args: &TilePhaseArgs<'_>, acc: &mut [u64], stats: &mut KernelStats) -> u64 {
     if args.geom.seg_words == 1 {
         mac_phase_word(args, stats)
     } else {
@@ -24,8 +28,9 @@ pub(crate) fn mac_phase(args: &PhaseArgs<'_>, acc: &mut [u64], stats: &mut Kerne
 }
 
 /// Single-word segments: the whole OR group lives in one register.
-fn mac_phase_word(args: &PhaseArgs<'_>, stats: &mut KernelStats) -> u64 {
+fn mac_phase_word(args: &TilePhaseArgs<'_>, stats: &mut KernelStats) -> u64 {
     let geom = args.geom;
+    let act_words = args.banks[0].words.as_slice();
     let single = geom.single_group();
     let mut phase = 0u64;
     let mut acc_w = 0u64;
@@ -39,7 +44,7 @@ fn mac_phase_word(args: &PhaseArgs<'_>, stats: &mut KernelStats) -> u64 {
         if saturated {
             stats.sat_lanes_skipped += 1;
         } else {
-            let act = args.act_words[seg_idx];
+            let act = act_words[seg_idx];
             if act == 0 {
                 stats.zero_seg_skips += 1;
             } else {
@@ -91,8 +96,9 @@ fn is_saturated(acc: &[u64], sat_mask: u64) -> bool {
 }
 
 /// Multi-word segments: merge word-by-word into the scratch accumulator.
-fn mac_phase_words(args: &PhaseArgs<'_>, acc: &mut [u64], stats: &mut KernelStats) -> u64 {
+fn mac_phase_words(args: &TilePhaseArgs<'_>, acc: &mut [u64], stats: &mut KernelStats) -> u64 {
     let geom = args.geom;
+    let bank = &args.banks[0];
     let sw = geom.seg_words;
     debug_assert_eq!(acc.len(), sw);
     debug_assert!(
@@ -110,13 +116,13 @@ fn mac_phase_words(args: &PhaseArgs<'_>, acc: &mut [u64], stats: &mut KernelStat
         }
         if saturated {
             stats.sat_lanes_skipped += 1;
-        } else if args.seg_zero[seg_idx] {
+        } else if bank.seg_zero[seg_idx] {
             stats.zero_seg_skips += 1;
         } else {
             stats.mac_lanes += 1;
             let a_base = seg_idx * sw;
             let wb = (args.w_slot(w_idx) * geom.segments + args.segment) * sw;
-            let act = &args.act_words[a_base..a_base + sw];
+            let act = &bank.words[a_base..a_base + sw];
             let wgt = &args.bank_words[wb..wb + sw];
             for ((acc_w, &aw), &ww) in acc.iter_mut().zip(act).zip(wgt) {
                 *acc_w |= aw & ww;
@@ -176,13 +182,12 @@ pub(super) fn mac_phase_tile_word_single(
     if banks.is_empty() {
         return;
     }
-    for (n, &(a_idx, w_base)) in args.lanes.iter().enumerate() {
+    for (n, &(seg_idx, w_base)) in args.lanes.iter().enumerate() {
         let w_idx = args.w_off + w_base;
         if !args.present[w_idx] {
             continue;
         }
         let w = args.bank_words[args.w_slot(w_idx) * geom.segments + args.segment];
-        let seg_idx = a_idx * geom.segments + args.segment;
         // Accumulator words never exceed `sat_mask` (bank tail-bit
         // invariant), so the AND chain equals the mask exactly when every
         // image's group has saturated.
@@ -218,12 +223,12 @@ pub(super) fn mac_phase_tile_general(
 ) {
     let geom = args.geom;
     let sw = geom.seg_words;
-    for &(a_idx, w_base) in args.lanes {
+    for &(seg_idx, w_base) in args.lanes {
         let w_idx = args.w_off + w_base;
         if !args.present[w_idx] {
             continue;
         }
-        let seg_idx = a_idx * geom.segments + args.segment;
+        let a_idx = seg_idx / geom.segments;
         let a_base = seg_idx * sw;
         let wb = (args.w_slot(w_idx) * geom.segments + args.segment) * sw;
         for (t, bank) in args.banks.iter().enumerate() {

@@ -45,8 +45,8 @@ mod sim_error;
 
 pub use banks::{DedupStats, SimScratch};
 pub use engine::{
-    LayerTrace, PrepareOptions, PreparedNetwork, RunTrace, ScSimulator, StepTiming,
-    PREPARE_THREADS_ENV,
+    LayerTrace, Observe, PrepareOptions, PreparedNetwork, RunOutput, RunSpec, RunTrace,
+    ScSimulator, StepTiming, PREPARE_THREADS_ENV,
 };
 pub use expected::{expected_accuracy, expected_logits};
 pub use kernels::{

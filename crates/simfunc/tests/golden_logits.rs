@@ -15,7 +15,23 @@ use acoustic_core::{Bitstream, Lfsr};
 use acoustic_nn::fixedpoint::Quantizer;
 use acoustic_nn::layers::{AccumMode, AvgPool2d, Conv2d, Dense, Network, Relu};
 use acoustic_nn::Tensor;
-use acoustic_simfunc::{ScSimulator, SimConfig, SimScratch, WeightStorage};
+use acoustic_simfunc::{
+    PreparedNetwork, RunSpec, ScSimulator, SimConfig, SimScratch, WeightStorage,
+};
+
+/// One image through the production engine at the simulator's seed.
+fn run_one(
+    sim: &ScSimulator,
+    prepared: &PreparedNetwork,
+    input: &Tensor,
+    scratch: &mut SimScratch,
+) -> Tensor {
+    let spec = RunSpec::one(input, sim.config().act_seed);
+    sim.execute(prepared, &spec, scratch)
+        .unwrap()
+        .logits
+        .remove(0)
+}
 
 /// Copy of the engine's private seed mixer — the reference must draw the
 /// exact same LFSR seedings as the production path.
@@ -389,9 +405,7 @@ fn fused_path_matches_reference_across_config_matrix() {
                         };
                         let sim = ScSimulator::new(cfg);
                         let prepared = sim.prepare(&net).unwrap();
-                        let got = sim
-                            .run_prepared_with(&prepared, &input, &mut scratch)
-                            .unwrap();
+                        let got = run_one(&sim, &prepared, &input, &mut scratch);
                         let want = ref_logits(&cfg, &w, &input);
                         assert_eq!(
                             got.as_slice(),
@@ -426,12 +440,9 @@ fn scratch_reuse_is_bit_identical_to_fresh_scratch() {
     let other = SimConfig::with_stream_len(256).unwrap();
     let osim = ScSimulator::new(other);
     let oprepared = osim.prepare(&net).unwrap();
-    osim.run_prepared_with(&oprepared, &input, &mut reused)
-        .unwrap();
-    let a = sim
-        .run_prepared_with(&prepared, &input, &mut reused)
-        .unwrap();
-    let b = sim.run_prepared(&prepared, &input).unwrap();
+    run_one(&osim, &oprepared, &input, &mut reused);
+    let a = run_one(&sim, &prepared, &input, &mut reused);
+    let b = run_one(&sim, &prepared, &input, &mut SimScratch::default());
     assert_eq!(a.as_slice(), b.as_slice());
 }
 

@@ -1,21 +1,40 @@
 //! Kernel-equivalence suite: both kernel choices and every execution
 //! shape must produce bit-identical logits.
 //!
-//! Two axes are exercised against the portable scalar reference:
+//! Two axes are exercised against the portable scalar reference, a
+//! `KernelChoice::Scalar` tile of one image:
 //!
 //! * **Kernel** — a 9-image `KernelChoice::Auto` tile (one 8-image
 //!   AVX-512 block plus a one-image scalar tail on hosts with `avx512f`)
-//!   vs solo `KernelChoice::Scalar` runs, across seeds, OR-group widths,
-//!   datapath variants, both weight-storage layouts, and stream lengths
-//!   spanning single-word up to multi-word segments.
-//! * **Tiling** — `run_prepared_tile*` for tile sizes up to 16 (past the
-//!   8-image AVX-512 block width) vs the solo per-image path, for both
-//!   kernel choices, including an all-zero image (every lane gated) and a
-//!   shortened stream-length prefix.
+//!   vs scalar tiles of one, across seeds, OR-group widths, datapath
+//!   variants, both weight-storage layouts, and stream lengths spanning
+//!   single-word up to multi-word segments.
+//! * **Tiling** — `RunSpec`s of up to 16 images (past the 8-image AVX-512
+//!   block width) vs tiles of one, for both kernel choices, including an
+//!   all-zero image (every lane gated) and a shortened stream-length
+//!   prefix.
 
 use acoustic_nn::layers::{AccumMode, AvgPool2d, Conv2d, Dense, Network, Relu};
 use acoustic_nn::Tensor;
-use acoustic_simfunc::{KernelChoice, ScSimulator, SimConfig, SimScratch, WeightStorage};
+use acoustic_simfunc::{
+    KernelChoice, PreparedNetwork, RunSpec, ScSimulator, SimConfig, SimScratch, WeightStorage,
+};
+
+/// `inputs[t]` at `seeds[t]` as one tile at `stream_len` (`None` = maximum).
+fn run_tile(
+    sim: &ScSimulator,
+    prepared: &PreparedNetwork,
+    inputs: &[&Tensor],
+    seeds: &[u32],
+    stream_len: Option<usize>,
+    scratch: &mut SimScratch,
+) -> Vec<Tensor> {
+    let spec = RunSpec {
+        stream_len,
+        ..RunSpec::new(inputs.to_vec(), seeds.to_vec())
+    };
+    sim.execute(prepared, &spec, scratch).unwrap().logits
+}
 
 /// Small conv+pool+dense net with mixed-sign, partly-zero weights.
 fn build_net() -> Network {
@@ -67,7 +86,7 @@ fn cfg(stream_len: usize, kernel: KernelChoice) -> SimConfig {
 }
 
 /// A 9-image `Auto` tile — the AVX-512 block plus its scalar tail where
-/// `avx512f` is detected — is bit-identical to solo scalar runs across
+/// `avx512f` is detected — is bit-identical to scalar tiles of one across
 /// seeds, OR-group widths, datapath variants, both weight-storage layouts,
 /// and stream lengths from single-word up to 4-word segments.
 #[test]
@@ -98,16 +117,19 @@ fn auto_tile_matches_solo_scalar_across_config_matrix() {
                                 ..base
                             });
                             let prepared = auto_sim.prepare(&net).unwrap();
-                            let got = auto_sim
-                                .run_prepared_tile_with(&prepared, &refs, &seeds, &mut scratch)
-                                .unwrap();
+                            let got =
+                                run_tile(&auto_sim, &prepared, &refs, &seeds, None, &mut scratch);
+                            let scalar_sim = ScSimulator::new(base);
                             for (i, (x, &s)) in inputs.iter().zip(&seeds).enumerate() {
-                                let want = ScSimulator::new(SimConfig {
-                                    act_seed: s,
-                                    ..base
-                                })
-                                .run_prepared_with(&prepared, x, &mut scratch)
-                                .unwrap();
+                                let want = run_tile(
+                                    &scalar_sim,
+                                    &prepared,
+                                    &[x],
+                                    &[s],
+                                    None,
+                                    &mut scratch,
+                                )
+                                .remove(0);
                                 assert_eq!(
                                     got[i].as_slice(),
                                     want.as_slice(),
@@ -127,7 +149,7 @@ fn auto_tile_matches_solo_scalar_across_config_matrix() {
     assert_eq!(checked, 160);
 }
 
-/// Tiled execution is bit-identical to the solo path for every tile size
+/// Tiled execution is bit-identical to tiles of one for every tile size
 /// and both kernel choices — including an all-zero image whose lanes are
 /// all gated, and tile sizes past the 8-image AVX-512 block width (so
 /// block + tail paths both run).
@@ -145,14 +167,7 @@ fn tiled_matches_solo_across_tile_sizes_and_kernels() {
         let solo: Vec<Tensor> = inputs
             .iter()
             .zip(&seeds)
-            .map(|(x, &s)| {
-                ScSimulator::new(SimConfig {
-                    act_seed: s,
-                    ..base
-                })
-                .run_prepared_with(&prepared, x, &mut scratch)
-                .unwrap()
-            })
+            .map(|(x, &s)| run_tile(&sim, &prepared, &[x], &[s], None, &mut scratch).remove(0))
             .collect();
         for tile in [1usize, 2, 3, 4, 8, 12, 16] {
             for (lo, (xs, ss)) in inputs
@@ -162,9 +177,7 @@ fn tiled_matches_solo_across_tile_sizes_and_kernels() {
                 .map(|(t, c)| (t * tile, c))
             {
                 let refs: Vec<&Tensor> = xs.iter().collect();
-                let got = sim
-                    .run_prepared_tile_with(&prepared, &refs, ss, &mut scratch)
-                    .unwrap();
+                let got = run_tile(&sim, &prepared, &refs, ss, None, &mut scratch);
                 for (off, g) in got.iter().enumerate() {
                     assert_eq!(
                         g.as_slice(),
@@ -178,8 +191,8 @@ fn tiled_matches_solo_across_tile_sizes_and_kernels() {
     }
 }
 
-/// Tiled prefix execution (`run_prepared_tile_at_with`) matches the solo
-/// prefix path at a shortened stream length.
+/// Tiled prefix execution matches tiles of one at a shortened stream
+/// length.
 #[test]
 fn tiled_prefix_matches_solo_prefix() {
     let net = build_net();
@@ -190,16 +203,9 @@ fn tiled_prefix_matches_solo_prefix() {
     let sim = ScSimulator::new(base);
     let prepared = sim.prepare(&net).unwrap();
     let refs: Vec<&Tensor> = inputs.iter().collect();
-    let got = sim
-        .run_prepared_tile_at_with(&prepared, &refs, &seeds, 64, &mut scratch)
-        .unwrap();
+    let got = run_tile(&sim, &prepared, &refs, &seeds, Some(64), &mut scratch);
     for (i, (x, &s)) in inputs.iter().zip(&seeds).enumerate() {
-        let want = ScSimulator::new(SimConfig {
-            act_seed: s,
-            ..base
-        })
-        .run_prepared_at_with(&prepared, x, 64, &mut scratch)
-        .unwrap();
+        let want = run_tile(&sim, &prepared, &[x], &[s], Some(64), &mut scratch).remove(0);
         assert_eq!(
             got[i].as_slice(),
             want.as_slice(),

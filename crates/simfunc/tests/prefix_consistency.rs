@@ -3,8 +3,8 @@
 //! The adaptive path relies on one structural fact: an LFSR-driven
 //! bitstream of length L is a bit-exact prefix of the length-2L stream
 //! from the same seed. `PreparedNetwork` exploits this by slicing every
-//! shorter-length weight bank out of a single max-length SNG walk, so
-//! `run_prepared_at(prepared, x, L)` must produce *exactly* the logits of
+//! shorter-length weight bank out of a single max-length SNG walk, so a
+//! `RunSpec` with `stream_len: Some(L)` must produce *exactly* the logits of
 //! a network prepared directly at stream length L. These tests pin that
 //! equivalence across a seed × length × datapath-config matrix — if it
 //! ever breaks, early-exit results silently stop matching what a
@@ -12,7 +12,24 @@
 
 use acoustic_nn::layers::{AccumMode, AvgPool2d, Conv2d, Dense, Network, Relu};
 use acoustic_nn::Tensor;
-use acoustic_simfunc::{ScSimulator, SimConfig, SimError, WeightStorage};
+use acoustic_simfunc::{
+    PreparedNetwork, RunSpec, ScSimulator, SimConfig, SimError, SimScratch, WeightStorage,
+};
+
+/// One image at the simulator's seed, at `stream_len` (`None` = maximum).
+fn run_at(
+    sim: &ScSimulator,
+    prepared: &PreparedNetwork,
+    input: &Tensor,
+    stream_len: Option<usize>,
+) -> Result<Tensor, SimError> {
+    let spec = RunSpec {
+        stream_len,
+        ..RunSpec::one(input, sim.config().act_seed)
+    };
+    let mut out = sim.execute(prepared, &spec, &mut SimScratch::default())?;
+    Ok(out.logits.remove(0))
+}
 
 fn conv_pool_net() -> Network {
     let mut net = Network::new();
@@ -58,7 +75,7 @@ fn flat_input(salt: u32) -> Tensor {
 }
 
 /// Core property: for every supported prefix length L of a max-length
-/// prepared bank, `run_prepared_at(.., L)` equals preparing directly at L.
+/// prepared bank, running at prefix L equals preparing directly at L.
 fn assert_prefix_consistent(net: &Network, input: &Tensor, cfg: SimConfig) {
     let sim = ScSimulator::new(cfg);
     let prepared = sim.prepare(net).expect("prepare at max length");
@@ -68,14 +85,14 @@ fn assert_prefix_consistent(net: &Network, input: &Tensor, cfg: SimConfig) {
         "matrix case must exercise at least one true prefix"
     );
     for &len in prepared.supported_lengths() {
-        let via_prefix = sim.run_prepared_at(&prepared, input, len).unwrap();
+        let via_prefix = run_at(&sim, &prepared, input, Some(len)).unwrap();
         let direct_cfg = SimConfig {
             stream_len: len,
             ..cfg
         };
         let direct_sim = ScSimulator::new(direct_cfg);
         let direct_prepared = direct_sim.prepare(net).expect("prepare at prefix length");
-        let direct = direct_sim.run_prepared(&direct_prepared, input).unwrap();
+        let direct = run_at(&direct_sim, &direct_prepared, input, None).unwrap();
         assert_eq!(
             via_prefix, direct,
             "prefix at len={len} of max={} diverged (seeds act={:#x} wgt={:#x})",
@@ -140,7 +157,7 @@ fn pooled_prefixes_match_materialized_direct_preparation() {
     let sim = ScSimulator::new(pooled_cfg);
     let prepared = sim.prepare(&net).unwrap();
     for &len in prepared.supported_lengths() {
-        let via_pooled_prefix = sim.run_prepared_at(&prepared, &input, len).unwrap();
+        let via_pooled_prefix = run_at(&sim, &prepared, &input, Some(len)).unwrap();
         let mat_cfg = SimConfig {
             stream_len: len,
             weight_storage: WeightStorage::Materialized,
@@ -148,7 +165,7 @@ fn pooled_prefixes_match_materialized_direct_preparation() {
         };
         let mat_sim = ScSimulator::new(mat_cfg);
         let mat_prepared = mat_sim.prepare(&net).unwrap();
-        let direct = mat_sim.run_prepared(&mat_prepared, &input).unwrap();
+        let direct = run_at(&mat_sim, &mat_prepared, &input, None).unwrap();
         assert_eq!(
             via_pooled_prefix, direct,
             "pooled prefix at len={len} diverged from materialized direct preparation"
@@ -174,7 +191,7 @@ fn unsupported_length_is_a_config_error_not_a_wrong_answer() {
     let prepared = sim.prepare(&net).unwrap();
     let input = image_input(0);
     for bad in [0usize, 3, 96, 512] {
-        match sim.run_prepared_at(&prepared, &input, bad) {
+        match run_at(&sim, &prepared, &input, Some(bad)) {
             Err(SimError::InvalidConfig(msg)) => {
                 assert!(
                     msg.contains("supported"),

@@ -3,16 +3,36 @@
 //! `BatchEngine::run` tiles consecutive images at the model's plan tile
 //! (64) and, on hosts with `avx512f`, walks 8-image blocks of each tile
 //! with the AVX-512 kernel and the remainder with the scalar tail; a
-//! batch of one runs solo. Every image of every batch must equal solo
-//! `run_prepared` under forced-scalar dispatch at the same derived seed —
-//! at 1 and 2 workers, for batch sizes below, at and across the block and
+//! batch of one is a tile of one. Every image of every batch must equal a
+//! tile of one under forced-scalar dispatch at the same derived seed — at
+//! 1 and 2 workers, for batch sizes below, at and across the block and
 //! tile widths, and for the shapes that always take the scalar kernel
 //! (multi-word segments, OR-grouped layers).
+//!
+//! The same file pins the paths folded into the one `RunSpec` execution
+//! path: a stream-length prefix equals a model prepared directly at that
+//! length, and adaptive requests through `run_ready` are worker-count
+//! invariant.
 
 use acoustic::nn::layers::{AccumMode, AvgPool2d, Conv2d, Dense, Network, Relu};
 use acoustic::nn::Tensor;
-use acoustic::runtime::{derive_image_seed, BatchEngine, HostFingerprint, PreparedModel};
-use acoustic::simfunc::{KernelChoice, KernelKind, ScSimulator, SimConfig, TilePlan, TILE};
+use acoustic::runtime::{
+    BatchEngine, ExitPolicy, HostFingerprint, PreparedModel, ReadyOutcome, ReadyRequest,
+};
+use acoustic::simfunc::{KernelChoice, KernelKind, RunSpec, SimConfig, SimScratch, TilePlan, TILE};
+
+/// Image `i` of `model` as a tile of one at `stream_len` (`None` = maximum).
+fn tile_of_one(model: &PreparedModel, i: u64, x: &Tensor, stream_len: Option<usize>) -> Tensor {
+    let spec = RunSpec {
+        stream_len,
+        ..model.spec([i], vec![x])
+    };
+    model
+        .logits(&spec, &mut SimScratch::default())
+        .unwrap()
+        .logits
+        .remove(0)
+}
 
 /// Conv + pool + dense with mixed-sign, partly-zero weights.
 fn net() -> Network {
@@ -71,21 +91,18 @@ fn batched_runs_match_forced_scalar_solo() {
             ..SimConfig::with_stream_len(stream_len).unwrap()
         };
         let model = PreparedModel::compile(cfg, &network).unwrap();
-        let scalar = SimConfig {
-            kernel: KernelChoice::Scalar,
-            ..cfg
-        };
+        let scalar = PreparedModel::compile(
+            SimConfig {
+                kernel: KernelChoice::Scalar,
+                ..cfg
+            },
+            &network,
+        )
+        .unwrap();
         let golden: Vec<Tensor> = xs
             .iter()
             .enumerate()
-            .map(|(i, x)| {
-                ScSimulator::new(SimConfig {
-                    act_seed: derive_image_seed(cfg.act_seed, i as u64),
-                    ..scalar
-                })
-                .run_prepared(model.prepared(), x)
-                .unwrap()
-            })
+            .map(|(i, x)| tile_of_one(&scalar, i as u64, x, None))
             .collect();
         for workers in [1, 2] {
             let engine = BatchEngine::new(workers).unwrap();
@@ -128,4 +145,66 @@ fn plan_is_the_host_rule() {
     )
     .unwrap();
     assert_eq!(scalar.plan().kernel, KernelKind::Scalar);
+}
+
+#[test]
+fn prefix_runs_match_direct_preparation() {
+    let network = net();
+    let xs = images(9);
+    let model = PreparedModel::compile(SimConfig::with_stream_len(128).unwrap(), &network).unwrap();
+    for len in [128, 64] {
+        let direct =
+            PreparedModel::compile(SimConfig::with_stream_len(len).unwrap(), &network).unwrap();
+        let spec = RunSpec {
+            stream_len: Some(len),
+            ..model.spec(0..9, xs.iter().collect())
+        };
+        let tiled = model
+            .logits(&spec, &mut SimScratch::default())
+            .unwrap()
+            .logits;
+        for (i, (x, got)) in xs.iter().zip(&tiled).enumerate() {
+            let want = tile_of_one(&direct, i as u64, x, None);
+            assert_eq!(got.as_slice(), want.as_slice(), "len={len} image={i}");
+            let alone = tile_of_one(&model, i as u64, x, Some(len));
+            assert_eq!(alone.as_slice(), want.as_slice(), "len={len} image={i}");
+        }
+    }
+}
+
+#[test]
+fn adaptive_ready_requests_are_worker_count_invariant() {
+    let model = PreparedModel::compile(SimConfig::with_stream_len(128).unwrap(), &net()).unwrap();
+    let xs = images(12);
+    // Margin overrides next to plain requests, with and without an engine
+    // policy (under one, the plain requests escalate too).
+    let requests: Vec<ReadyRequest> = xs
+        .iter()
+        .enumerate()
+        .map(|(i, x)| ReadyRequest {
+            margin: (i % 3 != 0).then_some(0.05 * (i % 4) as f32),
+            ..ReadyRequest::plain(i as u64, x)
+        })
+        .collect();
+    let policy = ExitPolicy::new(1, 0.1, 2).unwrap();
+    for with_policy in [false, true] {
+        let outcomes = |workers: usize| -> Vec<ReadyOutcome> {
+            let mut engine = BatchEngine::new(workers).unwrap();
+            if with_policy {
+                engine = engine.with_exit_policy(policy).unwrap();
+            }
+            engine
+                .run_ready(&model, &requests)
+                .unwrap()
+                .into_iter()
+                .map(Result::unwrap)
+                .collect()
+        };
+        let serial = outcomes(1);
+        assert_eq!(serial, outcomes(2), "with_policy={with_policy}");
+        for (i, out) in serial.iter().enumerate() {
+            let want = tile_of_one(&model, i as u64, &xs[i], Some(out.effective_len));
+            assert_eq!(out.logits, want, "with_policy={with_policy} request={i}");
+        }
+    }
 }
