@@ -182,10 +182,10 @@ fn main() {
     // segments). `auto` runs the AVX-512 block on 8-image groups where the
     // host has `avx512f`; a tile of 1 takes the per-lane scalar walk under
     // either choice. `elements` is the tile width, so ns_per_elem reads as ns per
-    // image.
+    // image. Each entry runs on a fresh scratch, so its `scratch_bytes` is
+    // that tile's working memory.
     let net = bench_net();
-    let mut scratch = SimScratch::default();
-    let mut skips: Vec<(String, KernelStats)> = Vec::new();
+    let mut skips: Vec<(String, KernelStats, usize)> = Vec::new();
     for (tag, kernel) in [
         ("scalar", KernelChoice::Scalar),
         ("auto", KernelChoice::Auto),
@@ -201,9 +201,13 @@ fn main() {
             let seeds: Vec<u32> = (0..tile as u32).map(|i| 0xACE1 + i).collect();
             let spec = RunSpec::new(images.iter().collect(), seeds);
             let id = format!("{tag}_{tile}");
-            scratch.take_kernel_stats();
+            let mut scratch = SimScratch::default();
             sim.execute(&prepared, &spec, &mut scratch).unwrap();
-            skips.push((format!("tile_sweep/{id}"), scratch.take_kernel_stats()));
+            skips.push((
+                format!("tile_sweep/{id}"),
+                scratch.take_kernel_stats(),
+                scratch.resident_bytes(),
+            ));
             h.bench("tile_sweep", &id, Some(tile as u64), || {
                 black_box(sim.execute(&prepared, &spec, &mut scratch).unwrap())
             });
@@ -252,14 +256,14 @@ fn bench_image(i: usize) -> Tensor {
 }
 
 /// Writes every measurement (with derived ns/element where available),
-/// the engine-level skip-rate counters and the host fingerprint to
-/// `results/BENCH_kernels.json`.
-fn write_results(h: &Harness, skips: &[(String, KernelStats)]) {
+/// the engine-level skip-rate counters with each run's scratch bytes, and
+/// the host fingerprint to `results/BENCH_kernels.json`.
+fn write_results(h: &Harness, skips: &[(String, KernelStats, usize)]) {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"bench\": {},", json_string("sc_kernels"));
     let _ = writeln!(out, "  \"host\": {},", HostFingerprint::detect().json());
     out.push_str("  \"skip_rates\": [\n");
-    for (i, (id, s)) in skips.iter().enumerate() {
+    for (i, (id, s, scratch_bytes)) in skips.iter().enumerate() {
         let presented = s.mac_lanes + s.sat_lanes_skipped + s.zero_seg_skips;
         let fraction = if presented == 0 {
             0.0
@@ -269,13 +273,15 @@ fn write_results(h: &Harness, skips: &[(String, KernelStats)]) {
         let _ = write!(
             out,
             "    {{\"id\": {}, \"mac_lanes\": {}, \"sat_group_exits\": {}, \
-             \"sat_lanes_skipped\": {}, \"zero_seg_skips\": {}, \"skip_fraction\": {:.4}}}",
+             \"sat_lanes_skipped\": {}, \"zero_seg_skips\": {}, \"skip_fraction\": {:.4}, \
+             \"scratch_bytes\": {}}}",
             json_string(id),
             s.mac_lanes,
             s.sat_group_exits,
             s.sat_lanes_skipped,
             s.zero_seg_skips,
             fraction,
+            scratch_bytes,
         );
         out.push_str(if i + 1 < skips.len() { ",\n" } else { "\n" });
     }

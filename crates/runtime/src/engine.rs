@@ -2,8 +2,10 @@
 //!
 //! A [`BatchEngine`] runs a batch of images through one shared
 //! [`PreparedModel`] on a fixed-size pool of `std::thread` workers. Work is
-//! distributed by chunked index claiming over an atomic cursor, so load
-//! balances dynamically — but every per-image result depends only on
+//! cut into units before dispatch — a tile of up to [`TILE`] consecutive
+//! images, or one adaptive image — and each worker claims **one unit per**
+//! `fetch_add` on an atomic cursor, so every worker gets a unit as long as
+//! there are units to go round. Every per-image result depends only on
 //! `(model, image_index, input)`, never on which worker computed it, and
 //! results are merged back in index order. Batch output is therefore
 //! bit-identical for any worker count.
@@ -16,9 +18,6 @@ use acoustic_nn::Tensor;
 use acoustic_simfunc::{KernelStats, Observe, RunSpec, SimError, SimScratch, StepTiming, TILE};
 
 use crate::{BatchReport, ExitPolicy, KernelCounters, LayerTiming, PreparedModel, RuntimeError};
-
-/// Default number of images a worker claims per queue access.
-const DEFAULT_CHUNK: usize = 8;
 
 /// One admitted serving request, ready for batch execution.
 ///
@@ -87,7 +86,6 @@ const MARGIN_OVERRIDE_TEMPLATE: ExitPolicy = ExitPolicy {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchEngine {
     workers: usize,
-    chunk_size: usize,
     exit_policy: Option<ExitPolicy>,
 }
 
@@ -105,28 +103,8 @@ impl BatchEngine {
         }
         Ok(BatchEngine {
             workers,
-            chunk_size: DEFAULT_CHUNK,
             exit_policy: None,
         })
-    }
-
-    /// Overrides how many images a worker claims per queue access.
-    ///
-    /// Smaller chunks balance better across uneven images; larger chunks
-    /// reduce queue contention. Chunking never affects results, only
-    /// scheduling.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::InvalidConfig`] if `chunk_size` is zero.
-    pub fn with_chunk_size(mut self, chunk_size: usize) -> Result<Self, RuntimeError> {
-        if chunk_size == 0 {
-            return Err(RuntimeError::InvalidConfig(
-                "chunk size must be at least 1".into(),
-            ));
-        }
-        self.chunk_size = chunk_size;
-        Ok(self)
     }
 
     /// Attaches an early-exit policy; the engine runs each image at the
@@ -485,9 +463,11 @@ impl BatchEngine {
             return Ok((out, started.elapsed(), scratch.take_kernel_stats()));
         }
 
+        // One unit per claim: a unit is a whole tile or adaptive image, so
+        // a claim costs nothing next to its job, and a batch of two tiles
+        // reaches two workers.
         let cursor = AtomicUsize::new(0);
         let workers = self.workers.min(count);
-        let chunk = self.chunk_size;
         let job = &job;
         let worker_outputs = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
@@ -497,13 +477,11 @@ impl BatchEngine {
                         let mut scratch = SimScratch::default();
                         let mut mine: Vec<(usize, Result<T, SimError>)> = Vec::new();
                         loop {
-                            let lo = cursor.fetch_add(chunk, Ordering::Relaxed);
-                            if lo >= count {
+                            let i = cursor.fetch_add(1, Ordering::Relaxed);
+                            if i >= count {
                                 break;
                             }
-                            for i in lo..(lo + chunk).min(count) {
-                                mine.push((i, job(i, &mut scratch)));
-                            }
+                            mine.push((i, job(i, &mut scratch)));
                         }
                         (mine, started.elapsed(), scratch.take_kernel_stats())
                     })
@@ -763,9 +741,32 @@ mod tests {
     }
 
     #[test]
-    fn rejects_zero_workers_and_zero_chunk() {
+    fn rejects_zero_workers() {
         assert!(BatchEngine::new(0).is_err());
-        assert!(BatchEngine::new(2).unwrap().with_chunk_size(0).is_err());
+    }
+
+    /// Each of two units waits until both workers are inside a job, so the
+    /// test passes only if the two units went to two workers. A claim of
+    /// several units at once hands both to the first worker; its first job
+    /// then times out instead of hanging.
+    #[test]
+    fn claims_reach_every_worker() {
+        use std::sync::{Condvar, Mutex};
+        let inside = Mutex::new(0usize);
+        let arrived = Condvar::new();
+        let (met, _, _) = BatchEngine::new(2)
+            .unwrap()
+            .dispatch(2, |_, _| {
+                let mut n = inside.lock().unwrap();
+                *n += 1;
+                arrived.notify_all();
+                let (n, _) = arrived
+                    .wait_timeout_while(n, Duration::from_secs(10), |n| *n < 2)
+                    .unwrap();
+                Ok(*n >= 2)
+            })
+            .unwrap();
+        assert_eq!(met, [true, true], "a worker ran both units alone");
     }
 
     #[test]
@@ -786,12 +787,7 @@ mod tests {
         let xs = inputs(11);
         let serial = BatchEngine::new(1).unwrap().run(&model, &xs).unwrap();
         for workers in [2, 3, 8] {
-            let parallel = BatchEngine::new(workers)
-                .unwrap()
-                .with_chunk_size(2)
-                .unwrap()
-                .run(&model, &xs)
-                .unwrap();
+            let parallel = BatchEngine::new(workers).unwrap().run(&model, &xs).unwrap();
             assert_eq!(serial, parallel, "workers={workers}");
         }
     }
@@ -860,10 +856,7 @@ mod tests {
             .collect();
         let direct = BatchEngine::new(1).unwrap().run(&model, &xs).unwrap();
         for workers in [1, 3] {
-            let engine = BatchEngine::new(workers)
-                .unwrap()
-                .with_chunk_size(1)
-                .unwrap();
+            let engine = BatchEngine::new(workers).unwrap();
             let got = engine.run_ready(&model, &plain).unwrap();
             for (i, out) in got.iter().enumerate() {
                 let out = out.as_ref().unwrap();
@@ -1061,8 +1054,6 @@ mod tests {
         xs[6] = Tensor::from_vec(&[1, 2, 2], vec![0.5; 4]).unwrap();
         for workers in [1, 4] {
             let err = BatchEngine::new(workers)
-                .unwrap()
-                .with_chunk_size(1)
                 .unwrap()
                 .run(&model, &xs)
                 .unwrap_err();

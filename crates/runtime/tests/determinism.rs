@@ -44,8 +44,6 @@ fn logits_bit_identical_for_1_2_8_workers() {
     for workers in [2usize, 8] {
         let logits = BatchEngine::new(workers)
             .unwrap()
-            .with_chunk_size(3)
-            .unwrap()
             .run(&model, &inputs)
             .unwrap();
         assert_eq!(
@@ -97,8 +95,6 @@ fn report_is_consistent_across_worker_counts() {
         .unwrap();
     let parallel = BatchEngine::new(8)
         .unwrap()
-        .with_chunk_size(1)
-        .unwrap()
         .evaluate(&model, &samples)
         .unwrap();
     assert_eq!(serial.predictions, parallel.predictions);
@@ -136,12 +132,7 @@ fn worker_invariance_holds_across_datapath_config_matrix() {
                 };
                 let model = PreparedModel::compile(cfg, &net).expect("prepare");
                 let serial = BatchEngine::new(1).unwrap().run(&model, &inputs).unwrap();
-                let parallel = BatchEngine::new(4)
-                    .unwrap()
-                    .with_chunk_size(1)
-                    .unwrap()
-                    .run(&model, &inputs)
-                    .unwrap();
+                let parallel = BatchEngine::new(4).unwrap().run(&model, &inputs).unwrap();
                 assert_eq!(
                     serial, parallel,
                     "worker divergence for or_group={or_group:?} \
@@ -176,8 +167,6 @@ fn worker_invariance_holds_with_exit_policy_enabled() {
         let serial_report = serial_engine.evaluate(&model, &samples).unwrap();
         for workers in [2usize, 8] {
             let engine = BatchEngine::new(workers)
-                .unwrap()
-                .with_chunk_size(1)
                 .unwrap()
                 .with_exit_policy(policy)
                 .unwrap();
@@ -235,8 +224,6 @@ fn errors_are_deterministic_too() {
     inputs[5] = Tensor::zeros(&[1, 3, 3]);
     for workers in [1usize, 2, 8] {
         let err = BatchEngine::new(workers)
-            .unwrap()
-            .with_chunk_size(1)
             .unwrap()
             .run(&model, &inputs)
             .unwrap_err();

@@ -442,61 +442,38 @@ impl PoolMap {
     }
 }
 
-/// Activation streams of one layer, stored segment-major and word-aligned:
-/// segment `e` of activation `j` occupies the word range
-/// `[(j * segments + e) * seg_words, +seg_words)`, tail bits zero. Segment
-/// access is therefore a borrowed word-range view — indexing, not slicing
-/// into freshly allocated streams.
+/// Activation streams of one layer, packed: activation `j` owns the words
+/// `[j * act_words, (j + 1) * act_words)`, and its pooling segment `e` sits
+/// at bit offset `e * stride` inside them, where the stride never lets a
+/// segment cross a word (see [`SegGeom`](crate::kernels::SegGeom)); tail
+/// bits are zero. With one segment this is one stream per activation; with
+/// `k²` segments of a power-of-two length it is still the SNG's stream,
+/// each window position reading its slice in place. The kernels shift the
+/// weight word onto the segment's bits instead of moving activation bits.
 #[derive(Debug, Default)]
 pub(crate) struct ActBank {
     pub(crate) words: Vec<u64>,
-    pub(crate) seg_words: usize,
-    pub(crate) segments: usize,
+    /// Words per activation.
+    pub(crate) act_words: usize,
     /// Operand-gated activations (lane contributes nothing and is skipped
-    /// without entering an OR group).
+    /// without entering an OR group). A gated activation's words are zero.
     pub(crate) gated: Vec<bool>,
-    /// Zero-segment skip list, indexed `j * segments + e`: `true` when the
-    /// segment's words are all zero (gated streams, sub-threshold values
-    /// whose SNG emitted nothing in the segment window). A zero segment
-    /// AND-multiplies to zero against any weight, so OR-merging it is a
-    /// no-op the kernels skip — it still consumes its OR-group slot.
-    pub(crate) seg_zero: Vec<bool>,
 }
 
 impl ActBank {
-    /// Clears and resizes for a layer of `streams` activations. Every word
-    /// starts zero and every segment starts flagged zero; the fill path
-    /// clears `seg_zero` only for segments it writes ones into.
-    pub(crate) fn reset(&mut self, streams: usize, segments: usize, seg_words: usize) {
-        self.segments = segments;
-        self.seg_words = seg_words;
+    /// Clears and resizes for a layer of `streams` activations of
+    /// `act_words` words each, every word zero and no activation gated.
+    pub(crate) fn reset(&mut self, streams: usize, act_words: usize) {
+        self.act_words = act_words;
         self.words.clear();
-        self.words.resize(streams * segments * seg_words, 0);
+        self.words.resize(streams * act_words, 0);
         self.gated.clear();
         self.gated.resize(streams, false);
-        self.seg_zero.clear();
-        self.seg_zero.resize(streams * segments, true);
     }
 
-    #[cfg(test)]
-    pub(crate) fn segment(&self, idx: usize, e: usize) -> &[u64] {
-        let base = (idx * self.segments + e) * self.seg_words;
-        &self.words[base..base + self.seg_words]
-    }
-
-    pub(crate) fn segment_mut(&mut self, idx: usize, e: usize) -> &mut [u64] {
-        let base = (idx * self.segments + e) * self.seg_words;
-        &mut self.words[base..base + self.seg_words]
-    }
-
-    /// Records whether segment `e` of activation `idx` came out all-zero
-    /// after a fill (must be called for every written segment).
-    pub(crate) fn note_segment(&mut self, idx: usize, e: usize) {
-        let base = (idx * self.segments + e) * self.seg_words;
-        let zero = self.words[base..base + self.seg_words]
-            .iter()
-            .all(|&w| w == 0);
-        self.seg_zero[idx * self.segments + e] = zero;
+    /// The packed words of activation `idx`.
+    pub(crate) fn act_mut(&mut self, idx: usize) -> &mut [u64] {
+        &mut self.words[idx * self.act_words..(idx + 1) * self.act_words]
     }
 
     pub(crate) fn gate(&mut self, idx: usize) {
@@ -507,12 +484,26 @@ impl ActBank {
         self.gated[idx]
     }
 
-    pub(crate) fn is_seg_zero(&self, seg_idx: usize) -> bool {
-        self.seg_zero[seg_idx]
+    /// Whether the segment whose `seg_words` words start at `word` holds no
+    /// ones inside `window` (its last word's in-segment bits, at the
+    /// segment's shift). A zero segment AND-multiplies to zero against any
+    /// weight, so the kernels skip its merge — it still consumes its
+    /// OR-group slot.
+    #[inline]
+    pub(crate) fn segment_is_zero(&self, word: usize, seg_words: usize, window: u64) -> bool {
+        let (last, body) = self.words[word..word + seg_words]
+            .split_last()
+            .expect("segments hold at least one word");
+        *last & window == 0 && body.iter().all(|&w| w == 0)
+    }
+
+    /// Capacity of the bank's buffers, in bytes.
+    fn resident_bytes(&self) -> usize {
+        self.words.capacity() * std::mem::size_of::<u64>() + self.gated.capacity()
     }
 }
 
-/// Reusable per-run working memory: the per-image segmented activation
+/// Reusable per-run working memory: the per-image packed activation
 /// banks, MAC accumulators, lane lists, SNG staging buffers, and kernel
 /// skip counters.
 ///
@@ -524,11 +515,12 @@ impl ActBank {
 /// [`ScSimulator::execute`]: crate::ScSimulator::execute
 #[derive(Debug, Default)]
 pub struct SimScratch {
-    /// One full-length activation stream being generated/segmented.
+    /// Full-length activation streams staged for packing when the segment
+    /// stride differs from the segment length.
     pub(crate) full: Vec<u64>,
     /// Pre-quantized comparator thresholds (shared-RNG path).
     pub(crate) thresholds: Vec<u32>,
-    /// Receptive-field lanes `(segment_index, weight_base)` of the current
+    /// Receptive-field lanes `(segment_word, weight_base)` of the current
     /// spatial position and pooling segment — shared by every output
     /// channel and every image of the tile.
     pub(crate) lanes: Vec<(usize, usize)>,
@@ -560,6 +552,29 @@ impl SimScratch {
     /// Returns and resets the accumulated kernel skip counters.
     pub fn take_kernel_stats(&mut self) -> KernelStats {
         std::mem::take(&mut self.stats)
+    }
+
+    /// Bytes this scratch holds: the summed capacity of its buffers. It
+    /// only grows, so after a run it is that run's working memory (and
+    /// the largest of any earlier run's).
+    pub fn resident_bytes(&self) -> usize {
+        fn cap<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        cap(&self.full)
+            + cap(&self.thresholds)
+            + cap(&self.lanes)
+            + cap(&self.tile_acts)
+            + self
+                .tile_acts
+                .iter()
+                .map(ActBank::resident_bytes)
+                .sum::<usize>()
+            + cap(&self.tile_accs)
+            + cap(&self.tile_in_group)
+            + cap(&self.tile_sat)
+            + cap(&self.tile_phase)
+            + cap(&self.tile_counts)
     }
 }
 

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use acoustic_core::bitstream::{copy_bit_range, count_ones_words};
+use acoustic_core::bitstream::copy_bit_range;
 use acoustic_core::sng::quantize_probability;
 use acoustic_core::{Lfsr, Sng, SngBank};
 use acoustic_nn::fixedpoint::Quantizer;
@@ -1160,23 +1160,25 @@ impl ScSimulator {
         Ok(pool)
     }
 
-    /// Generates activation streams for a whole layer input into the
-    /// scratch's segmented, word-aligned bank.
+    /// Generates activation streams for a whole layer input into a packed
+    /// activation bank (see [`ActBank`]).
     ///
     /// Stream contents and gating are bit-identical to the historical
     /// per-segment `slice` layout: segment `e` of activation `j` holds bits
-    /// `[e * seg_len, (e + 1) * seg_len)` of stream `j`, and a lane is gated
-    /// (skipped by the MAC without consuming an OR-group slot) exactly when
-    /// the old path stored `None` — `v <= 0` on the per-index-seed path, an
-    /// all-zero generated stream on the shared-RNG path.
+    /// `[e * seg_len, (e + 1) * seg_len)` of stream `j`, at bit offset
+    /// `e * stride` of the activation's words, and a lane is gated (skipped
+    /// by the MAC without consuming an OR-group slot) exactly when the old
+    /// path stored `None` — `v <= 0` on the per-index-seed path, an
+    /// all-zero generated stream on the shared-RNG path. When the stride is
+    /// the segment length (every power-of-two `seg_len`), the packed words
+    /// are the stream itself and the SNG writes them into the bank.
     #[allow(clippy::too_many_arguments)]
     fn fill_activation_bank(
         &self,
         values: &[f32],
         act_seed: u32,
         ordinal: usize,
-        segments: usize,
-        m: usize,
+        geom: &SegGeom,
         full: &mut Vec<u64>,
         thresholds: &mut Vec<u32>,
         acts: &mut ActBank,
@@ -1189,10 +1191,16 @@ impl ScSimulator {
         } else {
             0
         };
-        let seg_len = m / segments;
-        let seg_words = seg_len.div_ceil(64);
+        let SegGeom {
+            segments,
+            seg_len,
+            stride,
+            ..
+        } = *geom;
+        let m = segments * seg_len;
         let full_words = m.div_ceil(64);
-        acts.reset(values.len(), segments, seg_words);
+        acts.reset(values.len(), geom.act_words);
+        let in_place = stride == seg_len;
         if self.cfg.shared_act_rng {
             // One LFSR shared by every activation SNG (hardware sharing):
             // a single walk of `m` cycles serves every comparator.
@@ -1205,18 +1213,19 @@ impl ScSimulator {
                     SNG_WIDTH,
                 )?);
             }
-            full.clear();
-            full.resize(values.len() * full_words, 0);
-            bank.fill_quantized(thresholds, m, full);
-            for idx in 0..values.len() {
-                let words = &full[idx * full_words..(idx + 1) * full_words];
-                if count_ones_words(words) == 0 {
-                    acts.gate(idx);
-                    continue;
+            if in_place {
+                bank.fill_quantized(thresholds, m, &mut acts.words);
+            } else {
+                full.clear();
+                full.resize(values.len() * full_words, 0);
+                bank.fill_quantized(thresholds, m, full);
+                for (idx, stream) in full.chunks_exact(full_words).enumerate() {
+                    pack_segments(stream, segments, seg_len, stride, acts.act_mut(idx));
                 }
-                for e in 0..segments {
-                    copy_bit_range(words, e * seg_len, seg_len, acts.segment_mut(idx, e));
-                    acts.note_segment(idx, e);
+            }
+            for idx in 0..values.len() {
+                if acts.act_mut(idx).iter().all(|&w| w == 0) {
+                    acts.gate(idx);
                 }
             }
         } else {
@@ -1230,10 +1239,11 @@ impl ScSimulator {
                 let seed = mix_seed(act_seed, ordinal as u32, idx as u32, 3);
                 let mut sng = Sng::new(Lfsr::maximal(SNG_WIDTH, seed)?, SNG_WIDTH);
                 let threshold = quantize_probability(f64::from(v.min(1.0)), SNG_WIDTH)?;
-                sng.fill_quantized(threshold, m, full);
-                for e in 0..segments {
-                    copy_bit_range(full, e * seg_len, seg_len, acts.segment_mut(idx, e));
-                    acts.note_segment(idx, e);
+                if in_place {
+                    sng.fill_quantized(threshold, m, acts.act_mut(idx));
+                } else {
+                    sng.fill_quantized(threshold, m, full);
+                    pack_segments(full, segments, seg_len, stride, acts.act_mut(idx));
                 }
             }
         }
@@ -1242,15 +1252,12 @@ impl ScSimulator {
 
     /// Fills one activation bank per tile image (identical layouts, the
     /// image's own seed) and sizes the tiled MAC state.
-    #[allow(clippy::too_many_arguments)]
     fn fill_tile_banks(
         &self,
         xs: &[Tensor],
         act_seeds: &[u32],
         ordinal: usize,
-        segments: usize,
-        m: usize,
-        seg_words: usize,
+        geom: &SegGeom,
         scratch: &mut SimScratch,
     ) -> Result<(), SimError> {
         let tile = xs.len();
@@ -1262,15 +1269,14 @@ impl ScSimulator {
                 x.as_slice(),
                 act_seeds[t],
                 ordinal,
-                segments,
-                m,
+                geom,
                 &mut scratch.full,
                 &mut scratch.thresholds,
                 &mut scratch.tile_acts[t],
             )?;
         }
         scratch.tile_accs.clear();
-        scratch.tile_accs.resize(tile * seg_words, 0);
+        scratch.tile_accs.resize(tile * geom.seg_words, 0);
         scratch.tile_in_group.clear();
         scratch.tile_in_group.resize(tile, 0);
         scratch.tile_sat.clear();
@@ -1313,9 +1319,8 @@ impl ScSimulator {
         let m = run.per_phase;
         let seg_words = weights.seg_words;
         let tile = xs.len();
-        self.fill_tile_banks(xs, act_seeds, c.ordinal, segments, m, seg_words, scratch)?;
-
         let geom = SegGeom::new(segments, seg_words, m / segments, self.or_group());
+        self.fill_tile_banks(xs, act_seeds, c.ordinal, &geom, scratch)?;
         let single = geom.single_group();
         let fan_in = c.in_c * c.k * c.k;
         let (out_h, out_w) = match c.pool {
@@ -1326,7 +1331,7 @@ impl ScSimulator {
             .map(|_| Tensor::zeros(&[c.out_c, out_h, out_w]))
             .collect();
 
-        let window = c.pool.unwrap_or(1);
+        let pool_k = c.pool.unwrap_or(1);
         let SimScratch {
             lanes,
             tile_acts,
@@ -1346,10 +1351,12 @@ impl ScSimulator {
                 #[allow(clippy::needless_range_loop)]
                 for e in 0..segments {
                     let (oy, ox) = if c.pool.is_some() {
-                        (py * window + e / window, px * window + e % window)
+                        (py * pool_k + e / pool_k, px * pool_k + e % pool_k)
                     } else {
                         (py, px)
                     };
+                    let (word, shift) = geom.locate(e);
+                    let window = geom.sat_mask << shift;
                     lanes.clear();
                     for ic in 0..c.in_c {
                         for ky in 0..c.k {
@@ -1363,14 +1370,15 @@ impl ScSimulator {
                                     continue;
                                 }
                                 let a_idx = (ic * h + iy as usize) * w + ix as usize;
-                                let seg_idx = a_idx * segments + e;
-                                let (live, nonzero) = lane_liveness(banks, a_idx, seg_idx);
+                                let seg_word = a_idx * geom.act_words + word;
+                                let (live, nonzero) =
+                                    lane_liveness(banks, a_idx, seg_word, seg_words, window);
                                 if live == 0 || (single && !nonzero) {
                                     stats.zero_seg_skips += live;
                                     continue;
                                 }
                                 let w_base = (ic * c.k + ky) * c.k + kx;
-                                lanes.push((seg_idx, w_base));
+                                lanes.push((seg_word, w_base));
                             }
                         }
                     }
@@ -1427,8 +1435,8 @@ impl ScSimulator {
         let m = run.per_phase;
         let seg_words = weights.seg_words;
         let tile = xs.len();
-        self.fill_tile_banks(xs, act_seeds, d.ordinal, 1, m, seg_words, scratch)?;
         let geom = SegGeom::new(1, seg_words, m, self.or_group());
+        self.fill_tile_banks(xs, act_seeds, d.ordinal, &geom, scratch)?;
         let single = geom.single_group();
         let SimScratch {
             lanes,
@@ -1444,12 +1452,13 @@ impl ScSimulator {
         let banks = &tile_acts[..tile];
         lanes.clear();
         for i in 0..d.in_n {
-            let (live, nonzero) = lane_liveness(banks, i, i);
+            let word = i * geom.act_words;
+            let (live, nonzero) = lane_liveness(banks, i, word, seg_words, geom.sat_mask);
             if live == 0 || (single && !nonzero) {
                 stats.zero_seg_skips += live;
                 continue;
             }
-            lanes.push((i, i));
+            lanes.push((word, i));
         }
         tile_counts.clear();
         tile_counts.resize(tile * d.out_n, 0);
@@ -1488,19 +1497,44 @@ impl ScSimulator {
 
 /// Whether a receptive-field lane can still change a MAC of the tile: how
 /// many images have activation `a_idx` ungated, and whether any of them
-/// has a nonzero segment `seg_idx`. A lane gated in every image consumes
-/// no OR-group slot anywhere; with a single OR group, a lane that is gated
-/// or all-zero in every image is a no-op too.
-fn lane_liveness(banks: &[ActBank], a_idx: usize, seg_idx: usize) -> (u64, bool) {
+/// has a nonzero segment (first word `word`, bits `window` of its last
+/// word). A lane gated in every image consumes no OR-group slot anywhere;
+/// with a single OR group, a lane that is gated or all-zero in every image
+/// is a no-op too.
+fn lane_liveness(
+    banks: &[ActBank],
+    a_idx: usize,
+    word: usize,
+    seg_words: usize,
+    window: u64,
+) -> (u64, bool) {
     let mut live = 0u64;
     let mut nonzero = false;
     for b in banks {
         if !b.is_gated(a_idx) {
             live += 1;
-            nonzero |= !b.is_seg_zero(seg_idx);
+            nonzero = nonzero || !b.segment_is_zero(word, seg_words, window);
         }
     }
     (live, nonzero)
+}
+
+/// Packs a full stream's consecutive `seg_len`-bit segments into one
+/// activation's bank words (zeroed on entry), segment `e` at bit offset
+/// `e * stride`. Only needed when the stride is not the segment length.
+fn pack_segments(full: &[u64], segments: usize, seg_len: usize, stride: usize, dst: &mut [u64]) {
+    let seg_words = seg_len.div_ceil(64);
+    for e in 0..segments {
+        let bit = e * stride;
+        let (word, shift) = (bit / 64, bit % 64);
+        if seg_words == 1 {
+            let mut one = [0u64];
+            copy_bit_range(full, e * seg_len, seg_len, &mut one);
+            dst[word] |= one[0] << shift;
+        } else {
+            copy_bit_range(full, e * seg_len, seg_len, &mut dst[word..word + seg_words]);
+        }
+    }
 }
 
 /// Binary-domain average pooling (used when computation skipping is off).
@@ -1742,18 +1776,18 @@ mod tests {
         let mut scratch = SimScratch::default();
         let mut acts = ActBank::default();
         let m = sim.cfg.per_phase_len();
+        let seg_len = m / segments;
+        let g = SegGeom::new(segments, seg_len.div_ceil(64), seg_len, usize::MAX);
         sim.fill_activation_bank(
             &values,
             sim.cfg.act_seed,
             2,
-            segments,
-            m,
+            &g,
             &mut scratch.full,
             &mut scratch.thresholds,
             &mut acts,
         )
         .unwrap();
-        let seg_len = m / segments;
         let seed = mix_seed(sim.cfg.act_seed, 2, 0, 7);
         let mut bank = SngBank::new(16, seed).unwrap();
         let vals: Vec<f64> = values
@@ -1769,9 +1803,143 @@ mod tests {
             assert!(!acts.is_gated(idx), "idx {idx} wrongly gated");
             for e in 0..segments {
                 let old = s.slice(e * seg_len, seg_len);
-                assert_eq!(acts.segment(idx, e), old.as_words(), "idx {idx} seg {e}");
+                let (words, _) = read_segment(&acts, &g, idx, e);
+                assert_eq!(words, old.as_words(), "idx {idx} seg {e}");
             }
         }
+    }
+
+    /// Segment `e` of activation `idx` as the kernels address it — its
+    /// words in the packed bank, moved down to bit 0 — and whether the
+    /// kernels' zero test calls it zero.
+    fn read_segment(acts: &ActBank, g: &SegGeom, idx: usize, e: usize) -> (Vec<u64>, bool) {
+        assert_eq!(acts.act_words, g.act_words);
+        let (word, shift) = g.locate(e);
+        let first = idx * g.act_words + word;
+        let mut words = acts.words[first..first + g.seg_words].to_vec();
+        if g.seg_words == 1 {
+            words[0] = (words[0] >> shift) & g.sat_mask;
+        }
+        let zero = acts.segment_is_zero(first, g.seg_words, g.sat_mask << shift);
+        (words, zero)
+    }
+
+    #[test]
+    fn packed_bank_segments_equal_stream_slices() {
+        let mut rng = acoustic_core::DetRng::seed_from_u64(0x9AC4_ED00);
+        let full_scale = (1u32 << SNG_WIDTH) - 1;
+        // Values quantizing to thresholds 0, 1, full-scale − 1 and full
+        // scale, one gated value, then random ones.
+        let edges = [0, 1, full_scale - 1, full_scale].map(|t| t as f32 / full_scale as f32);
+        // One bank and staging buffer for every case: each fill must reset
+        // what the previous, differently shaped fill left behind.
+        let mut acts = ActBank::default();
+        let mut scratch = SimScratch::default();
+        for shared_act_rng in [false, true] {
+            let sim = ScSimulator::new(SimConfig {
+                shared_act_rng,
+                ..cfg(128)
+            });
+            for segments in [1usize, 4, 9] {
+                // Power-of-two, non-power-of-two and multi-word lengths.
+                for seg_len in [8usize, 16, 64, 12, 24, 96, 128] {
+                    let m = segments * seg_len;
+                    let mut values = edges.to_vec();
+                    values.push(-0.25);
+                    values.extend((0..24).map(|_| rng.gen_range_f32(0.0, 1.0)));
+                    let act_seed = rng.next_u32();
+                    let ordinal = (rng.next_u32() % 16) as usize;
+                    let g = SegGeom::new(segments, seg_len.div_ceil(64), seg_len, usize::MAX);
+                    sim.fill_activation_bank(
+                        &values,
+                        act_seed,
+                        ordinal,
+                        &g,
+                        &mut scratch.full,
+                        &mut scratch.thresholds,
+                        &mut acts,
+                    )
+                    .unwrap();
+                    // Reference: each full stream from its own SNG walk.
+                    let words = m.div_ceil(64);
+                    let mut full = vec![0u64; values.len() * words];
+                    let thresholds: Vec<u32> = values
+                        .iter()
+                        .map(|&v| {
+                            quantize_probability(f64::from(v.clamp(0.0, 1.0)), SNG_WIDTH).unwrap()
+                        })
+                        .collect();
+                    if shared_act_rng {
+                        let seed = mix_seed(act_seed, ordinal as u32, 0, 7);
+                        SngBank::new(SNG_WIDTH, seed).unwrap().fill_quantized(
+                            &thresholds,
+                            m,
+                            &mut full,
+                        );
+                    } else {
+                        for (idx, stream) in full.chunks_exact_mut(words).enumerate() {
+                            let seed = mix_seed(act_seed, ordinal as u32, idx as u32, 3);
+                            let lfsr = Lfsr::maximal(SNG_WIDTH, seed).unwrap();
+                            Sng::new(lfsr, SNG_WIDTH).fill_quantized(thresholds[idx], m, stream);
+                        }
+                    }
+                    for (idx, stream) in full.chunks_exact(words).enumerate() {
+                        let gated = if shared_act_rng {
+                            stream.iter().all(|&w| w == 0)
+                        } else {
+                            values[idx] <= 0.0
+                        };
+                        let case = format!(
+                            "shared={shared_act_rng} segments={segments} seg_len={seg_len} idx={idx}"
+                        );
+                        assert_eq!(acts.is_gated(idx), gated, "{case}");
+                        for e in 0..segments {
+                            let mut want = vec![0u64; g.seg_words];
+                            if !gated {
+                                copy_bit_range(stream, e * seg_len, seg_len, &mut want);
+                            }
+                            let (got, zero) = read_segment(&acts, &g, idx, e);
+                            assert_eq!(got, want, "{case} segment {e}");
+                            assert_eq!(zero, want.iter().all(|&w| w == 0), "{case} segment {e}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cifar_shaped_tile_keeps_packed_banks_small() {
+        // CIFAR's first conv at stream 64: 3×32×32 inputs, 32 channels of
+        // 3×3 with a fused 2×2 pool, so 4 segments of 8 bits per phase.
+        let mut net = Network::new();
+        let mut conv = Conv2d::new(3, 32, 3, 1, 1, AccumMode::OrApprox).unwrap();
+        for (i, w) in conv.weights_mut().iter_mut().enumerate() {
+            *w = if i % 7 == 0 { 0.4 } else { 0.0 };
+        }
+        net.push_conv(conv);
+        net.push_avg_pool(AvgPool2d::new(2).unwrap());
+        let sim = ScSimulator::new(cfg(64));
+        let prepared = sim.prepare(&net).unwrap();
+        let images: Vec<Tensor> = (0..TILE)
+            .map(|i| {
+                let v = (0..3 * 32 * 32)
+                    .map(|j| ((i + j) % 97) as f32 / 96.0)
+                    .collect();
+                Tensor::from_vec(&[3, 32, 32], v).unwrap()
+            })
+            .collect();
+        let seeds = (0..TILE as u32).map(|i| 0xACE1 + i).collect();
+        let spec = RunSpec::new(images.iter().collect(), seeds);
+        let mut scratch = SimScratch::default();
+        sim.execute(&prepared, &spec, &mut scratch).unwrap();
+        // The segment-per-word layout: streams · segments · seg_words words.
+        let old_banks = TILE * (3 * 32 * 32) * 4 * 8;
+        let resident = scratch.resident_bytes();
+        assert!(
+            3 * resident <= old_banks,
+            "scratch holds {resident} bytes, over a third of the old banks' {old_banks}"
+        );
     }
 
     #[test]

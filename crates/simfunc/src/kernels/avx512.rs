@@ -45,34 +45,37 @@ unsafe fn mac_phase_tile_word_single_avx512(
     let geom = args.geom;
     let tile = args.banks.len();
     let lanes = args.lanes;
-    // sat_mask is a bit pattern; sign-reinterpreting is lossless.
-    let maskv = _mm512_set1_epi64(geom.sat_mask as i64);
+    // The window is a bit pattern; sign-reinterpreting is lossless.
+    let maskv = _mm512_set1_epi64(args.window as i64);
     let mut base = 0usize;
     while base + TILE_LANES <= tile {
         let b: [&[u64]; TILE_LANES] =
             std::array::from_fn(|t| args.banks[base + t].words.as_slice());
         let mut acc = _mm512_setzero_si512();
-        for (n, &(seg_idx, w_base)) in lanes.iter().enumerate() {
+        for (n, &(word, w_base)) in lanes.iter().enumerate() {
             let w_idx = args.w_off + w_base;
             if !args.present[w_idx] {
                 continue;
             }
-            let w = args.bank_words[args.w_slot(w_idx) * geom.segments + args.segment];
+            // Shifting the broadcast weight onto the segment costs no
+            // vector op; its zero bits drop the neighbouring segments.
+            let w =
+                args.bank_words[args.w_slot(w_idx) * geom.segments + args.segment] << args.shift;
             let wv = _mm512_set1_epi64(w as i64);
             let av = _mm512_set_epi64(
-                b[7][seg_idx] as i64,
-                b[6][seg_idx] as i64,
-                b[5][seg_idx] as i64,
-                b[4][seg_idx] as i64,
-                b[3][seg_idx] as i64,
-                b[2][seg_idx] as i64,
-                b[1][seg_idx] as i64,
-                b[0][seg_idx] as i64,
+                b[7][word] as i64,
+                b[6][word] as i64,
+                b[5][word] as i64,
+                b[4][word] as i64,
+                b[3][word] as i64,
+                b[2][word] as i64,
+                b[1][word] as i64,
+                b[0][word] as i64,
             );
             acc = _mm512_or_si512(acc, _mm512_and_si512(av, wv));
             stats.mac_lanes += TILE_LANES as u64;
-            // Accumulator lanes never exceed `sat_mask` (bank tail-bit
-            // invariant), so lane-equality with the mask is exactly the
+            // Accumulator lanes never leave the segment's window, so
+            // lane-equality with the window is exactly the
             // per-image saturation test; an all-ones mask register means
             // every image of the block saturated.
             if _mm512_cmpeq_epi64_mask(acc, maskv) == 0xFF {
@@ -85,7 +88,7 @@ unsafe fn mac_phase_tile_word_single_avx512(
         _mm512_storeu_si512(out.as_mut_ptr().cast(), acc);
         for (t, &acc_w) in out.iter().enumerate() {
             state.phase[base + t] = u64::from(acc_w.count_ones());
-            if acc_w == geom.sat_mask {
+            if acc_w == args.window {
                 stats.sat_group_exits += 1;
             }
         }

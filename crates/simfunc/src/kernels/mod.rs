@@ -14,11 +14,20 @@
 //!   already known to be `seg_len`. Remaining lanes in the group skip their
 //!   word work; with the whole fan-in in one group (`or_group: None`, the
 //!   ACOUSTIC fabric default) the lane loop exits outright.
-//! * **Zero-segment skipping** — a segment whose activation words are all
+//! * **Zero-segment skipping** — a segment whose activation bits are all
 //!   zero AND-multiplies to zero against any weight, so its merge is a
-//!   no-op. [`ActBank`](crate::banks::ActBank) precomputes these flags once
-//!   per image; zero lanes still consume their OR-group slot (slot
-//!   occupancy is part of the grouped-accumulator semantics).
+//!   no-op. The test is one masked compare on the packed
+//!   [`ActBank`](crate::banks::ActBank) word; zero lanes still consume
+//!   their OR-group slot (slot occupancy is part of the grouped-accumulator
+//!   semantics).
+//!
+//! Activation words are packed: several pooling segments share a word, at
+//! bit offset `e * stride`. Every kernel reads the word whole and shifts the
+//! **weight** word onto the segment (`acc |= a & (w << shift)`) — the
+//! weight's bits outside the segment are zero, so the AND drops the
+//! neighbouring segments — and compares saturation against
+//! `sat_mask << shift`. The weight is one broadcast scalar per lane, so the
+//! shift costs no vector op.
 //!
 //! Two kernels implement that contract:
 //!
@@ -207,19 +216,41 @@ pub(crate) struct SegGeom {
     pub sat_mask: u64,
     /// OR-group width; `usize::MAX` = whole fan-in in one group.
     pub group: usize,
+    /// Bit distance between the starts of consecutive segments in an
+    /// activation's packed words: `seg_len` rounded up to a power of two
+    /// while a segment fits in one word, whole words beyond that, so a
+    /// segment never crosses a word. For a power-of-two `seg_len` the
+    /// stride is `seg_len` and the packed words are the stream itself.
+    pub stride: usize,
+    /// Packed words per activation.
+    pub act_words: usize,
 }
 
 impl SegGeom {
     pub(crate) fn new(segments: usize, seg_words: usize, seg_len: usize, group: usize) -> Self {
         let rem = seg_len % 64;
         let sat_mask = if rem == 0 { !0u64 } else { (1u64 << rem) - 1 };
+        let stride = if seg_len <= 64 {
+            seg_len.next_power_of_two()
+        } else {
+            seg_words * 64
+        };
         SegGeom {
             segments,
             seg_words,
             seg_len,
             sat_mask,
             group,
+            stride,
+            act_words: (segments * stride).div_ceil(64),
         }
+    }
+
+    /// Segment `e`'s first word within an activation's packed words, and
+    /// its bit shift inside that word (0 for multi-word segments).
+    pub(crate) fn locate(&self, e: usize) -> (usize, u32) {
+        let bit = e * self.stride;
+        (bit / 64, (bit % 64) as u32)
     }
 
     /// Whether the whole fan-in accumulates in a single OR group.
@@ -243,13 +274,20 @@ pub(crate) struct TilePhaseArgs<'a> {
     /// Only valid for `present` lanes — kernels must check `present`
     /// before resolving a slot.
     pub windex: Option<&'a [u32]>,
-    /// Receptive-field lanes `(segment_index, weight_base)`, where
-    /// `segment_index = activation_index * segments + segment`; *not*
-    /// filtered of per-image gating (gating is applied per image inside
-    /// the kernel; lanes gated in every image are dropped by the caller).
+    /// Receptive-field lanes `(segment_word, weight_base)`, where
+    /// `segment_word = activation_index * act_words + word` is the first
+    /// bank word of the segment ([`SegGeom::locate`]); *not* filtered of
+    /// per-image gating (gating is applied per image inside the kernel;
+    /// lanes gated in every image are dropped by the caller).
     pub lanes: &'a [(usize, usize)],
     pub w_off: usize,
     pub segment: usize,
+    /// Bit shift of the segment inside its first word: weight words are
+    /// shifted left by it before the AND.
+    pub shift: u32,
+    /// `sat_mask << shift`: the segment's bits in its (last) word — the
+    /// zero-segment test and the saturation pattern.
+    pub window: u64,
 }
 
 impl TilePhaseArgs<'_> {
@@ -296,6 +334,7 @@ pub(crate) fn mac_segment_tile(
     offset: usize,
     stats: &mut KernelStats,
 ) {
+    let (_, shift) = geom.locate(segment);
     for (sign, view) in [(1i64, pos), (-1i64, neg)] {
         let args = TilePhaseArgs {
             geom,
@@ -306,6 +345,8 @@ pub(crate) fn mac_segment_tile(
             lanes,
             w_off,
             segment,
+            shift,
+            window: geom.sat_mask << shift,
         };
         mac_phase_tile(kind, &args, state, stats);
         for (t, &p) in state.phase.iter().enumerate() {
@@ -396,6 +437,32 @@ mod tests {
         assert_eq!(SegGeom::new(1, 2, 96, 8).sat_mask, (1u64 << 32) - 1);
         assert!(SegGeom::new(1, 1, 64, usize::MAX).single_group());
         assert!(!SegGeom::new(1, 2, 96, 8).single_group());
+    }
+
+    #[test]
+    fn seg_geom_packs_segments_without_crossing_words() {
+        // (segments, seg_len) -> (stride, act_words)
+        for (segments, seg_len, stride, act_words) in [
+            (1, 64usize, 64, 1),
+            (4, 8, 8, 1),
+            (4, 16, 16, 1),
+            (9, 12, 16, 3),
+            (4, 24, 32, 2),
+            (9, 96, 128, 18),
+            (4, 128, 128, 8),
+        ] {
+            let g = SegGeom::new(segments, seg_len.div_ceil(64), seg_len, usize::MAX);
+            assert_eq!((g.stride, g.act_words), (stride, act_words), "{seg_len}");
+            for e in 0..segments {
+                let (word, shift) = g.locate(e);
+                assert!(word < act_words);
+                assert!(
+                    shift as usize + seg_len.min(64) <= 64,
+                    "segment {e} crosses a word"
+                );
+            }
+        }
+        assert_eq!(SegGeom::new(9, 1, 12, usize::MAX).locate(5), (1, 16));
     }
 
     #[test]

@@ -36,7 +36,7 @@ fn mac_phase_word(args: &TilePhaseArgs<'_>, stats: &mut KernelStats) -> u64 {
     let mut acc_w = 0u64;
     let mut in_group = 0usize;
     let mut saturated = false;
-    for (n, &(seg_idx, w_base)) in args.lanes.iter().enumerate() {
+    for (n, &(word, w_base)) in args.lanes.iter().enumerate() {
         let w_idx = args.w_off + w_base;
         if !args.present[w_idx] {
             continue; // weight has no component in this phase
@@ -44,14 +44,15 @@ fn mac_phase_word(args: &TilePhaseArgs<'_>, stats: &mut KernelStats) -> u64 {
         if saturated {
             stats.sat_lanes_skipped += 1;
         } else {
-            let act = act_words[seg_idx];
-            if act == 0 {
+            let act = act_words[word];
+            if act & args.window == 0 {
                 stats.zero_seg_skips += 1;
             } else {
                 stats.mac_lanes += 1;
                 let slot = args.w_slot(w_idx);
-                acc_w |= act & args.bank_words[slot * geom.segments + args.segment];
-                if acc_w == geom.sat_mask {
+                let w = args.bank_words[slot * geom.segments + args.segment];
+                acc_w |= act & (w << args.shift);
+                if acc_w == args.window {
                     saturated = true;
                     stats.sat_group_exits += 1;
                     if single {
@@ -96,6 +97,7 @@ fn is_saturated(acc: &[u64], sat_mask: u64) -> bool {
 }
 
 /// Multi-word segments: merge word-by-word into the scratch accumulator.
+/// A multi-word segment starts on a word boundary, so no shift applies.
 fn mac_phase_words(args: &TilePhaseArgs<'_>, acc: &mut [u64], stats: &mut KernelStats) -> u64 {
     let geom = args.geom;
     let bank = &args.banks[0];
@@ -109,20 +111,19 @@ fn mac_phase_words(args: &TilePhaseArgs<'_>, acc: &mut [u64], stats: &mut Kernel
     let mut phase = 0u64;
     let mut in_group = 0usize;
     let mut saturated = false;
-    for (n, &(seg_idx, w_base)) in args.lanes.iter().enumerate() {
+    for (n, &(word, w_base)) in args.lanes.iter().enumerate() {
         let w_idx = args.w_off + w_base;
         if !args.present[w_idx] {
             continue;
         }
         if saturated {
             stats.sat_lanes_skipped += 1;
-        } else if bank.seg_zero[seg_idx] {
+        } else if bank.segment_is_zero(word, sw, args.window) {
             stats.zero_seg_skips += 1;
         } else {
             stats.mac_lanes += 1;
-            let a_base = seg_idx * sw;
             let wb = (args.w_slot(w_idx) * geom.segments + args.segment) * sw;
-            let act = &bank.words[a_base..a_base + sw];
+            let act = &bank.words[word..word + sw];
             let wgt = &args.bank_words[wb..wb + sw];
             for ((acc_w, &aw), &ww) in acc.iter_mut().zip(act).zip(wgt) {
                 *acc_w |= aw & ww;
@@ -182,22 +183,22 @@ pub(super) fn mac_phase_tile_word_single(
     if banks.is_empty() {
         return;
     }
-    for (n, &(seg_idx, w_base)) in args.lanes.iter().enumerate() {
+    for (n, &(word, w_base)) in args.lanes.iter().enumerate() {
         let w_idx = args.w_off + w_base;
         if !args.present[w_idx] {
             continue;
         }
-        let w = args.bank_words[args.w_slot(w_idx) * geom.segments + args.segment];
-        // Accumulator words never exceed `sat_mask` (bank tail-bit
-        // invariant), so the AND chain equals the mask exactly when every
-        // image's group has saturated.
-        let mut all = geom.sat_mask;
+        let w = args.bank_words[args.w_slot(w_idx) * geom.segments + args.segment] << args.shift;
+        // Accumulator words never leave the segment's window (the shifted
+        // weight's tail bits are zero), so the AND chain equals the window
+        // exactly when every image's group has saturated.
+        let mut all = args.window;
         for (acc, bank) in accs.iter_mut().zip(banks) {
-            *acc |= bank.words[seg_idx] & w;
+            *acc |= bank.words[word] & w;
             all &= *acc;
         }
         stats.mac_lanes += banks.len() as u64;
-        if all == geom.sat_mask {
+        if all == args.window {
             // Every image of the tile saturated: the rest of the weight
             // walk is a no-op for all of them.
             stats.sat_lanes_skipped += ((args.lanes.len() - n - 1) * banks.len()) as u64;
@@ -208,7 +209,7 @@ pub(super) fn mac_phase_tile_word_single(
         // A saturated accumulator popcounts to `seg_len` by definition, so
         // no per-image saturation flags are needed.
         phase[start + t] = u64::from(acc.count_ones());
-        if acc == geom.sat_mask {
+        if acc == args.window {
             stats.sat_group_exits += 1;
         }
     }
@@ -223,13 +224,12 @@ pub(super) fn mac_phase_tile_general(
 ) {
     let geom = args.geom;
     let sw = geom.seg_words;
-    for &(seg_idx, w_base) in args.lanes {
+    for &(word, w_base) in args.lanes {
         let w_idx = args.w_off + w_base;
         if !args.present[w_idx] {
             continue;
         }
-        let a_idx = seg_idx / geom.segments;
-        let a_base = seg_idx * sw;
+        let a_idx = word / geom.act_words;
         let wb = (args.w_slot(w_idx) * geom.segments + args.segment) * sw;
         for (t, bank) in args.banks.iter().enumerate() {
             if bank.gated[a_idx] {
@@ -238,16 +238,17 @@ pub(super) fn mac_phase_tile_general(
             let acc = &mut state.accs[t * sw..(t + 1) * sw];
             if state.sat[t] {
                 stats.sat_lanes_skipped += 1;
-            } else if bank.seg_zero[seg_idx] {
+            } else if bank.segment_is_zero(word, sw, args.window) {
                 stats.zero_seg_skips += 1;
             } else {
                 stats.mac_lanes += 1;
-                let act = &bank.words[a_base..a_base + sw];
+                let act = &bank.words[word..word + sw];
                 let wgt = &args.bank_words[wb..wb + sw];
+                // `shift` is 0 for multi-word segments.
                 for ((acc_w, &aw), &ww) in acc.iter_mut().zip(act).zip(wgt) {
-                    *acc_w |= aw & ww;
+                    *acc_w |= aw & (ww << args.shift);
                 }
-                if is_saturated(acc, geom.sat_mask) {
+                if is_saturated(acc, args.window) {
                     state.sat[t] = true;
                     stats.sat_group_exits += 1;
                 }
