@@ -1,13 +1,12 @@
 //! Prepare-time memory footprint of the deduplicated weight-stream pool,
 //! per zoo model.
 //!
-//! For every model the bench prepares the pooled layout for real and
-//! records resident bytes (pool + indices), distinct stream count, dedup
-//! ratio versus the materialized layout, and prepare wall time. Small
-//! (trainable) models additionally prepare the materialized layout to
-//! cross-check the analytic formula against actual allocations; the
-//! ImageNet-scale descriptors report the materialized side analytically —
-//! allocating it for real is exactly what the pool exists to avoid.
+//! For every model the bench prepares the stream pool for real and records
+//! resident bytes (pool + indices), distinct stream count, dedup ratio
+//! versus the analytic per-lane cost (`materialized_bytes`), and prepare
+//! wall time. The trained zoo's `materialized_bytes` are pinned by the
+//! root `tests/invariants.rs`, recorded when a per-lane layout was still
+//! allocated for real and matched them byte for byte.
 //!
 //! Flags:
 //!
@@ -30,7 +29,6 @@ use acoustic_bench::harness::json_string;
 use acoustic_net::Topology;
 use acoustic_simfunc::{
     DedupStats, HostFingerprint, PrepareOptions, ScSimulator, SharedStreamPool, SimConfig,
-    WeightStorage,
 };
 use acoustic_train::ZooModel;
 
@@ -39,9 +37,6 @@ struct ModelPoint {
     stream_len: usize,
     prepare_secs: f64,
     stats: DedupStats,
-    /// Actual materialized allocation when it was prepared for real;
-    /// `None` when the materialized side is analytic only.
-    measured_materialized: Option<u64>,
 }
 
 /// One thread count of the parallel-prepare sweep.
@@ -130,38 +125,14 @@ fn main() {
 
     for &model in &args.models {
         let net = model.network().expect("zoo network builds");
-        let base = SimConfig::with_stream_len(args.stream_len).expect("valid stream length");
-
-        let pooled_sim = ScSimulator::new(SimConfig {
-            weight_storage: WeightStorage::Pooled,
-            ..base
-        });
+        let sim = ScSimulator::new(
+            SimConfig::with_stream_len(args.stream_len).expect("valid stream length"),
+        );
         let t = Instant::now();
-        let pooled = pooled_sim.prepare(&net).expect("pooled prepare");
+        let prepared = sim.prepare(&net).expect("prepare");
         let prepare_secs = t.elapsed().as_secs_f64();
-        let stats = pooled.dedup_stats();
-        drop(pooled);
-
-        // Only trainable models are small enough to also materialize for
-        // real; for those, verify the analytic materialized-bytes formula
-        // against the actual allocation.
-        let measured_materialized = if model.trainable() {
-            let mat_sim = ScSimulator::new(SimConfig {
-                weight_storage: WeightStorage::Materialized,
-                ..base
-            });
-            let mat = mat_sim.prepare(&net).expect("materialized prepare");
-            let measured = mat.dedup_stats().resident_bytes;
-            assert_eq!(
-                measured,
-                stats.materialized_bytes,
-                "{}: analytic materialized bytes disagree with the real allocation",
-                model.slug()
-            );
-            Some(measured)
-        } else {
-            None
-        };
+        let stats = prepared.dedup_stats();
+        drop(prepared);
 
         println!(
             "{:<12} stream {:>4}: {:>12} lanes, {:>9} distinct, {:>9.1} MiB resident \
@@ -200,7 +171,6 @@ fn main() {
             stream_len: args.stream_len,
             prepare_secs,
             stats,
-            measured_materialized,
         });
     }
 
@@ -234,11 +204,8 @@ fn main() {
 /// at least 1.5x faster than the cold one (the layer tier's whole point).
 fn parallel_section(model: ZooModel, stream_len: usize, quick: bool) -> ParallelSection {
     let net = model.network().expect("zoo network builds");
-    let base = SimConfig::with_stream_len(stream_len).expect("valid stream length");
-    let sim = ScSimulator::new(SimConfig {
-        weight_storage: WeightStorage::Pooled,
-        ..base
-    });
+    let sim =
+        ScSimulator::new(SimConfig::with_stream_len(stream_len).expect("valid stream length"));
 
     let mut digest = None;
     let mut sweep = Vec::new();
@@ -347,7 +314,7 @@ fn to_json(quick: bool, points: &[ModelPoint], parallel: &ParallelSection) -> St
             "      {{\"model\": {}, \"stream_len\": {}, \"prepare_secs\": {:.6}, \
              \"lanes\": {}, \"distinct_streams\": {}, \"pool_bytes\": {}, \
              \"index_bytes\": {}, \"resident_bytes\": {}, \"materialized_bytes\": {}, \
-             \"dedup_ratio\": {:.4}, \"measured_materialized_bytes\": {}}}",
+             \"dedup_ratio\": {:.4}}}",
             json_string(p.slug),
             p.stream_len,
             p.prepare_secs,
@@ -358,9 +325,6 @@ fn to_json(quick: bool, points: &[ModelPoint], parallel: &ParallelSection) -> St
             s.resident_bytes,
             s.materialized_bytes,
             s.dedup_ratio(),
-            p.measured_materialized
-                .map(|b| b.to_string())
-                .unwrap_or_else(|| "null".into()),
         );
         out.push_str(if i + 1 < points.len() { ",\n" } else { "\n" });
     }

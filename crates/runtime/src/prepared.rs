@@ -136,9 +136,8 @@ impl PreparedModel {
     /// Approximate resident size of the prepared weight banks, in bytes
     /// (see [`PreparedNetwork::approx_bytes`]). [`ModelCache`] memory
     /// budgets are enforced against this figure, which reflects the actual
-    /// allocations of the configured weight-storage layout — shared pool
-    /// words plus per-lane indices when deduplication is on, full per-lane
-    /// banks when it is not.
+    /// allocations of the weight banks: stream-pool words plus per-lane
+    /// indices and presence flags.
     pub fn approx_bytes(&self) -> usize {
         self.prepared.approx_bytes()
     }

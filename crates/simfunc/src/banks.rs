@@ -1,10 +1,10 @@
 //! Flat, word-aligned operand banks of the stochastic datapath.
 //!
-//! Weights live in per-phase [`PhaseBank`]s (prepared once per network),
+//! Weights live in a per-layer [`StreamPool`] (prepared once per network),
 //! activations in a per-image [`ActBank`] (regenerated per layer), and every
 //! per-inference buffer is owned by a reusable [`SimScratch`]. The MAC
 //! kernels in [`crate::kernels`] operate on borrowed word ranges out of
-//! these banks — no per-lane allocation or pointer chasing on the hot path.
+//! these banks — no per-lane allocation on the hot path.
 
 use crate::kernels::KernelStats;
 
@@ -12,77 +12,6 @@ use crate::kernels::KernelStats;
 /// content digest in the prepare path (bank digests, layer content keys).
 pub(crate) fn fnv1a(h: &mut u64, word: u64) {
     *h = (*h ^ word).wrapping_mul(0x0000_0100_0000_01b3);
-}
-
-/// One phase's weight streams, stored flat and word-aligned: weight `j`,
-/// segment `e` occupies `words[(j * segments + e) * seg_words .. +seg_words]`
-/// (all-zero when the weight has no component in this phase). The MAC inner
-/// loop reads borrowed word ranges out of this bank — no per-lane `Option`
-/// or `Vec<Bitstream>` pointer chasing.
-#[derive(Debug, Clone)]
-pub(crate) struct PhaseBank {
-    pub(crate) words: Vec<u64>,
-    /// Whether weight `j` has a component in this phase. Absent weights must
-    /// be *skipped*, not OR-ed as zero: only present lanes consume an
-    /// OR-group slot.
-    pub(crate) present: Vec<bool>,
-}
-
-impl PhaseBank {
-    pub(crate) fn zeros(weights: usize, segments: usize, seg_words: usize) -> Self {
-        PhaseBank {
-            words: vec![0u64; weights * segments * seg_words],
-            present: vec![false; weights],
-        }
-    }
-
-    /// Resident size of this bank's backing storage, in bytes.
-    pub(crate) fn approx_bytes(&self) -> usize {
-        self.words.len() * std::mem::size_of::<u64>() + self.present.len()
-    }
-}
-
-/// Split-unipolar weight streams of one MAC layer at one stream length,
-/// pre-segmented for computation-skipping pooling.
-#[derive(Debug, Clone)]
-pub(crate) struct WeightStreams {
-    pub(crate) pos: PhaseBank,
-    pub(crate) neg: PhaseBank,
-    pub(crate) seg_words: usize,
-}
-
-/// Prefix-reusable weight banks: level `k` holds the segmented layout of
-/// the first `max_per_phase >> k` bits of every weight stream.
-///
-/// An LFSR-driven SNG emits bits sequentially, so a stream of length `L`
-/// is a bit-exact prefix of the length-`2L` stream from the same seed. The
-/// banks are therefore generated from **one** SNG walk at the maximum
-/// length; shorter levels are sliced (re-segmented) out of that same walk,
-/// never regenerated. Running the engine at level `k` is bit-identical to
-/// preparing the network directly at that stream length.
-#[derive(Debug, Clone)]
-pub(crate) struct LeveledWeights {
-    /// Per-level banks, longest (the prepare-time maximum) first. The level
-    /// order matches `PreparedNetwork::supported_lengths`.
-    pub(crate) levels: Vec<WeightStreams>,
-}
-
-impl WeightStreams {
-    /// Resident size of both phase banks, in bytes.
-    pub(crate) fn approx_bytes(&self) -> usize {
-        self.pos.approx_bytes() + self.neg.approx_bytes()
-    }
-}
-
-impl LeveledWeights {
-    pub(crate) fn level(&self, k: usize) -> &WeightStreams {
-        &self.levels[k]
-    }
-
-    /// Resident size of every level's banks, in bytes.
-    pub(crate) fn approx_bytes(&self) -> usize {
-        self.levels.iter().map(WeightStreams::approx_bytes).sum()
-    }
 }
 
 /// Lane marker for weights with no stream at all (quantized to zero).
@@ -107,11 +36,13 @@ pub(crate) struct PoolLevel {
 /// a compact `u32` slot index into the shared pool instead of owning its
 /// stream words.
 ///
-/// Prefix reusability is preserved by construction: slot ids are assigned
-/// once (first sight of a key, in a phase-major lane scan so each phase
-/// pass reads a dense ascending slot range) and every [`PoolLevel`] lays
-/// its words out in the same slot order, sliced from the same single SNG
-/// walk that the materialized layout uses — so one `index` vector serves
+/// Level `k` holds the first `max_per_phase >> k` bits of every stream:
+/// an LFSR-driven SNG emits bits sequentially, so a stream of length `L`
+/// is a bit-exact prefix of the length-`2L` stream from the same seed.
+/// Slot ids are assigned once (first sight of a key, in a phase-major
+/// lane scan so each phase pass reads a dense ascending slot range) and
+/// every [`PoolLevel`] lays its words out in the same slot order, sliced
+/// from one SNG walk at the maximum length — so one `index` vector serves
 /// all levels and level `k` stays bit-identical to a direct prepare at
 /// that length.
 #[derive(Debug, Clone)]
@@ -123,7 +54,7 @@ pub(crate) struct StreamPool {
     /// Whether lane `j` has a negative-phase component.
     pub(crate) neg_present: Vec<bool>,
     /// Per-level canonical words, longest level first (same order as
-    /// [`LeveledWeights::levels`]).
+    /// `PreparedNetwork::supported_lengths`).
     pub(crate) levels: Vec<PoolLevel>,
     /// Number of distinct canonical streams.
     pub(crate) distinct: usize,
@@ -151,88 +82,22 @@ impl StreamPool {
             + self.pos_present.len()
             + self.neg_present.len()
     }
-}
 
-/// Borrowed, `Copy` view of one phase of one level, as the kernels read
-/// it. `windex` is the pooled layout's per-lane slot indirection; `None`
-/// means the direct layout where lane `j` owns its own word range.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PhaseView<'a> {
-    pub(crate) words: &'a [u64],
-    pub(crate) present: &'a [bool],
-    pub(crate) windex: Option<&'a [u32]>,
-}
-
-/// Borrowed view of one prefix level of one layer's weights.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct LevelView<'a> {
-    pub(crate) pos: PhaseView<'a>,
-    pub(crate) neg: PhaseView<'a>,
-    pub(crate) seg_words: usize,
-}
-
-/// One MAC layer's weight banks in either storage layout.
-#[derive(Debug, Clone)]
-pub(crate) enum LayerWeights {
-    /// Every lane owns full stream words (the seed-state layout).
-    Materialized(LeveledWeights),
-    /// Lanes hold indices into a shared canonical-stream pool. The pool
-    /// sits behind an `Arc` so a process-wide `SharedStreamPool` can hand
-    /// the same immutable layer artifact to every re-prepare of identical
-    /// weights (warm re-prepare is a reference-count bump per layer).
-    Pooled(std::sync::Arc<StreamPool>),
-}
-
-impl LayerWeights {
-    pub(crate) fn level(&self, k: usize) -> LevelView<'_> {
-        match self {
-            LayerWeights::Materialized(lw) => {
-                let ws = lw.level(k);
-                LevelView {
-                    pos: PhaseView {
-                        words: &ws.pos.words,
-                        present: &ws.pos.present,
-                        windex: None,
-                    },
-                    neg: PhaseView {
-                        words: &ws.neg.words,
-                        present: &ws.neg.present,
-                        windex: None,
-                    },
-                    seg_words: ws.seg_words,
-                }
-            }
-            LayerWeights::Pooled(p) => {
-                let l = &p.levels[k];
-                LevelView {
-                    pos: PhaseView {
-                        words: &l.words,
-                        present: &p.pos_present,
-                        windex: Some(&p.index),
-                    },
-                    neg: PhaseView {
-                        words: &l.words,
-                        present: &p.neg_present,
-                        windex: Some(&p.index),
-                    },
-                    seg_words: l.seg_words,
-                }
-            }
-        }
-    }
-
-    /// Resident size of this layer's weight storage, in bytes — actual
-    /// allocations, not a formula over lane count.
-    pub(crate) fn approx_bytes(&self) -> usize {
-        match self {
-            LayerWeights::Materialized(lw) => lw.approx_bytes(),
-            LayerWeights::Pooled(p) => p.approx_bytes(),
+    /// Borrowed view of prefix level `k`, as the kernels read it.
+    pub(crate) fn level(&self, k: usize) -> WeightView<'_> {
+        let l = &self.levels[k];
+        WeightView {
+            words: &l.words,
+            index: &self.index,
+            pos_present: &self.pos_present,
+            neg_present: &self.neg_present,
+            seg_words: l.seg_words,
         }
     }
 
     /// Folds this layer's complete bank content into an FNV-1a digest:
-    /// every level's words plus presence flags (and slot indices for the
-    /// pooled layout). Feeds [`PreparedNetwork::content_digest`].
+    /// slot indices, presence flags and every level's words. Feeds
+    /// [`PreparedNetwork::content_digest`].
     ///
     /// [`PreparedNetwork::content_digest`]: crate::PreparedNetwork::content_digest
     pub(crate) fn digest(&self, h: &mut u64) {
@@ -242,112 +107,80 @@ impl LayerWeights {
                 fnv1a(h, u64::from(f));
             }
         }
-        fn digest_words(h: &mut u64, words: &[u64]) {
-            fnv1a(h, words.len() as u64);
-            for &w in words {
-                fnv1a(h, w);
-            }
+        // The leading tag 12 stays so that recorded `content_digest()`
+        // values remain valid.
+        fnv1a(h, 12);
+        fnv1a(h, self.distinct as u64);
+        fnv1a(h, self.segments as u64);
+        fnv1a(h, self.index.len() as u64);
+        for &slot in &self.index {
+            fnv1a(h, u64::from(slot));
         }
-        match self {
-            LayerWeights::Materialized(lw) => {
-                fnv1a(h, 11);
-                for ws in &lw.levels {
-                    fnv1a(h, ws.seg_words as u64);
-                    digest_words(h, &ws.pos.words);
-                    digest_flags(h, &ws.pos.present);
-                    digest_words(h, &ws.neg.words);
-                    digest_flags(h, &ws.neg.present);
-                }
-            }
-            LayerWeights::Pooled(p) => {
-                fnv1a(h, 12);
-                fnv1a(h, p.distinct as u64);
-                fnv1a(h, p.segments as u64);
-                fnv1a(h, p.index.len() as u64);
-                for &slot in &p.index {
-                    fnv1a(h, u64::from(slot));
-                }
-                digest_flags(h, &p.pos_present);
-                digest_flags(h, &p.neg_present);
-                for l in &p.levels {
-                    fnv1a(h, l.seg_words as u64);
-                    digest_words(h, &l.words);
-                }
+        digest_flags(h, &self.pos_present);
+        digest_flags(h, &self.neg_present);
+        for l in &self.levels {
+            fnv1a(h, l.seg_words as u64);
+            fnv1a(h, l.words.len() as u64);
+            for &w in &l.words {
+                fnv1a(h, w);
             }
         }
     }
 
     /// Storage accounting of this layer (see [`DedupStats`]).
     pub(crate) fn dedup_stats(&self) -> DedupStats {
-        match self {
-            LayerWeights::Materialized(lw) => {
-                let lanes = lw
-                    .levels
-                    .first()
-                    .map_or(0, |ws| ws.pos.present.len() as u64);
-                let distinct = lw.levels.first().map_or(0, |ws| {
-                    ws.pos
-                        .present
-                        .iter()
-                        .zip(&ws.neg.present)
-                        .filter(|(p, n)| **p || **n)
-                        .count() as u64
-                });
-                let resident = lw.approx_bytes() as u64;
-                DedupStats {
-                    lanes,
-                    distinct_streams: distinct,
-                    pool_bytes: 0,
-                    index_bytes: 0,
-                    resident_bytes: resident,
-                    materialized_bytes: resident,
-                }
-            }
-            LayerWeights::Pooled(p) => {
-                let lanes = p.index.len();
-                // What PhaseBank::zeros would have allocated for the same
-                // layer: both phases hold full words + presence per level.
-                let materialized: usize = p
-                    .levels
-                    .iter()
-                    .map(|l| {
-                        2 * (lanes * p.segments * l.seg_words * std::mem::size_of::<u64>() + lanes)
-                    })
-                    .sum();
-                DedupStats {
-                    lanes: lanes as u64,
-                    distinct_streams: p.distinct as u64,
-                    pool_bytes: p.pool_bytes() as u64,
-                    index_bytes: p.index_bytes() as u64,
-                    resident_bytes: p.approx_bytes() as u64,
-                    materialized_bytes: materialized as u64,
-                }
-            }
+        let lanes = self.index.len();
+        // A per-lane layout holds, at every level, full words plus a
+        // presence flag per lane in each of the two phases.
+        let materialized: usize = self
+            .levels
+            .iter()
+            .map(|l| 2 * (lanes * self.segments * l.seg_words * std::mem::size_of::<u64>() + lanes))
+            .sum();
+        DedupStats {
+            lanes: lanes as u64,
+            distinct_streams: self.distinct as u64,
+            pool_bytes: self.pool_bytes() as u64,
+            index_bytes: self.index_bytes() as u64,
+            resident_bytes: self.approx_bytes() as u64,
+            materialized_bytes: materialized as u64,
         }
     }
 }
 
+/// Borrowed view of one prefix level of one layer's weights, as the
+/// kernels read it: both phases share the pool words and the slot index,
+/// and differ only in which lanes are present.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WeightView<'a> {
+    pub(crate) words: &'a [u64],
+    pub(crate) index: &'a [u32],
+    pub(crate) pos_present: &'a [bool],
+    pub(crate) neg_present: &'a [bool],
+    pub(crate) seg_words: usize,
+}
+
 /// Weight-storage accounting of one layer or one whole prepared network.
 ///
-/// `resident_bytes` is what the chosen layout actually allocates (and what
-/// `ModelCache` byte budgets are charged); `materialized_bytes` is what
-/// the undeduplicated per-lane layout would allocate for the same shapes —
-/// measured when that layout is the one in use, computed analytically
-/// otherwise (an ImageNet-scale materialized prepare cannot be allocated
-/// just to weigh it).
+/// `resident_bytes` is what the stream pool actually allocates (and what
+/// `ModelCache` byte budgets are charged); `materialized_bytes` is what an
+/// undeduplicated per-lane layout — every lane owning full stream words in
+/// both phases — would allocate for the same shapes, computed analytically
+/// (an ImageNet-scale per-lane layout cannot be allocated just to weigh
+/// it).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DedupStats {
     /// Weight lanes across MAC layers (conv fan-in × out-channels + dense).
     pub lanes: u64,
     /// Distinct canonical streams backing those lanes.
     pub distinct_streams: u64,
-    /// Bytes of shared canonical stream words (0 for materialized layout).
+    /// Bytes of shared canonical stream words.
     pub pool_bytes: u64,
-    /// Bytes of per-lane slot indices + phase presence (0 for materialized).
+    /// Bytes of per-lane slot indices + phase presence.
     pub index_bytes: u64,
     /// Bytes actually resident for weight banks.
     pub resident_bytes: u64,
-    /// Bytes the materialized per-lane layout needs for the same layers.
+    /// Bytes a per-lane layout would need for the same layers.
     pub materialized_bytes: u64,
 }
 

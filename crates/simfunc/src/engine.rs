@@ -17,12 +17,11 @@ use acoustic_nn::train::Sample;
 use acoustic_nn::Tensor;
 
 use crate::banks::{
-    fnv1a, ActBank, DedupStats, LayerWeights, LeveledWeights, PhaseBank, PoolLevel, PoolMap,
-    SimScratch, StreamPool, WeightStreams, NO_SLOT,
+    fnv1a, ActBank, DedupStats, PoolLevel, PoolMap, SimScratch, StreamPool, NO_SLOT,
 };
 use crate::kernels::{self, active_kernel, KernelKind, SegGeom, TileState, TILE};
 use crate::pool::{layer_content_key, SharedStreamPool};
-use crate::{SimConfig, SimError, WeightStorage};
+use crate::{SimConfig, SimError};
 
 /// Comparator width of every SNG in the datapath (16-bit LFSRs).
 const SNG_WIDTH: u32 = 16;
@@ -75,8 +74,8 @@ fn resolve_prepare_threads(requested: usize) -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Minimum weight lanes per phase-A/materialized worker; below this the
-/// per-thread spawn cost exceeds the work.
+/// Minimum weight lanes per phase-A worker; below this the per-thread
+/// spawn cost exceeds the work.
 const MIN_LANES_PER_THREAD: usize = 8192;
 
 /// Minimum pool slots per phase-C worker.
@@ -191,7 +190,7 @@ struct PreparedConv {
     pad: usize,
     /// Pooling window fused into this conv (computation skipping), if any.
     pool: Option<usize>,
-    weights: LayerWeights,
+    weights: Arc<StreamPool>,
     ordinal: usize,
 }
 
@@ -199,7 +198,7 @@ struct PreparedConv {
 struct PreparedDense {
     in_n: usize,
     out_n: usize,
-    weights: LayerWeights,
+    weights: Arc<StreamPool>,
     ordinal: usize,
 }
 
@@ -301,8 +300,8 @@ impl PreparedNetwork {
     }
 
     /// Weight-storage accounting aggregated over every MAC layer: lanes,
-    /// distinct canonical streams, pool/index/resident bytes, and what the
-    /// undeduplicated materialized layout would cost for the same shapes.
+    /// distinct canonical streams, pool/index/resident bytes, and what an
+    /// undeduplicated per-lane layout would cost for the same shapes.
     pub fn dedup_stats(&self) -> DedupStats {
         steps_dedup(&self.steps)
     }
@@ -313,8 +312,8 @@ impl PreparedNetwork {
     ///
     /// Two prepares digest equal exactly when their banks are
     /// byte-identical — what the parallel-prepare determinism tests and
-    /// the prepare bench's bit-identity gate assert across thread counts,
-    /// storage layouts and shared-pool attachment.
+    /// the prepare bench's bit-identity gate assert across thread counts
+    /// and shared-pool attachment.
     pub fn content_digest(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for &l in &self.lengths {
@@ -819,14 +818,13 @@ impl ScSimulator {
         Ok(xs)
     }
 
-    /// Generates the per-phase, per-segment weight streams of a MAC layer
-    /// into flat word-aligned phase banks — one bank per executable prefix
-    /// length.
+    /// Builds a MAC layer's weight streams into a [`StreamPool`] holding
+    /// every executable prefix length.
     ///
-    /// Every weight's SNG walks **once**, at the maximum length; each
-    /// shorter level is re-segmented out of that same full-length stream
-    /// (its length-`L` prefix), which is bit-identical to generating the
-    /// level directly because the LFSR emits bits sequentially.
+    /// Every distinct stream's SNG walks **once**, at the maximum length;
+    /// each shorter level is re-segmented out of that same full-length
+    /// stream (its length-`L` prefix), which is bit-identical to generating
+    /// the level directly because the LFSR emits bits sequentially.
     ///
     /// Quantization happens through a per-code lookup table
     /// ([`threshold_lut`]): the 8-bit code fully determines the quantized
@@ -841,7 +839,7 @@ impl ScSimulator {
         segments: usize,
         lengths: &[usize],
         opts: &PrepareOptions,
-    ) -> Result<LayerWeights, SimError> {
+    ) -> Result<Arc<StreamPool>, SimError> {
         let m = self.cfg.per_phase_len();
         if !m.is_multiple_of(segments) {
             return Err(SimError::UnsupportedLayer(format!(
@@ -849,152 +847,41 @@ impl ScSimulator {
             )));
         }
         let lut = threshold_lut(wq)?;
-        match self.cfg.weight_storage {
-            WeightStorage::Materialized => self
-                .weight_streams_materialized(weights, wq, &lut, ordinal, segments, lengths, opts)
-                .map(LayerWeights::Materialized),
-            WeightStorage::Pooled => {
-                // Layer tier: a warm re-prepare of an unchanged layer is a
-                // reference-count bump. The key covers every input that
-                // shapes the banks (weights, seed, quantization,
-                // segmentation, prefix lengths), so a hit is bit-identical
-                // by construction. Key computation is gated on pool
-                // presence — hashing an ImageNet-scale layer is not free.
-                let key = opts.shared_pool.as_ref().map(|_| {
-                    layer_content_key(
-                        weights,
-                        self.cfg.wgt_seed,
-                        ordinal,
-                        self.cfg.quant_bits,
-                        segments,
-                        lengths,
-                    )
-                });
-                if let (Some(shared), Some(key)) = (opts.shared_pool.as_deref(), key) {
-                    if let Some(hit) = shared.layer(key) {
-                        return Ok(LayerWeights::Pooled(hit));
-                    }
-                }
-                let pool =
-                    Arc::new(self.weight_streams_pooled(
-                        weights, wq, &lut, ordinal, segments, lengths, opts,
-                    )?);
-                if let (Some(shared), Some(key)) = (opts.shared_pool.as_deref(), key) {
-                    shared.insert_layer(key, &pool);
-                }
-                Ok(LayerWeights::Pooled(pool))
+        // Layer tier: a warm re-prepare of an unchanged layer is a
+        // reference-count bump. The key covers every input that shapes the
+        // banks (weights, seed, quantization, segmentation, prefix
+        // lengths), so a hit is bit-identical by construction. Key
+        // computation is gated on pool presence — hashing an
+        // ImageNet-scale layer is not free.
+        let key = opts.shared_pool.as_ref().map(|_| {
+            layer_content_key(
+                weights,
+                self.cfg.wgt_seed,
+                ordinal,
+                self.cfg.quant_bits,
+                segments,
+                lengths,
+            )
+        });
+        if let (Some(shared), Some(key)) = (opts.shared_pool.as_deref(), key) {
+            if let Some(hit) = shared.layer(key) {
+                return Ok(hit);
             }
         }
-    }
-
-    /// The direct layout: every lane owns full per-level stream words.
-    ///
-    /// Lanes are independent — each writes only its own presence flag and
-    /// its own word ranges — so the lane axis splits across scoped workers
-    /// in contiguous chunks. The artifact is bit-identical for every worker
-    /// count because each lane's bytes are a pure function of (global lane
-    /// index, weight code, layer ordinal).
-    #[allow(clippy::too_many_arguments)]
-    fn weight_streams_materialized(
-        &self,
-        weights: &[f32],
-        wq: &Quantizer,
-        lut: &[(u8, u32)],
-        ordinal: usize,
-        segments: usize,
-        lengths: &[usize],
-        opts: &PrepareOptions,
-    ) -> Result<LeveledWeights, SimError> {
-        let m = self.cfg.per_phase_len();
-        let mut levels: Vec<WeightStreams> = lengths
-            .iter()
-            .map(|&l| {
-                let seg_words = (l / 2 / segments).div_ceil(64);
-                WeightStreams {
-                    pos: PhaseBank::zeros(weights.len(), segments, seg_words),
-                    neg: PhaseBank::zeros(weights.len(), segments, seg_words),
-                    seg_words,
-                }
-            })
-            .collect();
-        let threads = effective_threads(opts.threads, weights.len(), MIN_LANES_PER_THREAD);
-        let wgt_seed = self.cfg.wgt_seed;
-        if threads == 1 {
-            let views: Vec<LaneShard<'_>> = levels
-                .iter_mut()
-                .map(|level| LaneShard {
-                    pos_words: &mut level.pos.words,
-                    pos_present: &mut level.pos.present,
-                    neg_words: &mut level.neg.words,
-                    neg_present: &mut level.neg.present,
-                    seg_words: level.seg_words,
-                })
-                .collect();
-            fill_lane_chunk(
-                weights, wq, lut, wgt_seed, ordinal, 0, segments, lengths, m, views,
-            )?;
-        } else {
-            let chunk = weights.len().div_ceil(threads);
-            // Transpose per-level chunk iterators into per-worker shard
-            // lists: worker `w` owns lanes [w·chunk, (w+1)·chunk) of every
-            // level, as disjoint `&mut` ranges.
-            let mut iters: Vec<_> = levels
-                .iter_mut()
-                .map(|level| {
-                    let per = segments * level.seg_words;
-                    (
-                        level.seg_words,
-                        level.pos.words.chunks_mut(chunk * per),
-                        level.pos.present.chunks_mut(chunk),
-                        level.neg.words.chunks_mut(chunk * per),
-                        level.neg.present.chunks_mut(chunk),
-                    )
-                })
-                .collect();
-            std::thread::scope(|s| -> Result<(), SimError> {
-                let mut handles = Vec::new();
-                for (w, lane_chunk) in weights.chunks(chunk).enumerate() {
-                    let views: Vec<LaneShard<'_>> = iters
-                        .iter_mut()
-                        .map(|(sw, pw, pp, nw, np)| LaneShard {
-                            pos_words: pw.next().unwrap_or_default(),
-                            pos_present: pp.next().unwrap_or_default(),
-                            neg_words: nw.next().unwrap_or_default(),
-                            neg_present: np.next().unwrap_or_default(),
-                            seg_words: *sw,
-                        })
-                        .collect();
-                    handles.push(s.spawn(move || {
-                        fill_lane_chunk(
-                            lane_chunk,
-                            wq,
-                            lut,
-                            wgt_seed,
-                            ordinal,
-                            w * chunk,
-                            segments,
-                            lengths,
-                            m,
-                            views,
-                        )
-                    }));
-                }
-                for h in handles {
-                    h.join().expect("prepare worker panicked")?;
-                }
-                Ok(())
-            })?;
+        let pool = Arc::new(self.build_pool(weights, wq, &lut, ordinal, segments, lengths, opts)?);
+        if let (Some(shared), Some(key)) = (opts.shared_pool.as_deref(), key) {
+            shared.insert_layer(key, &pool);
         }
-        Ok(LeveledWeights { levels })
+        Ok(pool)
     }
 
-    /// The deduplicated layout: one canonical stream per distinct
+    /// Builds a layer's stream pool: one canonical stream per distinct
     /// (mixed 16-bit SNG seed, quantized threshold) key, with every lane
     /// holding a compact slot index into the shared pool.
     ///
     /// A stream is a pure function of that key — two lanes with the same
-    /// mixed seed and quantized magnitude receive bit-identical words in
-    /// the materialized layout, so sharing one copy cannot change logits.
+    /// mixed seed and quantized magnitude would generate bit-identical
+    /// words, so sharing one copy cannot change logits.
     /// The seed space is 16 bits wide and the 8-bit quantizer emits a few
     /// hundred magnitudes, so distinct keys are bounded per layer while
     /// lane counts grow with the model — the bigger the layer, the bigger
@@ -1011,7 +898,7 @@ impl ScSimulator {
     ///   order-sensitive step and it never runs in parallel, which is why
     ///   banks are bit-identical for every thread count. The phase-major
     ///   order keeps each kernel phase pass on a dense ascending slot
-    ///   range, matching the materialized layout's cache behaviour.
+    ///   range.
     /// * **Phase C (parallel)** — materialize each slot's words into
     ///   pre-sized level buffers; slot positions were fixed in phase B, so
     ///   slot ranges fill independently. With a shared pool attached, the
@@ -1023,7 +910,7 @@ impl ScSimulator {
     /// execution stays bit-identical to a direct prepare at the shorter
     /// length.
     #[allow(clippy::too_many_arguments)]
-    fn weight_streams_pooled(
+    fn build_pool(
         &self,
         weights: &[f32],
         wq: &Quantizer,
@@ -1387,8 +1274,7 @@ impl ScSimulator {
                             run.kernel,
                             &geom,
                             banks,
-                            weights.pos,
-                            weights.neg,
+                            weights,
                             lanes,
                             oc * fan_in,
                             e,
@@ -1467,8 +1353,7 @@ impl ScSimulator {
                 run.kernel,
                 &geom,
                 banks,
-                weights.pos,
-                weights.neg,
+                weights,
                 lanes,
                 o * d.in_n,
                 0,
@@ -1582,62 +1467,7 @@ fn effective_threads(threads: usize, work: usize, min_per_thread: usize) -> usiz
     threads.clamp(1, work.div_ceil(min_per_thread).max(1))
 }
 
-/// One worker's mutable view into every level of a materialized bank: the
-/// lane-chunk's word and presence ranges.
-struct LaneShard<'a> {
-    pos_words: &'a mut [u64],
-    pos_present: &'a mut [bool],
-    neg_words: &'a mut [u64],
-    neg_present: &'a mut [bool],
-    seg_words: usize,
-}
-
-/// Fills one contiguous lane chunk of a materialized bank at every level.
-/// `start` is the chunk's first global lane index — seeds mix the global
-/// index, so chunk boundaries never affect stream contents.
-#[allow(clippy::too_many_arguments)]
-fn fill_lane_chunk(
-    weights: &[f32],
-    wq: &Quantizer,
-    lut: &[(u8, u32)],
-    wgt_seed: u32,
-    ordinal: usize,
-    start: usize,
-    segments: usize,
-    lengths: &[usize],
-    m: usize,
-    mut views: Vec<LaneShard<'_>>,
-) -> Result<(), SimError> {
-    let mut full = vec![0u64; m.div_ceil(64)];
-    for (local, &w) in weights.iter().enumerate() {
-        let (tag, threshold) = lut[wq.encode(w) as usize];
-        if tag == TAG_SKIP {
-            continue;
-        }
-        let positive = tag == TAG_POS;
-        let j = start + local;
-        let seed = mix_seed(wgt_seed, ordinal as u32, j as u32, u32::from(!positive));
-        let mut sng = Sng::new(Lfsr::maximal(SNG_WIDTH, seed)?, SNG_WIDTH);
-        sng.fill_quantized(threshold, m, &mut full);
-        for (view, &len) in views.iter_mut().zip(lengths) {
-            let seg_len = len / 2 / segments;
-            let sw = view.seg_words;
-            let (words, present) = if positive {
-                (&mut *view.pos_words, &mut *view.pos_present)
-            } else {
-                (&mut *view.neg_words, &mut *view.neg_present)
-            };
-            present[local] = true;
-            for e in 0..segments {
-                let base = (local * segments + e) * sw;
-                copy_bit_range(&full, e * seg_len, seg_len, &mut words[base..base + sw]);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Collects one lane chunk's packed stream keys (pooled phase A). A lane's
+/// Collects one lane chunk's packed stream keys (phase A). A lane's
 /// key is `(mixed seed << 32) | threshold` — nonzero, since `mix_seed`
 /// never yields 0 — or 0 for a zero-quantized (skipped) lane.
 #[allow(clippy::too_many_arguments)]
@@ -1664,8 +1494,8 @@ fn collect_key_chunk(
     }
 }
 
-/// Materializes one contiguous slot-range chunk of a stream pool (pooled
-/// phase C): walks (or fetches from the shared stream tier) each slot's
+/// Materializes one contiguous slot-range chunk of a stream pool (phase
+/// C): walks (or fetches from the shared stream tier) each slot's
 /// canonical full-length words and lays its per-segment prefix slices into
 /// every level at the slot's pre-assigned position.
 fn materialize_slot_chunk(
@@ -2413,40 +2243,36 @@ mod residual_tests {
     }
 
     #[test]
-    fn parallel_prepare_is_bit_identical_across_threads_and_storage() {
+    fn parallel_prepare_is_bit_identical_across_threads() {
         let net = chunky_network();
-        for storage in [WeightStorage::Pooled, WeightStorage::Materialized] {
-            let mut c = cfg(128);
-            c.weight_storage = storage;
-            let sim = ScSimulator::new(c);
-            let baseline = sim
+        let sim = ScSimulator::new(cfg(128));
+        let baseline = sim
+            .prepare_with(
+                &net,
+                &PrepareOptions {
+                    threads: 1,
+                    shared_pool: None,
+                },
+            )
+            .unwrap();
+        let digest = baseline.content_digest();
+        let stats = baseline.dedup_stats();
+        for threads in [2, 4] {
+            let p = sim
                 .prepare_with(
                     &net,
                     &PrepareOptions {
-                        threads: 1,
+                        threads,
                         shared_pool: None,
                     },
                 )
                 .unwrap();
-            let digest = baseline.content_digest();
-            let stats = baseline.dedup_stats();
-            for threads in [2, 4] {
-                let p = sim
-                    .prepare_with(
-                        &net,
-                        &PrepareOptions {
-                            threads,
-                            shared_pool: None,
-                        },
-                    )
-                    .unwrap();
-                assert_eq!(
-                    p.content_digest(),
-                    digest,
-                    "banks differ at threads={threads}, storage={storage:?}"
-                );
-                assert_eq!(p.dedup_stats(), stats, "dedup stats differ at {threads}");
-            }
+            assert_eq!(
+                p.content_digest(),
+                digest,
+                "banks differ at threads={threads}"
+            );
+            assert_eq!(p.dedup_stats(), stats, "dedup stats differ at {threads}");
         }
     }
 

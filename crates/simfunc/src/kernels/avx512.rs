@@ -59,8 +59,8 @@ unsafe fn mac_phase_tile_word_single_avx512(
             }
             // Shifting the broadcast weight onto the segment costs no
             // vector op; its zero bits drop the neighbouring segments.
-            let w =
-                args.bank_words[args.w_slot(w_idx) * geom.segments + args.segment] << args.shift;
+            let w = args.bank_words[args.index[w_idx] as usize * geom.segments + args.segment]
+                << args.shift;
             let wv = _mm512_set1_epi64(w as i64);
             let av = _mm512_set_epi64(
                 b[7][word] as i64,

@@ -46,7 +46,7 @@ pub(crate) mod scalar;
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx512;
 
-use crate::banks::{ActBank, PhaseView};
+use crate::banks::{ActBank, WeightView};
 
 /// Configured kernel preference of a simulation (see
 /// [`SimConfig::kernel`](crate::SimConfig::kernel)).
@@ -265,15 +265,13 @@ pub(crate) struct TilePhaseArgs<'a> {
     pub geom: &'a SegGeom,
     /// Per-image activation banks (identical layout).
     pub banks: &'a [ActBank],
-    /// The phase's weight word bank (pool words when `windex` is set).
+    /// The layer's pool words at the active prefix level, slot-major.
     pub bank_words: &'a [u64],
     /// Whether each weight has a component in this phase.
     pub present: &'a [bool],
-    /// Pooled layout's per-lane slot indices into `bank_words`; `None`
-    /// for the direct layout where lane `j` owns its own word range.
-    /// Only valid for `present` lanes — kernels must check `present`
-    /// before resolving a slot.
-    pub windex: Option<&'a [u32]>,
+    /// Per-lane slot indices into `bank_words`. Only valid for `present`
+    /// lanes — kernels must check `present` before resolving a slot.
+    pub index: &'a [u32],
     /// Receptive-field lanes `(segment_word, weight_base)`, where
     /// `segment_word = activation_index * act_words + word` is the first
     /// bank word of the segment ([`SegGeom::locate`]); *not* filtered of
@@ -288,18 +286,6 @@ pub(crate) struct TilePhaseArgs<'a> {
     /// `sat_mask << shift`: the segment's bits in its (last) word — the
     /// zero-segment test and the saturation pattern.
     pub window: u64,
-}
-
-impl TilePhaseArgs<'_> {
-    /// Resolves lane `w_idx` to its word-bank slot (identity without a
-    /// pool). Callers must have checked `present[w_idx]` first.
-    #[inline(always)]
-    pub(crate) fn w_slot(&self, w_idx: usize) -> usize {
-        match self.windex {
-            None => w_idx,
-            Some(ix) => ix[w_idx] as usize,
-        }
-    }
 }
 
 /// Mutable per-image state of a tiled MAC phase, borrowed out of
@@ -323,8 +309,7 @@ pub(crate) fn mac_segment_tile(
     kind: KernelKind,
     geom: &SegGeom,
     banks: &[ActBank],
-    pos: PhaseView<'_>,
-    neg: PhaseView<'_>,
+    weights: WeightView<'_>,
     lanes: &[(usize, usize)],
     w_off: usize,
     segment: usize,
@@ -335,13 +320,13 @@ pub(crate) fn mac_segment_tile(
     stats: &mut KernelStats,
 ) {
     let (_, shift) = geom.locate(segment);
-    for (sign, view) in [(1i64, pos), (-1i64, neg)] {
+    for (sign, present) in [(1i64, weights.pos_present), (-1i64, weights.neg_present)] {
         let args = TilePhaseArgs {
             geom,
             banks,
-            bank_words: view.words,
-            present: view.present,
-            windex: view.windex,
+            bank_words: weights.words,
+            present,
+            index: weights.index,
             lanes,
             w_off,
             segment,

@@ -49,7 +49,7 @@ fn mac_phase_word(args: &TilePhaseArgs<'_>, stats: &mut KernelStats) -> u64 {
                 stats.zero_seg_skips += 1;
             } else {
                 stats.mac_lanes += 1;
-                let slot = args.w_slot(w_idx);
+                let slot = args.index[w_idx] as usize;
                 let w = args.bank_words[slot * geom.segments + args.segment];
                 acc_w |= act & (w << args.shift);
                 if acc_w == args.window {
@@ -122,7 +122,7 @@ fn mac_phase_words(args: &TilePhaseArgs<'_>, acc: &mut [u64], stats: &mut Kernel
             stats.zero_seg_skips += 1;
         } else {
             stats.mac_lanes += 1;
-            let wb = (args.w_slot(w_idx) * geom.segments + args.segment) * sw;
+            let wb = (args.index[w_idx] as usize * geom.segments + args.segment) * sw;
             let act = &bank.words[word..word + sw];
             let wgt = &args.bank_words[wb..wb + sw];
             for ((acc_w, &aw), &ww) in acc.iter_mut().zip(act).zip(wgt) {
@@ -188,7 +188,8 @@ pub(super) fn mac_phase_tile_word_single(
         if !args.present[w_idx] {
             continue;
         }
-        let w = args.bank_words[args.w_slot(w_idx) * geom.segments + args.segment] << args.shift;
+        let w = args.bank_words[args.index[w_idx] as usize * geom.segments + args.segment]
+            << args.shift;
         // Accumulator words never leave the segment's window (the shifted
         // weight's tail bits are zero), so the AND chain equals the window
         // exactly when every image's group has saturated.
@@ -230,7 +231,7 @@ pub(super) fn mac_phase_tile_general(
             continue;
         }
         let a_idx = word / geom.act_words;
-        let wb = (args.w_slot(w_idx) * geom.segments + args.segment) * sw;
+        let wb = (args.index[w_idx] as usize * geom.segments + args.segment) * sw;
         for (t, bank) in args.banks.iter().enumerate() {
             if bank.gated[a_idx] {
                 continue; // gated lanes never consume an OR-group slot

@@ -11,6 +11,13 @@
 //! including computation-skipping average pooling and per-layer binary
 //! conversion with stream regeneration.
 //!
+//! Weight streams are prepared once per network into one layout: a
+//! per-layer stream pool holding one canonical stream per distinct (mixed
+//! SNG seed, quantized threshold) pair, which every lane reads through a
+//! `u32` slot index. A stream depends only on that pair, so the pool holds
+//! the same bits a per-lane layout would, in a fraction of the memory
+//! ([`DedupStats`]).
+//!
 //! [`Network`]: acoustic_nn::layers::Network
 //!
 //! ```
@@ -55,26 +62,6 @@ pub use kernels::{
 pub use pool::{SharedPoolStats, SharedStreamPool};
 pub use sim_error::SimError;
 
-/// Weight-bank storage layout of a prepared network.
-///
-/// ACOUSTIC's 8-bit quantized weights take at most a few hundred distinct
-/// values, and each SNG stream is a pure function of its (mixed seed,
-/// quantized threshold) — so the pooled layout stores one canonical
-/// stream per distinct pair and gives every lane a compact `u32` index
-/// into the shared pool. Logits are bit-identical between layouts
-/// (test-enforced); only memory and cache behaviour differ, which is why
-/// this is a [`SimConfig`] axis rather than always-on: the materialized
-/// layout remains as the accounting baseline and an A/B lever.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum WeightStorage {
-    /// Deduplicated shared stream pool + per-lane indices (the default).
-    #[default]
-    Pooled,
-    /// One full stream per (lane, segment), as the hardware's per-lane
-    /// SNG view and the seed-state code laid it out.
-    Materialized,
-}
-
 /// Configuration of a stochastic functional simulation.
 ///
 /// Implements `Hash`/`Eq` so it can key prepared-model caches (see the
@@ -112,10 +99,6 @@ pub struct SimConfig {
     /// [`KernelChoice::Scalar`] pins the golden reference. Both kernels are
     /// bit-identical, so this never changes results.
     pub kernel: KernelChoice,
-    /// Weight-bank storage layout. Both layouts produce bit-identical
-    /// logits; [`WeightStorage::Pooled`] (the default) deduplicates
-    /// streams so ImageNet-scale prepares fit in memory.
-    pub weight_storage: WeightStorage,
 }
 
 impl SimConfig {
@@ -140,7 +123,6 @@ impl SimConfig {
             shared_act_rng: false,
             regenerate_streams: true,
             kernel: KernelChoice::Auto,
-            weight_storage: WeightStorage::default(),
         })
     }
 

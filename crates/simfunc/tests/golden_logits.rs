@@ -15,9 +15,7 @@ use acoustic_core::{Bitstream, Lfsr};
 use acoustic_nn::fixedpoint::Quantizer;
 use acoustic_nn::layers::{AccumMode, AvgPool2d, Conv2d, Dense, Network, Relu};
 use acoustic_nn::Tensor;
-use acoustic_simfunc::{
-    PreparedNetwork, RunSpec, ScSimulator, SimConfig, SimScratch, WeightStorage,
-};
+use acoustic_simfunc::{PreparedNetwork, RunSpec, ScSimulator, SimConfig, SimScratch};
 
 /// One image through the production engine at the simulator's seed.
 fn run_one(
@@ -394,34 +392,30 @@ fn fused_path_matches_reference_across_config_matrix() {
         for skip_pooling in [true, false] {
             for shared_act_rng in [true, false] {
                 for regenerate_streams in [true, false] {
-                    for weight_storage in [WeightStorage::Pooled, WeightStorage::Materialized] {
-                        let cfg = SimConfig {
-                            or_group,
-                            skip_pooling,
-                            shared_act_rng,
-                            regenerate_streams,
-                            weight_storage,
-                            ..SimConfig::with_stream_len(128).unwrap()
-                        };
-                        let sim = ScSimulator::new(cfg);
-                        let prepared = sim.prepare(&net).unwrap();
-                        let got = run_one(&sim, &prepared, &input, &mut scratch);
-                        let want = ref_logits(&cfg, &w, &input);
-                        assert_eq!(
-                            got.as_slice(),
-                            want.as_slice(),
-                            "logits diverge for or_group={or_group:?} \
-                             skip_pooling={skip_pooling} shared_act_rng={shared_act_rng} \
-                             regenerate_streams={regenerate_streams} \
-                             weight_storage={weight_storage:?}"
-                        );
-                        checked += 1;
-                    }
+                    let cfg = SimConfig {
+                        or_group,
+                        skip_pooling,
+                        shared_act_rng,
+                        regenerate_streams,
+                        ..SimConfig::with_stream_len(128).unwrap()
+                    };
+                    let sim = ScSimulator::new(cfg);
+                    let prepared = sim.prepare(&net).unwrap();
+                    let got = run_one(&sim, &prepared, &input, &mut scratch);
+                    let want = ref_logits(&cfg, &w, &input);
+                    assert_eq!(
+                        got.as_slice(),
+                        want.as_slice(),
+                        "logits diverge for or_group={or_group:?} \
+                         skip_pooling={skip_pooling} shared_act_rng={shared_act_rng} \
+                         regenerate_streams={regenerate_streams}"
+                    );
+                    checked += 1;
                 }
             }
         }
     }
-    assert_eq!(checked, 32);
+    assert_eq!(checked, 16);
 }
 
 #[test]
@@ -454,20 +448,13 @@ fn stream_length_tail_words_stay_exact() {
     let net = build_net(&w);
     let input = test_input();
     for stream in [192usize, 320] {
-        for weight_storage in [WeightStorage::Pooled, WeightStorage::Materialized] {
-            let cfg = SimConfig {
-                or_group: Some(5),
-                weight_storage,
-                ..SimConfig::with_stream_len(stream).unwrap()
-            };
-            let sim = ScSimulator::new(cfg);
-            let got = sim.run(&net, &input).unwrap();
-            let want = ref_logits(&cfg, &w, &input);
-            assert_eq!(
-                got.as_slice(),
-                want.as_slice(),
-                "stream {stream} storage {weight_storage:?}"
-            );
-        }
+        let cfg = SimConfig {
+            or_group: Some(5),
+            ..SimConfig::with_stream_len(stream).unwrap()
+        };
+        let sim = ScSimulator::new(cfg);
+        let got = sim.run(&net, &input).unwrap();
+        let want = ref_logits(&cfg, &w, &input);
+        assert_eq!(got.as_slice(), want.as_slice(), "stream {stream}");
     }
 }

@@ -7,7 +7,7 @@
 //! * **Kernel** — a 9-image `KernelChoice::Auto` tile (one 8-image
 //!   AVX-512 block plus a one-image scalar tail on hosts with `avx512f`)
 //!   vs scalar tiles of one, across seeds, OR-group widths, datapath
-//!   variants, both weight-storage layouts, and stream lengths spanning
+//!   variants, and stream lengths spanning
 //!   single-word up to multi-word segments.
 //! * **Tiling** — `RunSpec`s of up to 16 images (past the 8-image AVX-512
 //!   block width) vs tiles of one, for both kernel choices, including an
@@ -17,7 +17,7 @@
 use acoustic_nn::layers::{AccumMode, AvgPool2d, Conv2d, Dense, Network, Relu};
 use acoustic_nn::Tensor;
 use acoustic_simfunc::{
-    KernelChoice, PreparedNetwork, RunSpec, ScSimulator, SimConfig, SimScratch, WeightStorage,
+    KernelChoice, PreparedNetwork, RunSpec, ScSimulator, SimConfig, SimScratch,
 };
 
 /// `inputs[t]` at `seeds[t]` as one tile at `stream_len` (`None` = maximum).
@@ -87,8 +87,8 @@ fn cfg(stream_len: usize, kernel: KernelChoice) -> SimConfig {
 
 /// A 9-image `Auto` tile — the AVX-512 block plus its scalar tail where
 /// `avx512f` is detected — is bit-identical to scalar tiles of one across
-/// seeds, OR-group widths, datapath variants, both weight-storage layouts,
-/// and stream lengths from single-word up to 4-word segments.
+/// seeds, OR-group widths, datapath variants, and stream lengths from
+/// single-word up to 4-word segments.
 #[test]
 fn auto_tile_matches_solo_scalar_across_config_matrix() {
     let net = build_net();
@@ -102,51 +102,40 @@ fn auto_tile_matches_solo_scalar_across_config_matrix() {
             for skip_pooling in [true, false] {
                 for shared_act_rng in [true, false] {
                     for stream_len in [64, 128, 192, 320, 512] {
-                        for weight_storage in [WeightStorage::Pooled, WeightStorage::Materialized] {
-                            let base = SimConfig {
-                                act_seed,
-                                wgt_seed,
-                                or_group,
-                                skip_pooling,
-                                shared_act_rng,
-                                weight_storage,
-                                ..cfg(stream_len, KernelChoice::Scalar)
-                            };
-                            let auto_sim = ScSimulator::new(SimConfig {
-                                kernel: KernelChoice::Auto,
-                                ..base
-                            });
-                            let prepared = auto_sim.prepare(&net).unwrap();
-                            let got =
-                                run_tile(&auto_sim, &prepared, &refs, &seeds, None, &mut scratch);
-                            let scalar_sim = ScSimulator::new(base);
-                            for (i, (x, &s)) in inputs.iter().zip(&seeds).enumerate() {
-                                let want = run_tile(
-                                    &scalar_sim,
-                                    &prepared,
-                                    &[x],
-                                    &[s],
-                                    None,
-                                    &mut scratch,
-                                )
-                                .remove(0);
-                                assert_eq!(
-                                    got[i].as_slice(),
-                                    want.as_slice(),
-                                    "auto tile diverged: image={i} act_seed={act_seed:#x} \
+                        let base = SimConfig {
+                            act_seed,
+                            wgt_seed,
+                            or_group,
+                            skip_pooling,
+                            shared_act_rng,
+                            ..cfg(stream_len, KernelChoice::Scalar)
+                        };
+                        let auto_sim = ScSimulator::new(SimConfig {
+                            kernel: KernelChoice::Auto,
+                            ..base
+                        });
+                        let prepared = auto_sim.prepare(&net).unwrap();
+                        let got = run_tile(&auto_sim, &prepared, &refs, &seeds, None, &mut scratch);
+                        let scalar_sim = ScSimulator::new(base);
+                        for (i, (x, &s)) in inputs.iter().zip(&seeds).enumerate() {
+                            let want =
+                                run_tile(&scalar_sim, &prepared, &[x], &[s], None, &mut scratch)
+                                    .remove(0);
+                            assert_eq!(
+                                got[i].as_slice(),
+                                want.as_slice(),
+                                "auto tile diverged: image={i} act_seed={act_seed:#x} \
                                      or_group={or_group:?} skip_pooling={skip_pooling} \
-                                     shared_act_rng={shared_act_rng} stream_len={stream_len} \
-                                     weight_storage={weight_storage:?}"
-                                );
-                            }
-                            checked += 1;
+                                     shared_act_rng={shared_act_rng} stream_len={stream_len}"
+                            );
                         }
+                        checked += 1;
                     }
                 }
             }
         }
     }
-    assert_eq!(checked, 160);
+    assert_eq!(checked, 80);
 }
 
 /// Tiled execution is bit-identical to tiles of one for every tile size

@@ -12,9 +12,7 @@
 
 use acoustic_nn::layers::{AccumMode, AvgPool2d, Conv2d, Dense, Network, Relu};
 use acoustic_nn::Tensor;
-use acoustic_simfunc::{
-    PreparedNetwork, RunSpec, ScSimulator, SimConfig, SimError, SimScratch, WeightStorage,
-};
+use acoustic_simfunc::{PreparedNetwork, RunSpec, ScSimulator, SimConfig, SimError, SimScratch};
 
 /// One image at the simulator's seed, at `stream_len` (`None` = maximum).
 fn run_at(
@@ -126,50 +124,15 @@ fn prefix_consistency_holds_across_datapath_variants() {
     for or_group in [None, Some(3)] {
         for skip_pooling in [true, false] {
             for shared_act_rng in [true, false] {
-                for weight_storage in [WeightStorage::Pooled, WeightStorage::Materialized] {
-                    let cfg = SimConfig {
-                        or_group,
-                        skip_pooling,
-                        shared_act_rng,
-                        weight_storage,
-                        ..SimConfig::with_stream_len(128).unwrap()
-                    };
-                    assert_prefix_consistent(&net, &input, cfg);
-                }
+                let cfg = SimConfig {
+                    or_group,
+                    skip_pooling,
+                    shared_act_rng,
+                    ..SimConfig::with_stream_len(128).unwrap()
+                };
+                assert_prefix_consistent(&net, &input, cfg);
             }
         }
-    }
-}
-
-#[test]
-fn pooled_prefixes_match_materialized_direct_preparation() {
-    // The strongest cross-storage statement: every prefix level of a
-    // *pooled* max-length bank — where all levels alias one shared stream
-    // pool through one index table — is bit-identical to a *materialized*
-    // preparation done directly at that length. Storage layout is
-    // invisible to the datapath at every point of the length ladder.
-    let net = conv_pool_net();
-    let input = image_input(11);
-    let pooled_cfg = SimConfig {
-        weight_storage: WeightStorage::Pooled,
-        ..SimConfig::with_stream_len(256).unwrap()
-    };
-    let sim = ScSimulator::new(pooled_cfg);
-    let prepared = sim.prepare(&net).unwrap();
-    for &len in prepared.supported_lengths() {
-        let via_pooled_prefix = run_at(&sim, &prepared, &input, Some(len)).unwrap();
-        let mat_cfg = SimConfig {
-            stream_len: len,
-            weight_storage: WeightStorage::Materialized,
-            ..pooled_cfg
-        };
-        let mat_sim = ScSimulator::new(mat_cfg);
-        let mat_prepared = mat_sim.prepare(&net).unwrap();
-        let direct = run_at(&mat_sim, &mat_prepared, &input, None).unwrap();
-        assert_eq!(
-            via_pooled_prefix, direct,
-            "pooled prefix at len={len} diverged from materialized direct preparation"
-        );
     }
 }
 
