@@ -19,17 +19,16 @@
 //! * `--assert-min-ratio R` — fail unless every ImageNet-scale model
 //!   deduplicates at least `R`-fold.
 //!
-//! Writes `results/BENCH_prepare.json`.
+//! Only a full default run (none of the flags above) writes
+//! `results/BENCH_prepare.json`; any other run prints its JSON instead, so
+//! a gate invocation leaves the committed file alone.
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::Instant;
 
 use acoustic_bench::harness::json_string;
 use acoustic_net::Topology;
-use acoustic_simfunc::{
-    DedupStats, HostFingerprint, PrepareOptions, ScSimulator, SharedStreamPool, SimConfig,
-};
+use acoustic_simfunc::{DedupStats, HostFingerprint, ScSimulator, SimConfig};
 use acoustic_train::ZooModel;
 
 struct ModelPoint {
@@ -45,24 +44,21 @@ struct SweepPoint {
     prepare_secs: f64,
 }
 
-/// The `prepare_parallel` section: a threads sweep plus a shared-pool
-/// cold/warm re-prepare pair, all on the heaviest model of the run and
-/// all bit-identity-checked against the serial prepare before any timing
-/// is reported.
+/// The `prepare_parallel` section: a threads sweep on the heaviest model
+/// of the run, bit-identity-checked against the serial prepare before any
+/// timing is reported.
 struct ParallelSection {
     model: &'static str,
     stream_len: usize,
     digest: u64,
     sweep: Vec<SweepPoint>,
-    shared_cold_secs: f64,
-    shared_warm_secs: f64,
-    warm_speedup: f64,
-    layer_hits: u64,
-    stream_hits: u64,
 }
 
 struct Args {
     quick: bool,
+    /// No flag narrowed or gated the run: only then is the results file
+    /// written.
+    default_run: bool,
     models: Vec<ZooModel>,
     stream_len: usize,
     assert_max_bytes: Option<u64>,
@@ -74,6 +70,7 @@ fn parse_args() -> Args {
         || std::env::var_os("ACOUSTIC_BENCH_QUICK").is_some();
     let mut args = Args {
         quick,
+        default_run: !quick,
         models: if quick {
             ZooModel::TRAINABLE.to_vec()
         } else {
@@ -92,6 +89,7 @@ fn parse_args() -> Args {
         match flag.as_str() {
             "--quick" => {}
             "--models" => {
+                args.default_run = false;
                 args.models = val("--models")
                     .split(',')
                     .map(|slug| {
@@ -100,11 +98,16 @@ fn parse_args() -> Args {
                     })
                     .collect();
             }
-            "--stream-len" => args.stream_len = val("--stream-len").parse().expect("usize"),
+            "--stream-len" => {
+                args.default_run = false;
+                args.stream_len = val("--stream-len").parse().expect("usize");
+            }
             "--assert-max-bytes" => {
+                args.default_run = false;
                 args.assert_max_bytes = Some(val("--assert-max-bytes").parse().expect("u64"));
             }
             "--assert-min-ratio" => {
+                args.default_run = false;
                 args.assert_min_ratio = Some(val("--assert-min-ratio").parse().expect("f64"));
             }
             // libtest-style flags (e.g. `--bench`) arrive via cargo;
@@ -176,33 +179,30 @@ fn main() {
 
     // Parallel-prepare sweep on the heaviest model of the run: the
     // models[] numbers above keep their single-compile (auto-thread)
-    // semantics, while this section isolates the threads axis and the
-    // shared-pool warm-re-prepare win.
+    // semantics, while this section isolates the threads axis.
     let rep = points
         .iter()
         .max_by(|a, b| a.prepare_secs.total_cmp(&b.prepare_secs))
         .map(|p| ZooModel::from_slug(p.slug).expect("point slug is a zoo slug"))
         .expect("at least one model");
-    let parallel = parallel_section(rep, args.stream_len, args.quick);
+    let parallel = parallel_section(rep, args.stream_len);
 
     let json = to_json(args.quick, &points, &parallel);
-    if args.quick {
-        println!("--quick run: skipping results file\n{json}");
-    } else {
+    if args.default_run {
         let path = concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/../../results/BENCH_prepare.json"
         );
         std::fs::write(path, json).unwrap();
         println!("wrote {path}");
+    } else {
+        println!("quick, narrowed or gate run: skipping results file\n{json}");
     }
 }
 
-/// Runs the threads sweep and the shared-pool cold/warm pair on `model`,
-/// asserting bit-identity of every prepare against the serial one before
-/// any timing is reported. Outside `--quick`, the warm re-prepare must be
-/// at least 1.5x faster than the cold one (the layer tier's whole point).
-fn parallel_section(model: ZooModel, stream_len: usize, quick: bool) -> ParallelSection {
+/// Runs the threads sweep on `model`, asserting bit-identity of every
+/// prepare against the serial one before any timing is reported.
+fn parallel_section(model: ZooModel, stream_len: usize) -> ParallelSection {
     let net = model.network().expect("zoo network builds");
     let sim =
         ScSimulator::new(SimConfig::with_stream_len(stream_len).expect("valid stream length"));
@@ -210,12 +210,8 @@ fn parallel_section(model: ZooModel, stream_len: usize, quick: bool) -> Parallel
     let mut digest = None;
     let mut sweep = Vec::new();
     for threads in [1usize, 2, 4] {
-        let opts = PrepareOptions {
-            threads,
-            ..PrepareOptions::default()
-        };
         let t = Instant::now();
-        let prepared = sim.prepare_with(&net, &opts).expect("parallel prepare");
+        let prepared = sim.prepare_with(&net, threads).expect("parallel prepare");
         let prepare_secs = t.elapsed().as_secs_f64();
         let d = prepared.content_digest();
         assert_eq!(
@@ -236,57 +232,11 @@ fn parallel_section(model: ZooModel, stream_len: usize, quick: bool) -> Parallel
             prepare_secs,
         });
     }
-    let digest = digest.expect("sweep ran");
-
-    let pool = Arc::new(SharedStreamPool::new());
-    let opts = PrepareOptions {
-        threads: 1,
-        shared_pool: Some(Arc::clone(&pool)),
-    };
-    let t = Instant::now();
-    let cold = sim
-        .prepare_with(&net, &opts)
-        .expect("shared-pool cold prepare");
-    let shared_cold_secs = t.elapsed().as_secs_f64();
-    assert_eq!(cold.content_digest(), digest, "shared-pool cold diverged");
-    drop(cold);
-    let t = Instant::now();
-    let warm = sim
-        .prepare_with(&net, &opts)
-        .expect("shared-pool warm prepare");
-    let shared_warm_secs = t.elapsed().as_secs_f64();
-    assert_eq!(warm.content_digest(), digest, "shared-pool warm diverged");
-    drop(warm);
-
-    let stats = pool.stats();
-    let warm_speedup = shared_cold_secs / shared_warm_secs.max(1e-9);
-    println!(
-        "{:<12} shared pool: cold {:.2}s, warm {:.2}s ({:.1}x, {} layer hits, {} stream hits)",
-        model.slug(),
-        shared_cold_secs,
-        shared_warm_secs,
-        warm_speedup,
-        stats.layer_hits,
-        stats.stream_hits,
-    );
-    if !quick {
-        assert!(
-            warm_speedup >= 1.5,
-            "{}: warm re-prepare only {warm_speedup:.2}x faster than cold",
-            model.slug()
-        );
-    }
-
     ParallelSection {
         model: model.slug(),
         stream_len,
-        digest,
+        digest: digest.expect("sweep ran"),
         sweep,
-        shared_cold_secs,
-        shared_warm_secs,
-        warm_speedup,
-        layer_hits: stats.layer_hits,
-        stream_hits: stats.stream_hits,
     }
 }
 
@@ -346,19 +296,7 @@ fn to_json(quick: bool, points: &[ModelPoint], parallel: &ParallelSection) -> St
             "\n"
         });
     }
-    out.push_str("      ],\n");
-    out.push_str("      \"shared_pool\": {\n");
-    let _ = writeln!(
-        out,
-        "        \"cold_secs\": {:.6}, \"warm_secs\": {:.6}, \"warm_speedup\": {:.4},",
-        parallel.shared_cold_secs, parallel.shared_warm_secs, parallel.warm_speedup
-    );
-    let _ = writeln!(
-        out,
-        "        \"layer_hits\": {}, \"stream_hits\": {}",
-        parallel.layer_hits, parallel.stream_hits
-    );
-    out.push_str("      }\n");
+    out.push_str("      ]\n");
     out.push_str("    }\n  }\n}\n");
     out
 }

@@ -10,6 +10,7 @@
 //! results are merged back in index order. Batch output is therefore
 //! bit-identical for any worker count.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -440,7 +441,9 @@ impl BatchEngine {
     /// Returns the per-index results, the summed busy time across workers,
     /// and the summed kernel skip counters of every worker scratch. On
     /// failure, reports the error of the *lowest* failing index so error
-    /// reporting is as deterministic as the results.
+    /// reporting is as deterministic as the results. A panicking job fails
+    /// the whole call with [`RuntimeError::WorkerPanic`] at every worker
+    /// count, so the caller can answer the batch instead of unwinding.
     fn dispatch<T, F>(&self, count: usize, job: F) -> DispatchResult<T>
     where
         T: Send,
@@ -455,10 +458,9 @@ impl BatchEngine {
             let mut scratch = SimScratch::default();
             let mut out = Vec::with_capacity(count);
             for i in 0..count {
-                out.push(
-                    job(i, &mut scratch)
-                        .map_err(|source| RuntimeError::Image { index: i, source })?,
-                );
+                let r = panic::catch_unwind(AssertUnwindSafe(|| job(i, &mut scratch)))
+                    .map_err(|_| worker_panic())?;
+                out.push(r.map_err(|source| RuntimeError::Image { index: i, source })?);
             }
             return Ok((out, started.elapsed(), scratch.take_kernel_stats()));
         }
@@ -489,10 +491,7 @@ impl BatchEngine {
                 .collect();
             handles
                 .into_iter()
-                .map(|h| {
-                    h.join()
-                        .map_err(|_| RuntimeError::WorkerPanic("batch worker panicked".into()))
-                })
+                .map(|h| h.join().map_err(|_| worker_panic()))
                 .collect::<Result<Vec<_>, _>>()
         })?;
 
@@ -519,6 +518,10 @@ impl BatchEngine {
 }
 
 type DispatchResult<T> = Result<(Vec<T>, Duration, KernelStats), RuntimeError>;
+
+fn worker_panic() -> RuntimeError {
+    RuntimeError::WorkerPanic("batch worker panicked".into())
+}
 
 /// Consecutive `[lo, hi)` index ranges of width `tile` covering `0..count`.
 ///
@@ -743,6 +746,25 @@ mod tests {
     #[test]
     fn rejects_zero_workers() {
         assert!(BatchEngine::new(0).is_err());
+    }
+
+    #[test]
+    fn a_panicking_job_is_a_worker_panic_at_every_worker_count() {
+        for workers in [1, 2] {
+            let engine = BatchEngine::new(workers).unwrap();
+            let result = engine.dispatch(5, |i, _| {
+                if i == 3 {
+                    panic!("job {i} panics");
+                }
+                Ok(i)
+            });
+            assert!(
+                matches!(result, Err(RuntimeError::WorkerPanic(_))),
+                "workers={workers}: {result:?}"
+            );
+            let (out, _, _) = engine.dispatch(5, |i, _| Ok(i)).unwrap();
+            assert_eq!(out, vec![0, 1, 2, 3, 4], "workers={workers} after a panic");
+        }
     }
 
     /// Each of two units waits until both workers are inside a job, so the

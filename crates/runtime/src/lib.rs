@@ -54,10 +54,7 @@ pub mod prepared;
 pub mod report;
 pub mod rt_error;
 
-pub use acoustic_simfunc::{
-    DedupStats, HostFingerprint, KernelKind, PrepareOptions, SharedPoolStats, SharedStreamPool,
-    TilePlan, PREPARE_THREADS_ENV,
-};
+pub use acoustic_simfunc::{DedupStats, HostFingerprint, KernelKind, TilePlan};
 pub use engine::{BatchEngine, ReadyOutcome, ReadyRequest};
 pub use policy::{logit_margin, ExitPolicy};
 pub use prepared::{

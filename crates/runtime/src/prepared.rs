@@ -17,8 +17,8 @@ use acoustic_core::prng::splitmix64;
 use acoustic_nn::layers::Network;
 use acoustic_nn::Tensor;
 use acoustic_simfunc::{
-    DedupStats, Observe, PrepareOptions, PreparedNetwork, RunOutput, RunSpec, ScSimulator,
-    SharedStreamPool, SimConfig, SimError, SimScratch, StepTiming, TilePlan,
+    DedupStats, Observe, PreparedNetwork, RunOutput, RunSpec, ScSimulator, SimConfig, SimError,
+    SimScratch, StepTiming, TilePlan,
 };
 
 use crate::{ExitPolicy, RuntimeError};
@@ -63,25 +63,9 @@ impl PreparedModel {
     /// Propagates [`SimError`] for layer arrangements the SC datapath
     /// cannot execute.
     pub fn compile(cfg: SimConfig, network: &Network) -> Result<Self, RuntimeError> {
-        PreparedModel::compile_with(cfg, network, &PrepareOptions::default())
-    }
-
-    /// [`PreparedModel::compile`] with explicit prepare parallelism and
-    /// shared-pool knobs. The result is bit-identical to `compile` for
-    /// every option value (prepare options never affect banks or logits —
-    /// test-enforced in `acoustic-simfunc`); only wall-clock changes.
-    ///
-    /// # Errors
-    ///
-    /// As [`PreparedModel::compile`].
-    pub fn compile_with(
-        cfg: SimConfig,
-        network: &Network,
-        opts: &PrepareOptions,
-    ) -> Result<Self, RuntimeError> {
         let sim = ScSimulator::new(cfg);
         let started = std::time::Instant::now();
-        let prepared = sim.prepare_with(network, opts)?;
+        let prepared = sim.prepare(network)?;
         let prepare_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         Ok(PreparedModel {
             cfg,
@@ -92,9 +76,8 @@ impl PreparedModel {
     }
 
     /// Wall-clock nanoseconds the bank preparation took (quantization plus
-    /// weight-stream generation). A warm
-    /// re-prepare against a shared pool shows up here as a sharply smaller
-    /// figure — the number the serve stats and the prepare bench surface.
+    /// weight-stream generation) — the number the serve stats and the
+    /// prepare bench surface.
     pub fn prepare_ns(&self) -> u64 {
         self.prepare_ns
     }
@@ -278,12 +261,6 @@ pub struct ModelCache {
     inner: Mutex<CacheInner>,
     capacity: usize,
     memory_budget: Option<usize>,
-    /// Opt-in process-wide prepare cache shared with every compile this
-    /// cache issues (see [`SharedStreamPool`]): a recompile after eviction
-    /// reuses canonical streams and whole layer artifacts instead of
-    /// regenerating them. Never affects results — banks are bit-identical
-    /// with or without it.
-    shared_pool: Option<Arc<SharedStreamPool>>,
     /// Prepares finished through this cache (misses that compiled).
     prepares_completed: AtomicU64,
     /// Summed [`PreparedModel::prepare_ns`] of those compiles.
@@ -350,7 +327,6 @@ impl Default for ModelCache {
             inner: Mutex::default(),
             capacity: DEFAULT_CACHE_CAPACITY,
             memory_budget: None,
-            shared_pool: None,
             prepares_completed: AtomicU64::new(0),
             prepare_ns_total: AtomicU64::new(0),
             prepares_in_flight: AtomicU64::new(0),
@@ -401,22 +377,6 @@ impl ModelCache {
             memory_budget,
             ..ModelCache::default()
         })
-    }
-
-    /// Attaches a process-wide [`SharedStreamPool`] to every compile this
-    /// cache issues, so recompiles after eviction (and other caches
-    /// sharing the same pool) reuse canonical streams and layer artifacts.
-    /// Results are bit-identical with or without the pool; only prepare
-    /// wall-clock changes.
-    #[must_use]
-    pub fn with_shared_pool(mut self, pool: Arc<SharedStreamPool>) -> Self {
-        self.shared_pool = Some(pool);
-        self
-    }
-
-    /// The attached shared prepare pool, if any.
-    pub fn shared_pool(&self) -> Option<&Arc<SharedStreamPool>> {
-        self.shared_pool.as_ref()
     }
 
     /// Point-in-time prepare accounting (completions, summed wall-clock,
@@ -496,12 +456,8 @@ impl ModelCache {
             return Ok(hit);
         }
         let key = (network.fingerprint(), cfg);
-        let opts = PrepareOptions {
-            threads: 0,
-            shared_pool: self.shared_pool.clone(),
-        };
         self.prepares_in_flight.fetch_add(1, Ordering::Relaxed);
-        let compiled = PreparedModel::compile_with(cfg, network, &opts);
+        let compiled = PreparedModel::compile(cfg, network);
         self.prepares_in_flight.fetch_sub(1, Ordering::Relaxed);
         let model = Arc::new(compiled?);
         self.prepares_completed.fetch_add(1, Ordering::Relaxed);
@@ -874,22 +830,19 @@ mod tests {
     }
 
     #[test]
-    fn shared_pool_recompile_is_bit_identical_and_reuses_layers() {
-        let shared = Arc::new(SharedStreamPool::new());
-        let cache = ModelCache::new().with_shared_pool(Arc::clone(&shared));
+    fn recompile_after_eviction_is_bit_identical() {
+        let cache = ModelCache::new();
         let net = small_net();
         let c = cfg(64);
         let first = cache.get_or_compile(c, &net).unwrap();
-        let cold_digest = first.prepared().content_digest();
-        assert_eq!(shared.stats().layer_hits, 0);
-
-        // Evict (clear) and recompile: the layer tier serves every MAC
-        // layer, and the result is bit-identical to the cold compile.
         cache.clear();
         let second = cache.get_or_compile(c, &net).unwrap();
-        assert_eq!(second.prepared().content_digest(), cold_digest);
+        assert!(!Arc::ptr_eq(&first, &second));
+        assert_eq!(
+            second.prepared().content_digest(),
+            first.prepared().content_digest()
+        );
         assert_eq!(second.dedup_stats(), first.dedup_stats());
-        assert_eq!(shared.stats().layer_hits, 2);
         assert_eq!(cache.prepare_stats().prepares_completed, 2);
     }
 }

@@ -1036,8 +1036,9 @@ fn execute_batch(batch: Vec<Pending>, engine: &BatchEngine, shared: &Arc<Shared>
                 }
             }
             Err(e) => {
-                // Up-front validation makes this unreachable for wire
-                // requests; answer defensively rather than hanging clients.
+                // Up-front validation rules out bad wire requests, so this
+                // is a panicking engine job: answer every request of the
+                // batch rather than hanging clients.
                 let msg = e.to_string();
                 for p in &group {
                     Stats::bump(&shared.stats.failed);

@@ -33,7 +33,7 @@ pub(crate) struct PoolLevel {
 
 /// Deduplicated weight storage of one MAC layer: one canonical stream per
 /// distinct (SNG seed, quantized threshold) pair, with every lane holding
-/// a compact `u32` slot index into the shared pool instead of owning its
+/// a compact `u32` slot index into the pool instead of owning its
 /// stream words.
 ///
 /// Level `k` holds the first `max_per_phase >> k` bits of every stream:

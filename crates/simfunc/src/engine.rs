@@ -20,59 +20,10 @@ use crate::banks::{
     fnv1a, ActBank, DedupStats, PoolLevel, PoolMap, SimScratch, StreamPool, NO_SLOT,
 };
 use crate::kernels::{self, active_kernel, KernelKind, SegGeom, TileState, TILE};
-use crate::pool::{layer_content_key, SharedStreamPool};
 use crate::{SimConfig, SimError};
 
 /// Comparator width of every SNG in the datapath (16-bit LFSRs).
 const SNG_WIDTH: u32 = 16;
-
-/// Environment variable overriding the prepare-time worker-thread count.
-/// Any positive integer; ignored when unset, unparsable or zero, and
-/// always overridden by an explicit [`PrepareOptions::threads`]. Thread count never affects
-/// results — prepared banks are bit-identical for any value
-/// (test-enforced), so this is purely a wall-clock knob.
-pub const PREPARE_THREADS_ENV: &str = "ACOUSTIC_PREPARE_THREADS";
-
-/// Per-call knobs for [`ScSimulator::prepare_with`]. Nothing here changes
-/// the prepared result — banks are bit-identical for every thread count
-/// and with or without a shared pool — so these deliberately live outside
-/// [`SimConfig`] (which keys prepared-model caches by *result* identity).
-#[derive(Debug, Clone, Default)]
-pub struct PrepareOptions {
-    /// Worker threads for bank preparation. `0` (the default) resolves to
-    /// the [`PREPARE_THREADS_ENV`] override when set, otherwise the
-    /// host's available parallelism.
-    pub threads: usize,
-    /// Opt-in process-wide pool sharing canonical streams and whole layer
-    /// artifacts across prepares (see [`SharedStreamPool`]).
-    pub shared_pool: Option<Arc<SharedStreamPool>>,
-}
-
-impl PrepareOptions {
-    /// A copy with `threads` resolved to a concrete positive count.
-    fn resolved(&self) -> PrepareOptions {
-        PrepareOptions {
-            threads: resolve_prepare_threads(self.threads),
-            shared_pool: self.shared_pool.clone(),
-        }
-    }
-}
-
-/// Resolves a requested prepare-thread count: explicit > env override >
-/// available parallelism.
-fn resolve_prepare_threads(requested: usize) -> usize {
-    if requested > 0 {
-        return requested;
-    }
-    if let Ok(v) = std::env::var(PREPARE_THREADS_ENV) {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
 
 /// Minimum weight lanes per phase-A worker; below this the per-thread
 /// spawn cost exceeds the work.
@@ -312,8 +263,7 @@ impl PreparedNetwork {
     ///
     /// Two prepares digest equal exactly when their banks are
     /// byte-identical — what the parallel-prepare determinism tests and
-    /// the prepare bench's bit-identity gate assert across thread counts
-    /// and shared-pool attachment.
+    /// the prepare bench's bit-identity gate assert across thread counts.
     pub fn content_digest(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for &l in &self.lengths {
@@ -442,32 +392,31 @@ impl ScSimulator {
     /// Returns [`SimError::UnsupportedLayer`] for layer arrangements the SC
     /// datapath cannot execute.
     pub fn prepare(&self, net: &Network) -> Result<PreparedNetwork, SimError> {
-        self.prepare_with(net, &PrepareOptions::default())
+        self.prepare_with(net, 0)
     }
 
-    /// [`ScSimulator::prepare`] with explicit parallelism/sharing knobs.
+    /// [`ScSimulator::prepare`] on `threads` worker threads (`0` = the
+    /// host's available parallelism).
     ///
-    /// The result is bit-identical to `prepare` for every thread count and
-    /// with or without a shared pool (test-enforced via
-    /// [`PreparedNetwork::content_digest`]): slot assignment happens in a
-    /// serial canonical pass over per-lane keys, so parallelism only
-    /// changes who computes each immutable artifact, never its position
-    /// or contents.
+    /// The result is bit-identical to `prepare` for every thread count
+    /// (test-enforced via [`PreparedNetwork::content_digest`]): slot
+    /// assignment happens in a serial canonical pass over per-lane keys, so
+    /// parallelism only changes who computes each immutable artifact, never
+    /// its position or contents.
     ///
     /// # Errors
     ///
     /// As [`ScSimulator::prepare`].
-    pub fn prepare_with(
-        &self,
-        net: &Network,
-        opts: &PrepareOptions,
-    ) -> Result<PreparedNetwork, SimError> {
-        let opts = opts.resolved();
+    pub fn prepare_with(&self, net: &Network, threads: usize) -> Result<PreparedNetwork, SimError> {
+        let threads = match threads {
+            0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+            n => n,
+        };
         let mut segments = Vec::new();
         self.scan_segments(net.layers(), &mut segments);
         let lengths = supported_prefix_lengths(self.cfg.stream_len, &segments);
         let mut ordinal = 0usize;
-        let steps = self.prepare_layers(net.layers(), &mut ordinal, &lengths, &opts)?;
+        let steps = self.prepare_layers(net.layers(), &mut ordinal, &lengths, threads)?;
         Ok(PreparedNetwork { steps, lengths })
     }
 
@@ -504,7 +453,7 @@ impl ScSimulator {
         layers: &[NetLayer],
         ordinal: &mut usize,
         lengths: &[usize],
-        opts: &PrepareOptions,
+        threads: usize,
     ) -> Result<Vec<Step>, SimError> {
         let wq = Quantizer::signed_unit(self.cfg.quant_bits)?;
         let mut steps = Vec::new();
@@ -530,7 +479,7 @@ impl ScSimulator {
                         *ordinal,
                         segments,
                         lengths,
-                        opts,
+                        threads,
                     )?;
                     steps.push(Step::new(
                         format!("conv{ordinal}"),
@@ -550,7 +499,7 @@ impl ScSimulator {
                 }
                 NetLayer::Dense(d) => {
                     let weights =
-                        self.weight_streams(d.weights(), &wq, *ordinal, 1, lengths, opts)?;
+                        self.weight_streams(d.weights(), &wq, *ordinal, 1, lengths, threads)?;
                     steps.push(Step::new(
                         format!("dense{ordinal}"),
                         StepOp::Dense(PreparedDense {
@@ -580,7 +529,8 @@ impl ScSimulator {
                     i += 1;
                 }
                 NetLayer::Residual(r) => {
-                    let inner = self.prepare_layers(r.inner().layers(), ordinal, lengths, opts)?;
+                    let inner =
+                        self.prepare_layers(r.inner().layers(), ordinal, lengths, threads)?;
                     steps.push(Step::new("residual", StepOp::Residual(inner)));
                     i += 1;
                 }
@@ -831,53 +781,10 @@ impl ScSimulator {
     /// component (`quantize_value` = `decode ∘ encode`), so the hot loop
     /// over up to 10⁸ lanes is integer-only and bit-exact versus the
     /// historical per-lane float path.
-    fn weight_streams(
-        &self,
-        weights: &[f32],
-        wq: &Quantizer,
-        ordinal: usize,
-        segments: usize,
-        lengths: &[usize],
-        opts: &PrepareOptions,
-    ) -> Result<Arc<StreamPool>, SimError> {
-        let m = self.cfg.per_phase_len();
-        if !m.is_multiple_of(segments) {
-            return Err(SimError::UnsupportedLayer(format!(
-                "pooling window {segments}-way does not divide per-phase length {m}"
-            )));
-        }
-        let lut = threshold_lut(wq)?;
-        // Layer tier: a warm re-prepare of an unchanged layer is a
-        // reference-count bump. The key covers every input that shapes the
-        // banks (weights, seed, quantization, segmentation, prefix
-        // lengths), so a hit is bit-identical by construction. Key
-        // computation is gated on pool presence — hashing an
-        // ImageNet-scale layer is not free.
-        let key = opts.shared_pool.as_ref().map(|_| {
-            layer_content_key(
-                weights,
-                self.cfg.wgt_seed,
-                ordinal,
-                self.cfg.quant_bits,
-                segments,
-                lengths,
-            )
-        });
-        if let (Some(shared), Some(key)) = (opts.shared_pool.as_deref(), key) {
-            if let Some(hit) = shared.layer(key) {
-                return Ok(hit);
-            }
-        }
-        let pool = Arc::new(self.build_pool(weights, wq, &lut, ordinal, segments, lengths, opts)?);
-        if let (Some(shared), Some(key)) = (opts.shared_pool.as_deref(), key) {
-            shared.insert_layer(key, &pool);
-        }
-        Ok(pool)
-    }
-
-    /// Builds a layer's stream pool: one canonical stream per distinct
-    /// (mixed 16-bit SNG seed, quantized threshold) key, with every lane
-    /// holding a compact slot index into the shared pool.
+    ///
+    /// The pool holds one canonical stream per distinct (mixed 16-bit SNG
+    /// seed, quantized threshold) key, and every lane holds a compact slot
+    /// index into it.
     ///
     /// A stream is a pure function of that key — two lanes with the same
     /// mixed seed and quantized magnitude would generate bit-identical
@@ -901,33 +808,35 @@ impl ScSimulator {
     ///   range.
     /// * **Phase C (parallel)** — materialize each slot's words into
     ///   pre-sized level buffers; slot positions were fixed in phase B, so
-    ///   slot ranges fill independently. With a shared pool attached, the
-    ///   canonical full-length words come from the process-wide stream
-    ///   tier (one SNG walk per key per process).
+    ///   slot ranges fill independently.
     ///
     /// Every prefix level lays its words out in slot order from the same
     /// single SNG walk, so one index vector serves all levels and prefix
     /// execution stays bit-identical to a direct prepare at the shorter
     /// length.
-    #[allow(clippy::too_many_arguments)]
-    fn build_pool(
+    fn weight_streams(
         &self,
         weights: &[f32],
         wq: &Quantizer,
-        lut: &[(u8, u32)],
         ordinal: usize,
         segments: usize,
         lengths: &[usize],
-        opts: &PrepareOptions,
-    ) -> Result<StreamPool, SimError> {
+        threads: usize,
+    ) -> Result<Arc<StreamPool>, SimError> {
         let m = self.cfg.per_phase_len();
+        if !m.is_multiple_of(segments) {
+            return Err(SimError::UnsupportedLayer(format!(
+                "pooling window {segments}-way does not divide per-phase length {m}"
+            )));
+        }
+        let lut: &[(u8, u32)] = &threshold_lut(wq)?;
         let lanes = weights.len();
         let wgt_seed = self.cfg.wgt_seed;
 
         // Phase A — parallel key collect.
         let mut keys = vec![0u64; lanes];
         let mut pos = vec![false; lanes];
-        let a_threads = effective_threads(opts.threads, lanes, MIN_LANES_PER_THREAD);
+        let a_threads = effective_threads(threads, lanes, MIN_LANES_PER_THREAD);
         if a_threads == 1 {
             collect_key_chunk(weights, wq, lut, wgt_seed, ordinal, 0, &mut keys, &mut pos);
         } else {
@@ -1008,15 +917,14 @@ impl ScSimulator {
         for level in pool.levels.iter_mut() {
             level.words = vec![0u64; slot_keys.len() * segments * level.seg_words];
         }
-        let shared = opts.shared_pool.as_deref();
-        let c_threads = effective_threads(opts.threads, slot_keys.len(), MIN_SLOTS_PER_THREAD);
+        let c_threads = effective_threads(threads, slot_keys.len(), MIN_SLOTS_PER_THREAD);
         if c_threads == 1 {
             let views: Vec<(&mut [u64], usize)> = pool
                 .levels
                 .iter_mut()
                 .map(|lv| (lv.words.as_mut_slice(), lv.seg_words))
                 .collect();
-            materialize_slot_chunk(&slot_keys, segments, lengths, m, shared, views)?;
+            materialize_slot_chunk(&slot_keys, segments, lengths, m, views)?;
         } else {
             let chunk = slot_keys.len().div_ceil(c_threads);
             let mut iters: Vec<_> = pool
@@ -1035,7 +943,7 @@ impl ScSimulator {
                         .map(|(sw, it)| (it.next().unwrap_or_default(), *sw))
                         .collect();
                     handles.push(s.spawn(move || {
-                        materialize_slot_chunk(key_chunk, segments, lengths, m, shared, views)
+                        materialize_slot_chunk(key_chunk, segments, lengths, m, views)
                     }));
                 }
                 for h in handles {
@@ -1044,7 +952,7 @@ impl ScSimulator {
                 Ok(())
             })?;
         }
-        Ok(pool)
+        Ok(Arc::new(pool))
     }
 
     /// Generates activation streams for a whole layer input into a packed
@@ -1495,47 +1403,27 @@ fn collect_key_chunk(
 }
 
 /// Materializes one contiguous slot-range chunk of a stream pool (phase
-/// C): walks (or fetches from the shared stream tier) each slot's
-/// canonical full-length words and lays its per-segment prefix slices into
-/// every level at the slot's pre-assigned position.
+/// C): walks each slot's canonical full-length words once and lays its
+/// per-segment prefix slices into every level at the slot's pre-assigned
+/// position.
 fn materialize_slot_chunk(
     slot_keys: &[u64],
     segments: usize,
     lengths: &[usize],
     m: usize,
-    shared: Option<&SharedStreamPool>,
     mut views: Vec<(&mut [u64], usize)>,
 ) -> Result<(), SimError> {
-    let full_words = m.div_ceil(64);
-    let mut local = vec![0u64; full_words];
+    let mut full = vec![0u64; m.div_ceil(64)];
     for (slot_local, &key) in slot_keys.iter().enumerate() {
         let seed = (key >> 32) as u32;
         let threshold = (key & 0xFFFF_FFFF) as u32;
-        let generate = |buf: &mut [u64]| -> Result<(), SimError> {
-            let mut sng = Sng::new(Lfsr::maximal(SNG_WIDTH, seed)?, SNG_WIDTH);
-            sng.fill_quantized(threshold, m, buf);
-            Ok(())
-        };
-        let arc_words;
-        let full: &[u64] = match shared {
-            Some(pool) => {
-                arc_words = pool.stream(seed, threshold, m, || {
-                    let mut buf = vec![0u64; full_words];
-                    generate(&mut buf)?;
-                    Ok(buf)
-                })?;
-                &arc_words
-            }
-            None => {
-                generate(&mut local)?;
-                &local
-            }
-        };
+        let mut sng = Sng::new(Lfsr::maximal(SNG_WIDTH, seed)?, SNG_WIDTH);
+        sng.fill_quantized(threshold, m, &mut full);
         for ((words, sw), &len) in views.iter_mut().zip(lengths) {
             let seg_len = len / 2 / segments;
             for e in 0..segments {
                 let off = (slot_local * segments + e) * *sw;
-                copy_bit_range(full, e * seg_len, seg_len, &mut words[off..off + *sw]);
+                copy_bit_range(&full, e * seg_len, seg_len, &mut words[off..off + *sw]);
             }
         }
     }
@@ -2246,27 +2134,11 @@ mod residual_tests {
     fn parallel_prepare_is_bit_identical_across_threads() {
         let net = chunky_network();
         let sim = ScSimulator::new(cfg(128));
-        let baseline = sim
-            .prepare_with(
-                &net,
-                &PrepareOptions {
-                    threads: 1,
-                    shared_pool: None,
-                },
-            )
-            .unwrap();
+        let baseline = sim.prepare_with(&net, 1).unwrap();
         let digest = baseline.content_digest();
         let stats = baseline.dedup_stats();
         for threads in [2, 4] {
-            let p = sim
-                .prepare_with(
-                    &net,
-                    &PrepareOptions {
-                        threads,
-                        shared_pool: None,
-                    },
-                )
-                .unwrap();
+            let p = sim.prepare_with(&net, threads).unwrap();
             assert_eq!(
                 p.content_digest(),
                 digest,
@@ -2282,15 +2154,7 @@ mod residual_tests {
         // direct single-threaded prepare at that shorter length.
         let net = chunky_network();
         let sim = ScSimulator::new(cfg(256));
-        let wide = sim
-            .prepare_with(
-                &net,
-                &PrepareOptions {
-                    threads: 4,
-                    shared_pool: None,
-                },
-            )
-            .unwrap();
+        let wide = sim.prepare_with(&net, 4).unwrap();
         let input = Tensor::from_vec(
             &[1, 16, 16],
             (0..256).map(|i| (i % 11) as f32 / 11.0).collect(),
@@ -2312,33 +2176,6 @@ mod residual_tests {
     }
 
     #[test]
-    fn shared_pool_prepare_is_bit_identical_and_hits_layer_tier() {
-        let net = chunky_network();
-        let sim = ScSimulator::new(cfg(128));
-        let cold = sim.prepare(&net).unwrap();
-        let shared = Arc::new(SharedStreamPool::new());
-        for threads in [1, 4] {
-            let opts = PrepareOptions {
-                threads,
-                shared_pool: Some(Arc::clone(&shared)),
-            };
-            let p = sim.prepare_with(&net, &opts).unwrap();
-            assert_eq!(
-                p.content_digest(),
-                cold.content_digest(),
-                "shared-pool prepare differs at threads={threads}"
-            );
-            assert_eq!(p.dedup_stats(), cold.dedup_stats());
-        }
-        let stats = shared.stats();
-        // First shared prepare misses both layers, second hits both.
-        assert_eq!(stats.layer_misses, 2);
-        assert_eq!(stats.layer_hits, 2);
-        assert!(stats.stream_misses > 0);
-        assert_eq!(stats.layer_entries, 2);
-    }
-
-    #[test]
     fn content_digest_distinguishes_different_banks() {
         let net = chunky_network();
         let a = ScSimulator::new(cfg(128)).prepare(&net).unwrap();
@@ -2348,19 +2185,5 @@ mod residual_tests {
         c.wgt_seed ^= 1;
         let d = ScSimulator::new(c).prepare(&net).unwrap();
         assert_ne!(a.content_digest(), d.content_digest());
-    }
-
-    #[test]
-    fn prepare_threads_env_override_is_bit_identical() {
-        // The env knob must be a pure wall-clock lever. Serializes on the
-        // env var via a process-wide lock-free convention: this is the only
-        // test touching PREPARE_THREADS_ENV.
-        let net = chunky_network();
-        let sim = ScSimulator::new(cfg(128));
-        let baseline = sim.prepare(&net).unwrap().content_digest();
-        std::env::set_var(PREPARE_THREADS_ENV, "3");
-        let overridden = sim.prepare(&net).unwrap().content_digest();
-        std::env::remove_var(PREPARE_THREADS_ENV);
-        assert_eq!(baseline, overridden);
     }
 }

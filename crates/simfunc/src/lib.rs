@@ -47,19 +47,16 @@ mod banks;
 mod engine;
 mod expected;
 pub mod kernels;
-mod pool;
 mod sim_error;
 
 pub use banks::{DedupStats, SimScratch};
 pub use engine::{
-    LayerTrace, Observe, PrepareOptions, PreparedNetwork, RunOutput, RunSpec, RunTrace,
-    ScSimulator, StepTiming, PREPARE_THREADS_ENV,
+    LayerTrace, Observe, PreparedNetwork, RunOutput, RunSpec, RunTrace, ScSimulator, StepTiming,
 };
 pub use expected::{expected_accuracy, expected_logits};
 pub use kernels::{
     active_kernel, HostFingerprint, KernelChoice, KernelKind, KernelStats, TilePlan, TILE,
 };
-pub use pool::{SharedPoolStats, SharedStreamPool};
 pub use sim_error::SimError;
 
 /// Configuration of a stochastic functional simulation.

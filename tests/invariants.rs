@@ -8,8 +8,8 @@
 //! plus one image.
 //!
 //! The trained zoo in `results/zoo` is pinned too: its logits, its
-//! prepared weight banks and their per-lane byte accounting must not
-//! move.
+//! prepared weight banks (at 1, 3 and the host's default prepare threads)
+//! and their per-lane byte accounting must not move.
 
 use acoustic::datasets::DataKind;
 use acoustic::nn::layers::{AccumMode, AvgPool2d, Conv2d, Dense, Network, Relu};
@@ -75,7 +75,8 @@ fn fnv1a(h: &mut u64, word: u64) {
 /// The trained zoo, pinned: for each model in `results/zoo`, prepared at
 /// stream 64 and run on 2 test images of its dataset, an FNV-1a digest of
 /// the logits' `f32` bits, the prepared `content_digest()` and the
-/// analytic per-lane `materialized_bytes`. The constants were recorded
+/// analytic per-lane `materialized_bytes`; the banks must digest the same
+/// when prepared on 1 and 3 threads. The constants were recorded
 /// while the per-lane layout still existed and matched the stream pool
 /// bit for bit, and its measured allocation equalled `materialized_bytes`;
 /// they fail on any change to the weight banks, the kernels or the
@@ -130,6 +131,13 @@ fn trained_zoo_logits_and_banks_are_pinned() {
         );
         assert_eq!(h, logits_digest, "{name}: logits");
         assert_eq!(prepared.content_digest(), content_digest, "{name}: banks");
+        for threads in [1, 3] {
+            assert_eq!(
+                sim.prepare_with(&net, threads).unwrap().content_digest(),
+                content_digest,
+                "{name}: banks at {threads} prepare threads"
+            );
+        }
         assert_eq!(
             stats.materialized_bytes, materialized_bytes,
             "{name}: bytes"
