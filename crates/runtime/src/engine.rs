@@ -2,8 +2,8 @@
 //!
 //! A [`BatchEngine`] runs a batch of images through one shared
 //! [`PreparedModel`] on a fixed-size pool of `std::thread` workers. Work is
-//! cut into units before dispatch — a tile of up to [`TILE`] consecutive
-//! images, or one adaptive image — and each worker claims **one unit per**
+//! cut into units before dispatch — a tile of up to [`TILE`] images that
+//! share one stream length — and each worker claims **one unit per**
 //! `fetch_add` on an atomic cursor, so every worker gets a unit as long as
 //! there are units to go round. Every per-image result depends only on
 //! `(model, image_index, input)`, never on which worker computed it, and
@@ -18,7 +18,7 @@ use acoustic_nn::train::Sample;
 use acoustic_nn::Tensor;
 use acoustic_simfunc::{KernelStats, Observe, RunSpec, SimError, SimScratch, StepTiming, TILE};
 
-use crate::{BatchReport, ExitPolicy, KernelCounters, LayerTiming, PreparedModel, RuntimeError};
+use crate::{BatchReport, KernelCounters, LayerTiming, PreparedModel, RuntimeError};
 
 /// One admitted serving request, ready for batch execution.
 ///
@@ -27,33 +27,25 @@ use crate::{BatchReport, ExitPolicy, KernelCounters, LayerTiming, PreparedModel,
 /// serving layer passes each request's id, so the result for a request is
 /// the same whether it was executed alone, inside any micro-batch, or by
 /// any worker.
-///
-/// At most one of `stream_len` / `margin` may be set (a fixed shorter
-/// prefix and an adaptive margin are competing precision policies).
 #[derive(Debug, Clone, Copy)]
 pub struct ReadyRequest<'a> {
     /// Seed index: the result is a pure function of `(model, image_index,
-    /// input, overrides)`.
+    /// input, stream_len)`.
     pub image_index: u64,
     /// The image to classify.
     pub input: &'a Tensor,
     /// Run at this fixed stream-length prefix instead of the engine
     /// default (must be one of the model's supported lengths).
     pub stream_len: Option<usize>,
-    /// Run adaptively with this top-1/top-2 acceptance margin, overriding
-    /// (or, without an engine policy, defaulting the rest of) the engine's
-    /// [`ExitPolicy`].
-    pub margin: Option<f32>,
 }
 
 impl<'a> ReadyRequest<'a> {
-    /// A request with no per-request overrides.
+    /// A request at the full prepare-time stream length.
     pub fn plain(image_index: u64, input: &'a Tensor) -> Self {
         ReadyRequest {
             image_index,
             input,
             stream_len: None,
-            margin: None,
         }
     }
 }
@@ -64,30 +56,14 @@ pub struct ReadyOutcome {
     /// The accepted logits.
     pub logits: Tensor,
     /// Stream length the logits were produced at (the full prepare-time
-    /// length unless a prefix or early exit applied).
+    /// length unless the request asked for a prefix).
     pub effective_len: usize,
 }
 
-/// Template used for a per-request margin override when the engine has no
-/// attached policy: start at the shortest supported prefix, double on
-/// escalation.
-const MARGIN_OVERRIDE_TEMPLATE: ExitPolicy = ExitPolicy {
-    min_words: 1,
-    margin: 0.0,
-    escalation_factor: 2,
-};
-
 /// A fixed-size worker pool executing batches against a prepared model.
-///
-/// With an [`ExitPolicy`] attached (see
-/// [`BatchEngine::with_exit_policy`]) the engine becomes adaptive: each
-/// image starts at a short stream prefix and escalates only while its
-/// logit margin stays below the policy threshold. Without one, execution
-/// is exactly the fixed full-length path.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchEngine {
     workers: usize,
-    exit_policy: Option<ExitPolicy>,
 }
 
 impl BatchEngine {
@@ -102,38 +78,7 @@ impl BatchEngine {
                 "worker count must be at least 1".into(),
             ));
         }
-        Ok(BatchEngine {
-            workers,
-            exit_policy: None,
-        })
-    }
-
-    /// Attaches an early-exit policy; the engine runs each image at the
-    /// policy's initial stream length and escalates only undecided images.
-    ///
-    /// Results remain bit-identical for any worker count — the policy's
-    /// decisions depend only on `(model, image_index, input)` — and are
-    /// identical to a model prepared directly at whatever length each image
-    /// accepts at.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::InvalidConfig`] for out-of-range policy parameters.
-    pub fn with_exit_policy(mut self, policy: ExitPolicy) -> Result<Self, RuntimeError> {
-        policy.validate()?;
-        self.exit_policy = Some(policy);
-        Ok(self)
-    }
-
-    /// Removes any attached exit policy, restoring fixed full-length runs.
-    pub fn without_exit_policy(mut self) -> Self {
-        self.exit_policy = None;
-        self
-    }
-
-    /// The attached early-exit policy, if any.
-    pub fn exit_policy(&self) -> Option<&ExitPolicy> {
-        self.exit_policy.as_ref()
+        Ok(BatchEngine { workers })
     }
 
     /// Number of worker threads.
@@ -145,10 +90,9 @@ impl BatchEngine {
     ///
     /// Image `i` always executes with the activation seed derived from
     /// `(model.config().act_seed, i)`, so the returned logits are
-    /// bit-identical for any worker count — and, on the fixed-length path,
-    /// for any tile size (tiles are formed from consecutive input indices
-    /// before dispatch, and a tile's logits equal its images' tiles of
-    /// one).
+    /// bit-identical for any worker count and any tile size (tiles are
+    /// formed from consecutive input indices before dispatch, and a tile's
+    /// logits equal its images' tiles of one).
     ///
     /// # Errors
     ///
@@ -158,65 +102,27 @@ impl BatchEngine {
         model: &PreparedModel,
         inputs: &[Tensor],
     ) -> Result<Vec<Tensor>, RuntimeError> {
-        match self.exit_policy {
-            Some(policy) => {
-                let (out, _, _) = self.dispatch(inputs.len(), |i, scratch| {
-                    model
-                        .logits_adaptive(&policy, i as u64, &inputs[i], false, scratch)
-                        .map(|(logits, _, _)| logits)
-                })?;
-                Ok(out)
-            }
-            None => {
-                let tiles = consecutive_tiles(inputs.len(), TILE);
-                let tally = TileTally::default();
-                let (per_tile, _, _) = self.dispatch(tiles.len(), |ti, scratch| {
-                    let (lo, hi) = tiles[ti];
-                    let tile = Tile {
-                        indices: (lo as u64..hi as u64).collect(),
-                        inputs: inputs[lo..hi].iter().collect(),
-                        stream_len: None,
-                    };
-                    Ok(tile.run(model, false, &tally, scratch).0)
-                })?;
-                let mut out = Vec::with_capacity(inputs.len());
-                for (ti, results) in per_tile.into_iter().enumerate() {
-                    for (off, r) in results.into_iter().enumerate() {
-                        // Tiles are consecutive and in order, so the first
-                        // error here is the lowest failing image index.
-                        out.push(r.map_err(|source| RuntimeError::Image {
-                            index: tiles[ti].0 + off,
-                            source,
-                        })?);
-                    }
-                }
-                Ok(out)
-            }
-        }
+        Ok(self
+            .run_tiles(model, inputs.iter().collect(), false)?
+            .logits)
     }
 
     /// Executes a micro-batch of admitted serving requests, one outcome per
     /// request in request order.
     ///
     /// This is the serving entry point: requests carry their own seed index
-    /// and optional per-request precision overrides, and the engine threads
+    /// and an optional stream-length prefix, and the engine threads
     /// one [`SimScratch`] per worker exactly as [`BatchEngine::run`] does.
     /// Failures are isolated per request — a malformed input yields an
     /// `Err` in its own slot without failing the rest of the batch.
     ///
-    /// Equivalences (all test-enforced):
-    /// * no overrides, no engine policy → [`PreparedModel::logits`] of a
-    ///   tile of one at the request's `image_index` (bit-identical to a
-    ///   [`BatchEngine::run`] that saw the same index);
-    /// * `stream_len` override → the same at that [`RunSpec::stream_len`];
-    /// * `margin` override → the adaptive path under the engine policy
-    ///   with its margin replaced (or [`MARGIN_OVERRIDE_TEMPLATE`]'s shape
-    ///   when no policy is attached).
+    /// Each outcome equals [`PreparedModel::logits`] of a tile of one at the
+    /// request's `image_index` and [`RunSpec::stream_len`] (test-enforced);
+    /// without a prefix that is bit-identical to a [`BatchEngine::run`] that
+    /// saw the same index.
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::InvalidConfig`] if any request sets both overrides
-    /// or a non-finite/negative margin (detected up front — nothing runs);
     /// [`RuntimeError::WorkerPanic`] if a worker dies.
     pub fn run_ready(
         &self,
@@ -230,10 +136,8 @@ impl BatchEngine {
     /// kernel skip/tile counters (the serving layer's per-micro-batch
     /// observability hook).
     ///
-    /// Fixed-length requests (no margin override and, when an engine policy
-    /// is attached, a `stream_len` override) are grouped by effective
-    /// stream length and executed as tiles; adaptive requests escalate one
-    /// image at a time. Grouping happens deterministically before dispatch,
+    /// Requests are grouped by stream length and executed as tiles.
+    /// Grouping happens deterministically before dispatch,
     /// so outcomes stay invariant to worker count *and* tile size. A tile
     /// whose execution fails is re-run as tiles of one, preserving
     /// per-request error isolation.
@@ -247,57 +151,33 @@ impl BatchEngine {
         model: &PreparedModel,
         requests: &[ReadyRequest<'_>],
     ) -> Result<(Vec<Result<ReadyOutcome, SimError>>, KernelCounters), RuntimeError> {
-        for (i, r) in requests.iter().enumerate() {
-            if r.stream_len.is_some() && r.margin.is_some() {
-                return Err(RuntimeError::InvalidConfig(format!(
-                    "request {i}: at most one of stream_len/margin may be overridden"
-                )));
-            }
-            if let Some(m) = r.margin {
-                if !m.is_finite() || m < 0.0 {
-                    return Err(RuntimeError::InvalidConfig(format!(
-                        "request {i}: margin override must be finite and non-negative, got {m}"
-                    )));
-                }
-            }
-        }
         let full_len = model.max_stream_len();
-        let units = ready_units(requests, &self.exit_policy);
+        let units = ready_units(requests);
         let tally = TileTally::default();
 
         let (per_unit, _, stats) = self.dispatch(units.len(), |ui, scratch| {
             // Per-request isolation: errors ride in their slot, never
             // abort the batch.
-            let ReadyUnit { precision, members } = &units[ui];
-            let outcomes: Vec<Result<ReadyOutcome, SimError>> = match precision {
-                Precision::Adaptive(policy) => {
-                    let r = &requests[members[0]];
-                    vec![model
-                        .logits_adaptive(policy, r.image_index, r.input, false, scratch)
-                        .map(|(logits, effective_len, _)| ReadyOutcome {
-                            logits,
-                            effective_len,
-                        })]
-                }
-                Precision::Fixed(stream_len) => {
-                    let tile = Tile {
-                        indices: members.iter().map(|&i| requests[i].image_index).collect(),
-                        inputs: members.iter().map(|&i| requests[i].input).collect(),
-                        stream_len: *stream_len,
-                    };
-                    let effective_len = stream_len.unwrap_or(full_len);
-                    tile.run(model, false, &tally, scratch)
-                        .0
-                        .into_iter()
-                        .map(|r| {
-                            r.map(|logits| ReadyOutcome {
-                                logits,
-                                effective_len,
-                            })
-                        })
-                        .collect()
-                }
+            let ReadyUnit {
+                stream_len,
+                members,
+            } = &units[ui];
+            let tile = Tile {
+                indices: members.iter().map(|&i| requests[i].image_index).collect(),
+                inputs: members.iter().map(|&i| requests[i].input).collect(),
+                stream_len: *stream_len,
             };
+            let effective_len = stream_len.unwrap_or(full_len);
+            let outcomes = tile
+                .run(model, false, &tally, scratch)
+                .0
+                .into_iter()
+                .map(|r| {
+                    r.map(|logits| ReadyOutcome {
+                        logits,
+                        effective_len,
+                    })
+                });
             Ok(members.iter().copied().zip(outcomes).collect::<Vec<_>>())
         })?;
 
@@ -340,60 +220,14 @@ impl BatchEngine {
             ));
         }
         let started = Instant::now();
-        let policy = self.exit_policy;
-        let full_len = model.config().stream_len;
-        // The adaptive path escalates per image, so its tiles are single
-        // samples; the fixed-length path tiles consecutive samples.
-        let tile = if policy.is_some() { 1 } else { TILE };
-        let tiles = consecutive_tiles(samples.len(), tile);
-        let tally = TileTally::default();
-        let (per_tile, cpu_busy, stats) = self.dispatch(tiles.len(), |ti, scratch| {
-            let (lo, hi) = tiles[ti];
-            Ok(match &policy {
-                Some(p) => {
-                    match model.logits_adaptive(p, lo as u64, &samples[lo].0, true, scratch) {
-                        // Every escalation pass is a real execution; count
-                        // each one.
-                        Ok((logits, len, passes)) => (vec![Ok((logits, len))], passes),
-                        Err(e) => (vec![Err(e)], Vec::new()),
-                    }
-                }
-                None => {
-                    let tile = Tile {
-                        indices: (lo as u64..hi as u64).collect(),
-                        inputs: samples[lo..hi].iter().map(|(x, _)| x).collect(),
-                        stream_len: None,
-                    };
-                    let (outs, passes) = tile.run(model, true, &tally, scratch);
-                    let outs = outs.into_iter().map(|r| r.map(|l| (l, full_len)));
-                    (outs.collect(), passes)
-                }
-            })
-        })?;
+        let run = self.run_tiles(model, samples.iter().map(|(x, _)| x).collect(), true)?;
         let wall = started.elapsed();
 
-        let mut results: Vec<(Tensor, usize)> = Vec::with_capacity(samples.len());
-        let mut layer_timings: Vec<LayerTiming> = Vec::new();
-        for (ti, (outs, passes)) in per_tile.into_iter().enumerate() {
-            for (off, r) in outs.into_iter().enumerate() {
-                // Tiles are consecutive and in order, so the first error is
-                // the lowest failing sample index.
-                results.push(r.map_err(|source| RuntimeError::Image {
-                    index: tiles[ti].0 + off,
-                    source,
-                })?);
-            }
-            for pass in &passes {
-                merge_timings(&mut layer_timings, pass);
-            }
-        }
-
-        let classes = results[0].0.len();
+        let classes = run.logits[0].len();
         let mut confusion = vec![vec![0u64; classes]; classes];
         let mut predictions = Vec::with_capacity(samples.len());
-        let mut effective_lengths = Vec::with_capacity(samples.len());
         let mut correct = 0usize;
-        for (i, (logits, effective_len)) in results.iter().enumerate() {
+        for (i, logits) in run.logits.iter().enumerate() {
             let label = samples[i].1;
             if label >= classes {
                 return Err(RuntimeError::InvalidConfig(format!(
@@ -406,11 +240,9 @@ impl BatchEngine {
             }
             confusion[label][pred] += 1;
             predictions.push(pred);
-            effective_lengths.push(*effective_len);
         }
 
         let total = samples.len();
-        let mean_effective_len = effective_lengths.iter().sum::<usize>() as f64 / total as f64;
         Ok(BatchReport {
             total,
             correct,
@@ -420,14 +252,55 @@ impl BatchEngine {
             predictions,
             workers: self.workers,
             wall,
-            cpu_busy,
+            cpu_busy: run.cpu_busy,
             images_per_sec: total as f64 / wall.as_secs_f64().max(f64::MIN_POSITIVE),
-            layer_timings,
-            effective_lengths,
-            mean_effective_len,
-            kernel: tally.counters(&stats),
+            layer_timings: run.layer_timings,
+            kernel: run.kernel,
             plan: model.plan(),
             dedup: model.dedup_stats(),
+        })
+    }
+
+    /// Runs `inputs` as consecutive tiles of up to [`TILE`] images, image
+    /// `i` seeded by index `i`, at the full prepare-time stream length.
+    /// With `timed`, sums every executed pass's step timings.
+    fn run_tiles(
+        &self,
+        model: &PreparedModel,
+        inputs: Vec<&Tensor>,
+        timed: bool,
+    ) -> Result<TiledRun, RuntimeError> {
+        let tiles = consecutive_tiles(inputs.len());
+        let tally = TileTally::default();
+        let (per_tile, cpu_busy, stats) = self.dispatch(tiles.len(), |ti, scratch| {
+            let (lo, hi) = tiles[ti];
+            let tile = Tile {
+                indices: (lo as u64..hi as u64).collect(),
+                inputs: inputs[lo..hi].to_vec(),
+                stream_len: None,
+            };
+            Ok(tile.run(model, timed, &tally, scratch))
+        })?;
+        let mut logits = Vec::with_capacity(inputs.len());
+        let mut layer_timings = Vec::new();
+        for (ti, (outs, passes)) in per_tile.into_iter().enumerate() {
+            for (off, r) in outs.into_iter().enumerate() {
+                // Tiles are consecutive and in order, so the first error
+                // here is the lowest failing image index.
+                logits.push(r.map_err(|source| RuntimeError::Image {
+                    index: tiles[ti].0 + off,
+                    source,
+                })?);
+            }
+            for pass in &passes {
+                merge_timings(&mut layer_timings, pass);
+            }
+        }
+        Ok(TiledRun {
+            logits,
+            cpu_busy,
+            layer_timings,
+            kernel: tally.counters(&stats),
         })
     }
 
@@ -465,8 +338,8 @@ impl BatchEngine {
             return Ok((out, started.elapsed(), scratch.take_kernel_stats()));
         }
 
-        // One unit per claim: a unit is a whole tile or adaptive image, so
-        // a claim costs nothing next to its job, and a batch of two tiles
+        // One unit per claim: a unit is a whole tile, so a claim costs
+        // nothing next to its job, and a batch of two tiles
         // reaches two workers.
         let cursor = AtomicUsize::new(0);
         let workers = self.workers.min(count);
@@ -519,18 +392,29 @@ impl BatchEngine {
 
 type DispatchResult<T> = Result<(Vec<T>, Duration, KernelStats), RuntimeError>;
 
+/// What [`BatchEngine::run_tiles`] hands back: per-image logits in input
+/// order, the summed busy time across workers, the summed step timings
+/// (empty unless timed) and the kernel counters.
+struct TiledRun {
+    logits: Vec<Tensor>,
+    cpu_busy: Duration,
+    layer_timings: Vec<LayerTiming>,
+    kernel: KernelCounters,
+}
+
 fn worker_panic() -> RuntimeError {
     RuntimeError::WorkerPanic("batch worker panicked".into())
 }
 
-/// Consecutive `[lo, hi)` index ranges of width `tile` covering `0..count`.
+/// Consecutive `[lo, hi)` index ranges of width [`TILE`] covering
+/// `0..count`.
 ///
 /// Tiling composition happens *before* dispatch and depends only on the
 /// batch shape, which is what keeps tiled batch results invariant to
 /// worker count and scheduling.
-fn consecutive_tiles(count: usize, tile: usize) -> Vec<(usize, usize)> {
-    (0..count.div_ceil(tile.max(1)))
-        .map(|t| (t * tile, ((t + 1) * tile).min(count)))
+fn consecutive_tiles(count: usize) -> Vec<(usize, usize)> {
+    (0..count.div_ceil(TILE))
+        .map(|t| (t * TILE, ((t + 1) * TILE).min(count)))
         .collect()
 }
 
@@ -589,73 +473,45 @@ impl Tile<'_> {
     }
 }
 
-/// How a ready unit picks its stream length.
-enum Precision {
-    /// Every member runs at this prefix (`None` = the full prepare-time
-    /// length), as one tile.
-    Fixed(Option<usize>),
-    /// The unit's one member escalates under this policy.
-    Adaptive(ExitPolicy),
-}
-
-/// One deterministic execution unit of a ready micro-batch.
+/// One deterministic execution unit of a ready micro-batch: a tile of
+/// requests at one stream length.
 struct ReadyUnit {
-    precision: Precision,
+    /// Every member's prefix (`None` = the full prepare-time length).
+    stream_len: Option<usize>,
     /// Request positions, in request order.
     members: Vec<usize>,
 }
 
-/// Groups ready requests into execution units, in request order.
+/// Groups ready requests into tiles by stream length, in request order.
 ///
-/// Adaptive requests (margin override, or plain requests under an engine
-/// policy) are units of one. Fixed-length requests group by effective
-/// stream length; a group flushes into a unit as soon as it reaches
-/// [`TILE`], and leftovers flush at the end in first-appearance order.
-/// The unit list is a pure function of `(requests, policy)` — never of
-/// worker scheduling.
-fn ready_units(requests: &[ReadyRequest<'_>], policy: &Option<ExitPolicy>) -> Vec<ReadyUnit> {
+/// A group flushes into a unit as soon as it reaches [`TILE`], and
+/// leftovers flush at the end in first-appearance order. The unit list is
+/// a pure function of the requests — never of worker scheduling.
+fn ready_units(requests: &[ReadyRequest<'_>]) -> Vec<ReadyUnit> {
     let mut units = Vec::new();
-    let mut groups: Vec<(Option<usize>, Vec<usize>)> = Vec::new();
+    let mut groups: Vec<ReadyUnit> = Vec::new();
     for (i, r) in requests.iter().enumerate() {
-        let adaptive = match (r.margin, r.stream_len, policy) {
-            (Some(margin), _, _) => Some(ExitPolicy {
-                margin,
-                ..policy.unwrap_or(MARGIN_OVERRIDE_TEMPLATE)
-            }),
-            (None, None, Some(p)) => Some(*p),
-            _ => None,
-        };
-        if let Some(p) = adaptive {
-            units.push(ReadyUnit {
-                precision: Precision::Adaptive(p),
-                members: vec![i],
-            });
-            continue;
-        }
         let key = r.stream_len;
-        match groups.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, members)) => members.push(i),
-            None => groups.push((key, vec![i])),
-        }
-        let full = groups
-            .iter_mut()
-            .find(|(k, members)| *k == key && members.len() == TILE);
-        if let Some((_, members)) = full {
+        let g = match groups.iter().position(|g| g.stream_len == key) {
+            Some(g) => g,
+            None => {
+                groups.push(ReadyUnit {
+                    stream_len: key,
+                    members: Vec::new(),
+                });
+                groups.len() - 1
+            }
+        };
+        let group = &mut groups[g];
+        group.members.push(i);
+        if group.members.len() == TILE {
             units.push(ReadyUnit {
-                precision: Precision::Fixed(key),
-                members: std::mem::take(members),
+                stream_len: key,
+                members: std::mem::take(&mut group.members),
             });
         }
     }
-    units.extend(
-        groups
-            .into_iter()
-            .filter(|(_, members)| !members.is_empty())
-            .map(|(len, members)| ReadyUnit {
-                precision: Precision::Fixed(len),
-                members,
-            }),
-    );
+    units.extend(groups.into_iter().filter(|g| !g.members.is_empty()));
     units
 }
 
@@ -867,7 +723,6 @@ mod tests {
         let model =
             PreparedModel::compile(SimConfig::with_stream_len(256).unwrap(), &small_net()).unwrap();
         let xs = inputs(5);
-        let mut scratch = SimScratch::default();
 
         // Plain requests: bit-identical to BatchEngine::run at the same
         // indices, for any worker count.
@@ -909,40 +764,6 @@ mod tests {
         let want = one(&model, 2, &xs[2], Some(64));
         assert_eq!(got[0].as_ref().unwrap().logits, want);
         assert_eq!(got[0].as_ref().unwrap().effective_len, 64);
-
-        // margin override == the adaptive path with that margin.
-        let adaptive = ReadyRequest {
-            margin: Some(10.0),
-            ..plain[1]
-        };
-        let got = BatchEngine::new(1)
-            .unwrap()
-            .run_ready(&model, &[adaptive])
-            .unwrap();
-        let p = ExitPolicy::new(1, 10.0, 2).unwrap();
-        let (want, want_len, _) = model
-            .logits_adaptive(&p, 1, &xs[1], false, &mut scratch)
-            .unwrap();
-        assert_eq!(got[0].as_ref().unwrap().logits, want);
-        assert_eq!(got[0].as_ref().unwrap().effective_len, want_len);
-
-        // With an engine policy attached, plain requests follow it.
-        let policied = BatchEngine::new(1)
-            .unwrap()
-            .with_exit_policy(ExitPolicy::new(1, 0.05, 2).unwrap())
-            .unwrap();
-        let got = policied.run_ready(&model, &[plain[4]]).unwrap();
-        let (want, want_len, _) = model
-            .logits_adaptive(
-                &ExitPolicy::new(1, 0.05, 2).unwrap(),
-                4,
-                &xs[4],
-                false,
-                &mut scratch,
-            )
-            .unwrap();
-        assert_eq!(got[0].as_ref().unwrap().logits, want);
-        assert_eq!(got[0].as_ref().unwrap().effective_len, want_len);
     }
 
     /// A tile unit's stream-length override and member count.
@@ -952,40 +773,33 @@ mod tests {
     fn run_ready_tiles_compatible_requests_and_counts_them() {
         let model =
             PreparedModel::compile(SimConfig::with_stream_len(128).unwrap(), &small_net()).unwrap();
-        // Plain (full-length) requests mixed with prefix-override requests
-        // and one adaptive request that must run solo. The second case has
-        // 2*TILE+3 plain requests, so the plain group is cut into two full
-        // tiles mid-batch plus a 3-request remainder.
-        // (requests, prefix-request indices, adaptive index, tile shapes)
-        type Case = (usize, &'static [usize], usize, &'static [TileShape]);
+        // Plain (full-length) requests mixed with prefix-override requests.
+        // The second case has 2*TILE+4 plain requests, so the plain group
+        // is cut into two full tiles mid-batch plus a 4-request remainder.
+        // (requests, prefix-request indices, tile shapes)
+        type Case = (usize, &'static [usize], &'static [TileShape]);
         let cases: [Case; 2] = [
-            (7, &[2, 5], 3, &[(None, 4), (Some(64), 2)]),
+            (7, &[2, 5], &[(None, 5), (Some(64), 2)]),
             (
                 2 * TILE + 7,
                 &[10, 55, 100],
-                77,
-                &[(None, TILE), (None, TILE), (None, 3), (Some(64), 3)],
+                &[(None, TILE), (None, TILE), (None, 4), (Some(64), 3)],
             ),
         ];
-        for (n, prefix, adaptive, shapes) in cases {
+        for (n, prefix, shapes) in cases {
             let xs = inputs(n);
             let reqs: Vec<ReadyRequest> = xs
                 .iter()
                 .enumerate()
                 .map(|(i, x)| ReadyRequest {
                     stream_len: prefix.contains(&i).then_some(64),
-                    margin: (i == adaptive).then_some(10.0),
                     ..ReadyRequest::plain(i as u64, x)
                 })
                 .collect();
-            // One tile per full group or leftover group, per stream length;
-            // the adaptive request is a unit of its own.
-            let got_shapes: Vec<TileShape> = ready_units(&reqs, &None)
+            // One tile per full group or leftover group, per stream length.
+            let got_shapes: Vec<TileShape> = ready_units(&reqs)
                 .iter()
-                .filter_map(|u| match u.precision {
-                    Precision::Fixed(len) => Some((len, u.members.len())),
-                    Precision::Adaptive(_) => None,
-                })
+                .map(|u| (u.stream_len, u.members.len()))
                 .collect();
             assert_eq!(got_shapes, shapes, "n={n}");
             // A micro-batch of one is a tile of one: the per-request
@@ -1008,11 +822,7 @@ mod tests {
                     shapes.len() as u64,
                     "n={n} workers={workers}"
                 );
-                assert_eq!(
-                    counters.tiled_images,
-                    n as u64 - 1,
-                    "n={n} workers={workers}"
-                );
+                assert_eq!(counters.tiled_images, n as u64, "n={n} workers={workers}");
                 assert!(counters.mac_lanes > 0);
             }
         }
@@ -1039,32 +849,6 @@ mod tests {
         assert!(got[0].is_ok());
         assert!(got[1].is_err(), "shape mismatch stays in its slot");
         assert!(got[2].is_err(), "unsupported prefix stays in its slot");
-    }
-
-    #[test]
-    fn run_ready_validates_overrides_up_front() {
-        let model =
-            PreparedModel::compile(SimConfig::with_stream_len(64).unwrap(), &small_net()).unwrap();
-        let xs = inputs(1);
-        let both = ReadyRequest {
-            stream_len: Some(64),
-            margin: Some(0.1),
-            ..ReadyRequest::plain(0, &xs[0])
-        };
-        assert!(matches!(
-            BatchEngine::new(1).unwrap().run_ready(&model, &[both]),
-            Err(RuntimeError::InvalidConfig(_))
-        ));
-        let bad_margin = ReadyRequest {
-            margin: Some(-1.0),
-            ..ReadyRequest::plain(0, &xs[0])
-        };
-        assert!(matches!(
-            BatchEngine::new(1)
-                .unwrap()
-                .run_ready(&model, &[bad_margin]),
-            Err(RuntimeError::InvalidConfig(_))
-        ));
     }
 
     #[test]

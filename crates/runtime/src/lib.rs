@@ -18,14 +18,12 @@
 //!   `(base_seed, image_index)` via [`derive_image_seed`], so batch results
 //!   are **bit-identical regardless of worker count** — parallelism is an
 //!   implementation detail, not an experimental variable.
-//! * [`ExitPolicy`] turns the engine adaptive: each image first runs at a
-//!   short prefix of the prepared stream banks and only escalates toward
-//!   the full length while its top-1/top-2 logit margin stays below a
-//!   threshold. Escalation decisions are pure per-image functions, so the
-//!   worker-invariance guarantee is unchanged.
+//! * [`BatchEngine::run_ready`] serves admitted requests, each at the full
+//!   prepared stream length or at a shorter prefix of the same banks
+//!   (`ReadyRequest::stream_len`), grouped into tiles by length.
 //! * [`BatchReport`] captures accuracy, a per-class confusion matrix,
 //!   throughput (images/s, wall and CPU-busy time), per-layer timing
-//!   totals, and per-image effective stream lengths.
+//!   totals and kernel counters.
 //!
 //! ```
 //! use acoustic_nn::layers::{AccumMode, Dense, Network};
@@ -49,14 +47,12 @@
 //! ```
 
 pub mod engine;
-pub mod policy;
 pub mod prepared;
 pub mod report;
 pub mod rt_error;
 
 pub use acoustic_simfunc::{DedupStats, HostFingerprint, KernelKind, TilePlan};
 pub use engine::{BatchEngine, ReadyOutcome, ReadyRequest};
-pub use policy::{logit_margin, ExitPolicy};
 pub use prepared::{
     derive_image_seed, ModelCache, PrepareStats, PreparedModel, DEFAULT_CACHE_CAPACITY,
 };

@@ -17,11 +17,11 @@ use acoustic_core::prng::splitmix64;
 use acoustic_nn::layers::Network;
 use acoustic_nn::Tensor;
 use acoustic_simfunc::{
-    DedupStats, Observe, PreparedNetwork, RunOutput, RunSpec, ScSimulator, SimConfig, SimError,
-    SimScratch, StepTiming, TilePlan,
+    DedupStats, PreparedNetwork, RunOutput, RunSpec, ScSimulator, SimConfig, SimError, SimScratch,
+    TilePlan,
 };
 
-use crate::{ExitPolicy, RuntimeError};
+use crate::RuntimeError;
 
 /// Derives the activation-stream seed of one image from the batch base
 /// seed.
@@ -167,59 +167,6 @@ impl PreparedModel {
         scratch: &mut SimScratch,
     ) -> Result<RunOutput, SimError> {
         ScSimulator::new(self.cfg).execute(&self.prepared, spec, scratch)
-    }
-
-    /// Early-exit logits of one image under `policy`: start at the
-    /// policy's initial length, accept once the top-1/top-2 margin clears
-    /// the threshold (or the maximum length is reached), escalate
-    /// otherwise. Returns the accepted logits, the effective (final)
-    /// stream length and, when `timed`, one step-timing vector per executed
-    /// pass (initial attempt plus each escalation).
-    ///
-    /// Every escalation decision depends only on `(model, image_index,
-    /// input, policy)`, so the result is as worker-count-invariant as
-    /// [`PreparedModel::logits`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates datapath and shape errors.
-    pub fn logits_adaptive(
-        &self,
-        policy: &ExitPolicy,
-        image_index: u64,
-        input: &Tensor,
-        timed: bool,
-        scratch: &mut SimScratch,
-    ) -> Result<(Tensor, usize, Vec<Vec<StepTiming>>), SimError> {
-        let supported = self.prepared.supported_lengths();
-        let mut len = policy.initial_len(supported);
-        let mut passes = Vec::new();
-        loop {
-            let spec = RunSpec {
-                stream_len: Some(len),
-                observe: Observe {
-                    timings: timed,
-                    traces: false,
-                },
-                ..self.spec([image_index], vec![input])
-            };
-            let RunOutput {
-                mut logits,
-                timings,
-                ..
-            } = self.logits(&spec, scratch)?;
-            let logits = logits.remove(0);
-            if timed {
-                passes.push(timings);
-            }
-            if policy.accepts(&logits) {
-                return Ok((logits, len, passes));
-            }
-            match policy.next_len(len, supported) {
-                Some(next) => len = next,
-                None => return Ok((logits, len, passes)),
-            }
-        }
     }
 }
 
@@ -763,48 +710,6 @@ mod tests {
         let at_max = run_one(&model, 0, &x, Some(256)).unwrap();
         assert_eq!(full, at_max, "the maximum prefix must equal the full run");
         assert!(run_one(&model, 0, &x, Some(100)).is_err());
-    }
-
-    #[test]
-    fn adaptive_logits_accept_or_escalate_deterministically() {
-        let model = PreparedModel::compile(cfg(256), &small_net()).unwrap();
-        let x = Tensor::from_vec(&[1, 4, 4], vec![0.5; 16]).unwrap();
-        let mut scratch = SimScratch::default();
-
-        // Zero margin accepts immediately at the initial length.
-        let lax = ExitPolicy::new(1, 0.0, 2).unwrap();
-        let (_, len, passes) = model
-            .logits_adaptive(&lax, 0, &x, false, &mut scratch)
-            .unwrap();
-        assert_eq!(len, lax.initial_len(model.supported_lengths()));
-        assert!(passes.is_empty(), "untimed runs record no passes");
-
-        // An unreachable margin escalates to the maximum and returns those
-        // logits — exactly the full-length result.
-        let strict = ExitPolicy::new(1, 10.0, 2).unwrap();
-        let (logits, len, _) = model
-            .logits_adaptive(&strict, 0, &x, false, &mut scratch)
-            .unwrap();
-        assert_eq!(len, model.max_stream_len());
-        assert_eq!(logits, run_one(&model, 0, &x, None).unwrap());
-
-        // A timed run reports one pass per visited length.
-        let (_, len_t, passes) = model
-            .logits_adaptive(&strict, 0, &x, true, &mut scratch)
-            .unwrap();
-        assert_eq!(len_t, len);
-        // Factor-2 escalation visits every supported length from the
-        // initial one up to the maximum.
-        let initial = strict.initial_len(model.supported_lengths());
-        let expected_passes = model
-            .supported_lengths()
-            .iter()
-            .filter(|&&l| l >= initial)
-            .count();
-        assert_eq!(passes.len(), expected_passes);
-        assert!(passes
-            .iter()
-            .all(|p| p.len() == model.prepared().step_count()));
     }
 
     #[test]

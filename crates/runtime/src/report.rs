@@ -106,18 +106,9 @@ pub struct BatchReport {
     pub images_per_sec: f64,
     /// Per-layer wall-clock totals, aggregated over the batch in step
     /// order (residual inner steps are reported individually and also
-    /// included in their `"residual"` entry). Under an exit policy each
-    /// escalation pass counts as one call; on the tiled fixed-length path
-    /// each *tile* counts as one call (a tiled layer executes once for
-    /// all of its images).
+    /// included in their `"residual"` entry). Each *tile* counts as one
+    /// call (a tiled layer executes once for all of its images).
     pub layer_timings: Vec<LayerTiming>,
-    /// Per-image final (accepted) total stream length, in sample order.
-    /// Without an exit policy every entry is the configured stream length.
-    /// Bit-reproducible, like the classification fields.
-    pub effective_lengths: Vec<usize>,
-    /// Mean of [`BatchReport::effective_lengths`] — the adaptive engine's
-    /// headline cost metric (stream bits ∝ inference work per image).
-    pub mean_effective_len: f64,
     /// Kernel skip/tile counters accumulated across the batch.
     pub kernel: KernelCounters,
     /// The `(kernel, tile)` execution plan of the model the batch ran on
@@ -161,11 +152,6 @@ impl fmt::Display for BatchReport {
             self.wall.as_secs_f64(),
             self.cpu_busy.as_secs_f64(),
             self.images_per_sec
-        )?;
-        writeln!(
-            f,
-            "streams: mean effective length {:.1} bits/image",
-            self.mean_effective_len
         )?;
         writeln!(
             f,
@@ -234,8 +220,6 @@ mod tests {
                 calls: 4,
                 nanos: 4_000_000,
             }],
-            effective_lengths: vec![64, 64, 256, 64],
-            mean_effective_len: 112.0,
             kernel: KernelCounters {
                 mac_lanes: 60,
                 sat_group_exits: 5,
@@ -263,7 +247,6 @@ mod tests {
         let text = r.to_string();
         assert!(text.contains("75.00%"));
         assert!(text.contains("conv0"));
-        assert!(text.contains("112.0 bits/image"));
         assert!(text.contains("40.0% skipped"));
         assert!(text.contains("4 images tiled in 1 tiles"));
         assert!(text.contains("avx512 kernel, tile 64"));

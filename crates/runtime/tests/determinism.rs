@@ -6,7 +6,7 @@ use acoustic_datasets::mnist_like;
 use acoustic_nn::layers::{AccumMode, AvgPool2d, Conv2d, Dense, Network, Relu};
 use acoustic_nn::train::Sample;
 use acoustic_nn::Tensor;
-use acoustic_runtime::{derive_image_seed, BatchEngine, ExitPolicy, PreparedModel, RuntimeError};
+use acoustic_runtime::{derive_image_seed, BatchEngine, PreparedModel, RuntimeError};
 use acoustic_simfunc::{ScSimulator, SimConfig, SimScratch};
 
 /// Image `i` as a tile of one through the prepared model.
@@ -145,73 +145,6 @@ fn worker_invariance_holds_across_datapath_config_matrix() {
             }
         }
     }
-}
-
-#[test]
-fn worker_invariance_holds_with_exit_policy_enabled() {
-    // The adaptive path re-runs undecided images at longer prefixes; every
-    // escalation decision is a pure function of (model, index, input), so
-    // logits, predictions, AND effective lengths must stay bit-identical
-    // across worker counts — and match the per-image adaptive path.
-    let model = PreparedModel::compile(SimConfig::with_stream_len(256).unwrap(), &digit_net())
-        .expect("prepare");
-    let samples = batch(10);
-    let inputs: Vec<Tensor> = samples.iter().map(|(x, _)| x.clone()).collect();
-    for margin in [0.02f32, 0.2] {
-        let policy = ExitPolicy::new(1, margin, 2).unwrap();
-        let serial_engine = BatchEngine::new(1)
-            .unwrap()
-            .with_exit_policy(policy)
-            .unwrap();
-        let serial = serial_engine.run(&model, &inputs).unwrap();
-        let serial_report = serial_engine.evaluate(&model, &samples).unwrap();
-        for workers in [2usize, 8] {
-            let engine = BatchEngine::new(workers)
-                .unwrap()
-                .with_exit_policy(policy)
-                .unwrap();
-            let parallel = engine.run(&model, &inputs).unwrap();
-            assert_eq!(
-                serial, parallel,
-                "margin={margin}: {workers}-worker adaptive batch diverged"
-            );
-            let report = engine.evaluate(&model, &samples).unwrap();
-            assert_eq!(serial_report.predictions, report.predictions);
-            assert_eq!(serial_report.confusion, report.confusion);
-            assert_eq!(
-                serial_report.effective_lengths, report.effective_lengths,
-                "margin={margin}: effective lengths depend on worker count"
-            );
-        }
-        // Effective lengths are real supported prefixes of the bank.
-        assert!(serial_report
-            .effective_lengths
-            .iter()
-            .all(|l| model.supported_lengths().contains(l)));
-    }
-}
-
-#[test]
-fn disabled_policy_is_bit_identical_to_plain_engine() {
-    // `with_exit_policy` must be strictly opt-in: an engine without one
-    // (or with the policy removed again) produces byte-for-byte the
-    // full-length results, including full-length effective-length metrics.
-    let model = PreparedModel::compile(SimConfig::with_stream_len(128).unwrap(), &digit_net())
-        .expect("prepare");
-    let samples = batch(6);
-    let inputs: Vec<Tensor> = samples.iter().map(|(x, _)| x.clone()).collect();
-    let plain = BatchEngine::new(2).unwrap();
-    let removed = plain
-        .with_exit_policy(ExitPolicy::new(1, 0.5, 2).unwrap())
-        .unwrap()
-        .without_exit_policy();
-    assert_eq!(
-        plain.run(&model, &inputs).unwrap(),
-        removed.run(&model, &inputs).unwrap()
-    );
-    let report = plain.evaluate(&model, &samples).unwrap();
-    assert!(report.effective_lengths.iter().all(|&l| l == 128));
-    assert_eq!(report.mean_effective_len, 128.0);
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! ```text
 //! loadgen [--self-host | --addr HOST:PORT]
 //!         [--qps 50] [--requests 100] [--connections 2] [--seed 7]
-//!         [--deadline-ms 0] [--stream-len-override N] [--margin-override M]
+//!         [--deadline-ms 0] [--stream-len-override N]
 //!         [--train 128] [--test 32] [--epochs 2] [--stream-len 128]
 //!         [--zoo-dir DIR] [--mix 1:3,2:1] [--no-validate]
 //!         [--io auto|reactor|threaded] [--conn-report]
@@ -89,9 +89,6 @@ fn parse_args() -> Args {
             "--stream-len-override" => {
                 args.load.stream_len = Some(val("--stream-len-override").parse().expect("u32"));
             }
-            "--margin-override" => {
-                args.load.margin = Some(val("--margin-override").parse().expect("f32"));
-            }
             "--train" => args.train = val("--train").parse().expect("usize"),
             "--test" => args.test = val("--test").parse().expect("usize"),
             "--epochs" => args.epochs = val("--epochs").parse().expect("usize"),
@@ -115,7 +112,7 @@ fn parse_args() -> Args {
                 println!(
                     "loadgen [--self-host | --addr HOST:PORT] [--qps Q] [--requests N]\n        \
                      [--connections C] [--seed S] [--deadline-ms D]\n        \
-                     [--stream-len-override N] [--margin-override M]\n        \
+                     [--stream-len-override N]\n        \
                      [--train N] [--test N] [--epochs E] [--stream-len L]\n        \
                      [--zoo-dir DIR] [--mix 1:3,2:1] [--queue-capacity Q]\n        \
                      [--workers W] [--model-queue-share N] [--no-validate]\n        \

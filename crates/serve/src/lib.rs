@@ -6,8 +6,8 @@
 //!
 //! * **Wire protocol** ([`protocol`]) — length-prefixed binary frames with
 //!   a versioned header; inference requests carry an optional per-request
-//!   stream-length or early-exit-margin override, and every failure mode
-//!   is a typed error frame, never a dropped connection mid-request.
+//!   stream-length prefix, and every failure mode is a typed error frame,
+//!   never a dropped connection mid-request.
 //! * **Non-blocking I/O** ([`server`]) — by default a single reactor
 //!   thread drives every client connection through acoustic-net's
 //!   readiness poller (per-connection state machines, bounded buffers,

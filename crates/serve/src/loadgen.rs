@@ -49,8 +49,6 @@ pub struct LoadGenConfig {
     pub deadline_micros: u32,
     /// Optional fixed stream-length override.
     pub stream_len: Option<u32>,
-    /// Optional early-exit margin override.
-    pub margin: Option<f32>,
 }
 
 impl Default for LoadGenConfig {
@@ -63,7 +61,6 @@ impl Default for LoadGenConfig {
             model_id: crate::registry::DEMO_MODEL_ID,
             deadline_micros: 0,
             stream_len: None,
-            margin: None,
         }
     }
 }
@@ -200,7 +197,7 @@ fn request_for_mix(id: u64, traffic: &[ModelTraffic], cfg: &LoadGenConfig) -> In
         model_id,
         deadline_micros: cfg.deadline_micros,
         stream_len: cfg.stream_len,
-        margin: cfg.margin,
+        margin: None,
         shape: img.shape().iter().map(|&d| d as u32).collect(),
         values: img.as_slice().to_vec(),
     }
@@ -215,7 +212,7 @@ fn request_for(id: u64, images: &[Tensor], cfg: &LoadGenConfig) -> InferRequest 
         model_id: cfg.model_id,
         deadline_micros: cfg.deadline_micros,
         stream_len: cfg.stream_len,
-        margin: cfg.margin,
+        margin: None,
         shape: img.shape().iter().map(|&d| d as u32).collect(),
         values: img.as_slice().to_vec(),
     }
@@ -458,13 +455,12 @@ pub fn summarize(outcome: &LoadOutcome, offered: u64) -> LoadReport {
 /// Recomputes every completed reply locally and counts responses that are
 /// **not** bit-identical to direct [`BatchEngine::run_ready`] evaluation.
 ///
-/// `engine` must be configured like the server's (same exit policy);
+/// `engine` may use any worker count (outcomes do not depend on it);
 /// `model` and `images` must match what the server registered.
 ///
 /// # Errors
 ///
-/// Propagates engine validation errors (never triggered by replies to
-/// well-formed load-generator requests).
+/// Propagates engine errors (a worker panic).
 pub fn validate_responses(
     outcome: &LoadOutcome,
     model: &PreparedModel,
@@ -472,46 +468,50 @@ pub fn validate_responses(
     images: &[Tensor],
     cfg: &LoadGenConfig,
 ) -> Result<u64, ServeError> {
-    let completed: Vec<_> = outcome
-        .replies
-        .iter()
+    count_mismatches(outcome.replies.iter(), model, engine, images, cfg)
+}
+
+/// Counts the completed `replies` whose effective length or logit bits
+/// differ from `engine`'s [`BatchEngine::run_ready`] of the same ids over
+/// `images`.
+fn count_mismatches<'r>(
+    replies: impl Iterator<Item = &'r ReplyRecord>,
+    model: &PreparedModel,
+    engine: &BatchEngine,
+    images: &[Tensor],
+    cfg: &LoadGenConfig,
+) -> Result<u64, ServeError> {
+    let completed: Vec<_> = replies
         .filter_map(|r| match &r.reply {
             InferReply::Ok(resp) => Some(resp),
             InferReply::Err(_) => None,
         })
         .collect();
-    if completed.is_empty() {
-        return Ok(0);
-    }
     let requests: Vec<ReadyRequest<'_>> = completed
         .iter()
         .map(|resp| ReadyRequest {
             image_index: resp.request_id,
             input: &images[(resp.request_id % images.len() as u64) as usize],
             stream_len: cfg.stream_len.map(|l| l as usize),
-            margin: cfg.margin,
         })
         .collect();
     let golden = engine.run_ready(model, &requests)?;
-    let mut mismatches = 0u64;
-    for (resp, gold) in completed.iter().zip(golden) {
-        let ok = match gold {
+    let mismatches = completed
+        .iter()
+        .zip(golden)
+        .filter(|(resp, gold)| match gold {
             Ok(g) => {
-                g.effective_len as u32 == resp.effective_len
-                    && g.logits.as_slice().len() == resp.logits.len()
-                    && g.logits
+                g.effective_len as u32 != resp.effective_len
+                    || g.logits.as_slice().len() != resp.logits.len()
+                    || g.logits
                         .as_slice()
                         .iter()
                         .zip(&resp.logits)
-                        .all(|(a, b)| a.to_bits() == b.to_bits())
+                        .any(|(a, b)| a.to_bits() != b.to_bits())
             }
-            Err(_) => false,
-        };
-        if !ok {
-            mismatches += 1;
-        }
-    }
-    Ok(mismatches)
+            Err(_) => true,
+        });
+    Ok(mismatches.count() as u64)
 }
 
 /// Per-connection slice of a load report (persistent-connection mode).
@@ -667,7 +667,7 @@ pub fn summarize_mix(
 /// # Errors
 ///
 /// [`ServeError::InvalidConfig`] when a traffic model id has no prepared
-/// model; engine validation errors as in [`validate_responses`].
+/// model; engine errors as in [`validate_responses`].
 pub fn validate_responses_mix(
     outcome: &LoadOutcome,
     models: &[(u32, Arc<PreparedModel>)],
@@ -683,45 +683,11 @@ pub fn validate_responses_mix(
             .ok_or_else(|| {
                 ServeError::InvalidConfig(format!("no prepared model for mix id {}", t.model_id))
             })?;
-        let completed: Vec<_> = outcome
+        let replies = outcome
             .replies
             .iter()
-            .filter(|r| model_for(cfg.seed, r.id, traffic) == t.model_id)
-            .filter_map(|r| match &r.reply {
-                InferReply::Ok(resp) => Some(resp),
-                InferReply::Err(_) => None,
-            })
-            .collect();
-        if completed.is_empty() {
-            continue;
-        }
-        let requests: Vec<ReadyRequest<'_>> = completed
-            .iter()
-            .map(|resp| ReadyRequest {
-                image_index: resp.request_id,
-                input: &t.images[(resp.request_id % t.images.len() as u64) as usize],
-                stream_len: cfg.stream_len.map(|l| l as usize),
-                margin: cfg.margin,
-            })
-            .collect();
-        let golden = engine.run_ready(model, &requests)?;
-        for (resp, gold) in completed.iter().zip(golden) {
-            let ok = match gold {
-                Ok(g) => {
-                    g.effective_len as u32 == resp.effective_len
-                        && g.logits.as_slice().len() == resp.logits.len()
-                        && g.logits
-                            .as_slice()
-                            .iter()
-                            .zip(&resp.logits)
-                            .all(|(a, b)| a.to_bits() == b.to_bits())
-                }
-                Err(_) => false,
-            };
-            if !ok {
-                mismatches += 1;
-            }
-        }
+            .filter(|r| model_for(cfg.seed, r.id, traffic) == t.model_id);
+        mismatches += count_mismatches(replies, model, engine, &t.images, cfg)?;
     }
     Ok(mismatches)
 }

@@ -118,8 +118,9 @@ pub struct InferRequest {
     pub deadline_micros: u32,
     /// Fixed stream-length prefix override (`None` = engine default).
     pub stream_len: Option<u32>,
-    /// Adaptive exit-margin override (`None` = engine default). At most
-    /// one of `stream_len`/`margin` may be set.
+    /// Early-exit margin: a retired wire field kept so the layout does not
+    /// change. The server answers any request that sets it `BadInput`. At
+    /// most one of `stream_len`/`margin` may be set.
     pub margin: Option<f32>,
     /// Input tensor shape.
     pub shape: Vec<u32>,

@@ -47,7 +47,7 @@ use std::time::{Duration, Instant};
 
 use acoustic_net::{Poller, ShardPop, ShardPush, ShardedQueue, Topology, Waker};
 use acoustic_nn::Tensor;
-use acoustic_runtime::{BatchEngine, ExitPolicy, PreparedModel, ReadyRequest};
+use acoustic_runtime::{BatchEngine, PreparedModel, ReadyRequest};
 
 use crate::protocol::{
     decode_frame, write_frame, ErrorCode, ErrorFrame, Frame, FrameHeader, InferRequest,
@@ -113,9 +113,6 @@ pub struct ServeConfig {
     pub default_deadline: Duration,
     /// Per-frame payload cap handed to the protocol reader.
     pub max_payload: usize,
-    /// Optional adaptive early-exit policy applied to requests without
-    /// per-request overrides.
-    pub exit_policy: Option<ExitPolicy>,
     /// Per-model admission sub-budget: how many **queued** requests one
     /// model id may hold at once, so a hot model cannot starve the others
     /// out of the shared queue. `None` derives
@@ -151,7 +148,6 @@ impl Default for ServeConfig {
             batch_wait: Duration::from_micros(500),
             default_deadline: Duration::from_millis(250),
             max_payload: DEFAULT_MAX_PAYLOAD,
-            exit_policy: None,
             model_queue_share: None,
             io: IoModel::Auto,
             shards: 0,
@@ -269,7 +265,6 @@ pub(crate) struct Pending {
     pub(crate) model: Arc<PreparedModel>,
     pub(crate) input: Tensor,
     pub(crate) stream_len: Option<usize>,
-    pub(crate) margin: Option<f32>,
     pub(crate) admitted: Instant,
     pub(crate) deadline: Instant,
     pub(crate) conn: Arc<dyn ReplyTo>,
@@ -398,8 +393,6 @@ impl Server {
                 "cannot serve an empty model registry".into(),
             ));
         }
-        // Engine construction validates engine_workers and the policy.
-        build_engine(&cfg)?;
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
@@ -609,14 +602,6 @@ impl Drop for ServerHandle {
             self.shutdown_impl();
         }
     }
-}
-
-fn build_engine(cfg: &ServeConfig) -> Result<BatchEngine, ServeError> {
-    let engine = BatchEngine::new(cfg.engine_workers)?;
-    Ok(match cfg.exit_policy {
-        Some(p) => engine.with_exit_policy(p)?,
-        None => engine,
-    })
 }
 
 // --- threaded fallback: acceptor ------------------------------------------
@@ -833,9 +818,21 @@ pub(crate) fn admit(req: InferRequest, conn: &Arc<dyn ReplyTo>, home: usize, sha
             return;
         }
     };
+    // Fail fast instead of burning a queue slot on a doomed request. The
+    // wire still carries an early-exit margin field, but the engine runs
+    // every request at one fixed stream length.
+    if req.margin.is_some() {
+        Stats::bump(&shared.stats.failed);
+        send_error(
+            &**conn,
+            id,
+            ErrorCode::BadInput,
+            "margin overrides are not supported",
+        );
+        return;
+    }
     let stream_len = req.stream_len.map(|l| l as usize);
     if let Some(len) = stream_len {
-        // Fail fast instead of burning a queue slot on a doomed request.
         if !model.supported_lengths().contains(&len) {
             Stats::bump(&shared.stats.failed);
             send_error(
@@ -864,7 +861,6 @@ pub(crate) fn admit(req: InferRequest, conn: &Arc<dyn ReplyTo>, home: usize, sha
         model,
         input,
         stream_len,
-        margin: req.margin,
         admitted: now,
         deadline: now + deadline,
         conn: Arc::clone(conn),
@@ -911,7 +907,7 @@ pub(crate) fn admit(req: InferRequest, conn: &Arc<dyn ReplyTo>, home: usize, sha
 // --- workers --------------------------------------------------------------
 
 fn worker_loop(shared: &Arc<Shared>, index: usize) {
-    let engine = build_engine(&shared.cfg).expect("config validated at startup");
+    let engine = BatchEngine::new(shared.cfg.engine_workers).expect("config validated at startup");
     let home = index % shared.queue.shards();
     loop {
         match shared.queue.pop(home, POLL) {
@@ -995,7 +991,6 @@ fn execute_batch(batch: Vec<Pending>, engine: &BatchEngine, shared: &Arc<Shared>
                 image_index: p.id,
                 input: &p.input,
                 stream_len: p.stream_len,
-                margin: p.margin,
             })
             .collect();
         let started = Instant::now();

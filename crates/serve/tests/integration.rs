@@ -89,6 +89,7 @@ fn request(id: u64, img: &Tensor) -> InferRequest {
 fn concurrent_clients_are_bit_identical_with_direct_engine() {
     let images = tiny_images(6);
     // Mixed request kinds: plain, stream-length override, margin override.
+    // The margin kind is refused at admission; the others are bit-exact.
     let kinds: Vec<(Option<u32>, Option<f32>)> =
         vec![(None, None), (Some(64), None), (None, Some(0.8))];
 
@@ -129,22 +130,29 @@ fn concurrent_clients_are_bit_identical_with_direct_engine() {
         });
 
         let stats = handle.shutdown();
-        assert_eq!(stats.completed, 12, "workers={workers}: {stats:?}");
-        assert_eq!(stats.received, 12);
+        assert_eq!(stats.received, 12, "workers={workers}: {stats:?}");
+        assert_eq!(stats.completed, 8, "workers={workers}: {stats:?}");
+        // Margin requests fail at admission and never take a queue slot.
+        assert_eq!(stats.failed, 4, "workers={workers}: {stats:?}");
+        assert_eq!(stats.accepted, 8, "workers={workers}: {stats:?}");
 
-        // Golden: the same 12 requests straight through run_ready.
+        // Golden: the 8 plain and prefix requests straight through
+        // run_ready.
         let engine = BatchEngine::new(1).unwrap();
         for (id, reply) in replies {
-            let resp = match reply {
-                InferReply::Ok(r) => r,
-                InferReply::Err(e) => panic!("request {id} failed: {e:?}"),
-            };
             let (stream_len, margin) = kinds[(id % 3) as usize];
+            let resp = match reply {
+                InferReply::Err(e) if margin.is_some() => {
+                    assert_eq!(e.code, ErrorCode::BadInput, "id {id}: {e:?}");
+                    continue;
+                }
+                InferReply::Ok(r) if margin.is_none() => r,
+                other => panic!("request {id}: unexpected reply {other:?}"),
+            };
             let ready = ReadyRequest {
                 image_index: id,
                 input: &images[(id % 6) as usize],
                 stream_len: stream_len.map(|l| l as usize),
-                margin,
             };
             let gold = engine
                 .run_ready(&golden, &[ready])
@@ -507,12 +515,7 @@ fn reactor_and_threaded_paths_are_bit_identical() {
                     let gold = engine
                         .run_ready(
                             &golden,
-                            &[ReadyRequest {
-                                image_index: id,
-                                input: &images[(id % 4) as usize],
-                                stream_len: None,
-                                margin: None,
-                            }],
+                            &[ReadyRequest::plain(id, &images[(id % 4) as usize])],
                         )
                         .unwrap()
                         .remove(0)
@@ -610,12 +613,7 @@ fn many_persistent_connections_share_one_reactor() {
         let gold = engine
             .run_ready(
                 &golden,
-                &[ReadyRequest {
-                    image_index: *id,
-                    input: &images[(id % 4) as usize],
-                    stream_len: None,
-                    margin: None,
-                }],
+                &[ReadyRequest::plain(*id, &images[(id % 4) as usize])],
             )
             .unwrap()
             .remove(0)

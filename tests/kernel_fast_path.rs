@@ -11,14 +11,12 @@
 //!
 //! The same file pins the paths folded into the one `RunSpec` execution
 //! path: a stream-length prefix equals a model prepared directly at that
-//! length, and adaptive requests through `run_ready` are worker-count
-//! invariant.
+//! length, and `run_ready`'s grouping of mixed-length requests into tiles
+//! is worker-count invariant.
 
 use acoustic::nn::layers::{AccumMode, AvgPool2d, Conv2d, Dense, Network, Relu};
 use acoustic::nn::Tensor;
-use acoustic::runtime::{
-    BatchEngine, ExitPolicy, HostFingerprint, PreparedModel, ReadyOutcome, ReadyRequest,
-};
+use acoustic::runtime::{BatchEngine, HostFingerprint, PreparedModel, ReadyOutcome, ReadyRequest};
 use acoustic::simfunc::{KernelChoice, KernelKind, RunSpec, SimConfig, SimScratch, TilePlan, TILE};
 
 /// Image `i` of `model` as a tile of one at `stream_len` (`None` = maximum).
@@ -172,39 +170,38 @@ fn prefix_runs_match_direct_preparation() {
     }
 }
 
+/// Plain and prefix requests interleaved in one micro-batch: `run_ready`
+/// groups them into tiles by stream length, and every outcome must equal a
+/// tile of one at its effective length for any worker count.
 #[test]
 fn adaptive_ready_requests_are_worker_count_invariant() {
     let model = PreparedModel::compile(SimConfig::with_stream_len(128).unwrap(), &net()).unwrap();
     let xs = images(12);
-    // Margin overrides next to plain requests, with and without an engine
-    // policy (under one, the plain requests escalate too).
     let requests: Vec<ReadyRequest> = xs
         .iter()
         .enumerate()
         .map(|(i, x)| ReadyRequest {
-            margin: (i % 3 != 0).then_some(0.05 * (i % 4) as f32),
+            stream_len: (i % 3 != 0).then_some(64),
             ..ReadyRequest::plain(i as u64, x)
         })
         .collect();
-    let policy = ExitPolicy::new(1, 0.1, 2).unwrap();
-    for with_policy in [false, true] {
-        let outcomes = |workers: usize| -> Vec<ReadyOutcome> {
-            let mut engine = BatchEngine::new(workers).unwrap();
-            if with_policy {
-                engine = engine.with_exit_policy(policy).unwrap();
-            }
-            engine
-                .run_ready(&model, &requests)
-                .unwrap()
-                .into_iter()
-                .map(Result::unwrap)
-                .collect()
-        };
-        let serial = outcomes(1);
-        assert_eq!(serial, outcomes(2), "with_policy={with_policy}");
-        for (i, out) in serial.iter().enumerate() {
-            let want = tile_of_one(&model, i as u64, &xs[i], Some(out.effective_len));
-            assert_eq!(out.logits, want, "with_policy={with_policy} request={i}");
-        }
+    let outcomes = |workers: usize| -> Vec<ReadyOutcome> {
+        BatchEngine::new(workers)
+            .unwrap()
+            .run_ready(&model, &requests)
+            .unwrap()
+            .into_iter()
+            .map(Result::unwrap)
+            .collect()
+    };
+    let serial = outcomes(1);
+    for workers in [2, 3] {
+        assert_eq!(serial, outcomes(workers), "workers={workers}");
+    }
+    for (i, out) in serial.iter().enumerate() {
+        let want_len = if i % 3 != 0 { 64 } else { 128 };
+        assert_eq!(out.effective_len, want_len, "request={i}");
+        let want = tile_of_one(&model, i as u64, &xs[i], Some(out.effective_len));
+        assert_eq!(out.logits, want, "request={i}");
     }
 }
