@@ -8,8 +8,8 @@
 //! * **Readiness polling** ([`poll`]) — a minimal level-triggered poller
 //!   over raw file descriptors. On Linux it calls `ppoll(2)` directly
 //!   through a tiny inline-assembly shim ([`sys`]), keeping the workspace
-//!   libc-free; elsewhere [`Poller::supported`] reports `false` and
-//!   callers degrade to their threaded fallback path.
+//!   libc-free; elsewhere [`Poller::supported`] reports `false` and the
+//!   server refuses to start.
 //! * **Cross-thread wakeups** ([`wake`]) — a loopback-socketpair waker so
 //!   worker threads can interrupt a poller blocked in `ppoll` when they
 //!   enqueue bytes for a connection the poller owns.
@@ -20,10 +20,8 @@
 //!   split into per-worker-group shards with work-stealing between them,
 //!   preserving the "full queue is an overload signal" contract of the
 //!   original single queue while removing its single lock.
-//! * **Topology** ([`topology`]) — sysfs-based core/SMT probing and
-//!   affinity pinning so worker groups can be spread across physical
-//!   cores first, and so benchmark artifacts can record the host layout
-//!   that produced them.
+//! * **Topology** ([`topology`]) — sysfs-based core/SMT probing, so
+//!   benchmark artifacts can record the host layout that produced them.
 //!
 //! The only `unsafe` code in the crate lives in [`sys`]; every other
 //! module is safe Rust over `std::net`.

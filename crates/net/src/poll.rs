@@ -73,8 +73,8 @@ impl Poller {
     }
 
     /// Whether readiness polling works on this target. When `false`,
-    /// [`Poller::wait`] always fails and callers should use a threaded
-    /// fallback instead of constructing a reactor.
+    /// [`Poller::wait`] always fails and callers must not construct a
+    /// reactor.
     pub fn supported() -> bool {
         sys::SUPPORTED
     }

@@ -1,7 +1,7 @@
 //! Sharded, bounded, *rejecting* MPMC admission queue with work-stealing.
 //!
 //! `ShardedQueue` splits the queue across per-worker-group shards, so
-//! acceptors and workers do not all contend on one lock:
+//! producers and workers do not all contend on one lock:
 //!
 //! * **Capacity is global and exact.** The requested capacity is divided
 //!   across shards (shard `i` gets `base + (i < extra)`), so the sum of

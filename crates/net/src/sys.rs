@@ -1,11 +1,10 @@
-//! The crate's only `unsafe` code: raw Linux syscalls via inline assembly.
+//! The crate's only `unsafe` code: a raw Linux syscall via inline assembly.
 //!
-//! Two syscalls are enough for the whole reactor: `ppoll(2)` for
-//! level-triggered readiness over raw file descriptors, and
-//! `sched_setaffinity(2)` for pinning worker threads. Both are invoked
-//! directly so the workspace stays free of `libc` (and of `/proc`
-//! scraping); on targets without a shim the constants below report the
-//! facility as unsupported and callers fall back to portable paths.
+//! One syscall is enough for the whole reactor: `ppoll(2)` for
+//! level-triggered readiness over raw file descriptors. It is invoked
+//! directly so the workspace stays free of `libc`; on targets without a
+//! shim the constants below report the facility as unsupported, and the
+//! workspace still compiles there but cannot serve.
 //!
 //! The assembly follows the kernel ABI exactly:
 //!
@@ -61,13 +60,9 @@ mod imp {
 
     #[cfg(target_arch = "x86_64")]
     pub const NR_PPOLL: usize = 271;
-    #[cfg(target_arch = "x86_64")]
-    pub const NR_SCHED_SETAFFINITY: usize = 203;
 
     #[cfg(target_arch = "aarch64")]
     pub const NR_PPOLL: usize = 73;
-    #[cfg(target_arch = "aarch64")]
-    pub const NR_SCHED_SETAFFINITY: usize = 122;
 
     /// Five-argument raw syscall.
     ///
@@ -143,7 +138,6 @@ mod imp {
     /// Whether this build carries a live syscall shim.
     pub const SUPPORTED: bool = false;
     pub const NR_PPOLL: usize = 0;
-    pub const NR_SCHED_SETAFFINITY: usize = 0;
 
     /// Stub that reports `ENOSYS`; never actually traps.
     ///
@@ -163,8 +157,7 @@ mod imp {
 }
 
 /// Whether the raw-syscall shim is live on this target. `false` means
-/// [`ppoll`] always fails and [`sched_setaffinity`] is a no-op, and
-/// higher layers should use their portable fallback paths.
+/// [`ppoll`] always fails.
 pub const SUPPORTED: bool = imp::SUPPORTED;
 
 const EINTR: isize = -4;
@@ -214,40 +207,6 @@ pub fn ppoll(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize>
         }
         return Err(io::Error::from_raw_os_error(-r as i32));
     }
-}
-
-/// Pins the calling thread to the given CPU set. Returns `true` on
-/// success; `false` covers both syscall failure and unsupported targets,
-/// so callers can treat pinning as best-effort.
-pub fn sched_setaffinity(cpus: &[usize]) -> bool {
-    if !SUPPORTED || cpus.is_empty() {
-        return false;
-    }
-    // 1024-CPU mask, the kernel's customary sizing.
-    let mut mask = [0u64; 16];
-    let mut any = false;
-    for &c in cpus {
-        if c < 1024 {
-            mask[c / 64] |= 1 << (c % 64);
-            any = true;
-        }
-    }
-    if !any {
-        return false;
-    }
-    // SAFETY: pid 0 targets the calling thread; the mask pointer/length
-    // pair describes a live, correctly sized buffer the kernel only reads.
-    let r = unsafe {
-        imp::syscall5(
-            imp::NR_SCHED_SETAFFINITY,
-            0,
-            std::mem::size_of_val(&mask),
-            mask.as_ptr() as usize,
-            0,
-            0,
-        )
-    };
-    r == 0
 }
 
 #[cfg(test)]
@@ -301,18 +260,5 @@ mod tests {
             0,
             "byte in flight must be readable"
         );
-    }
-
-    #[test]
-    fn affinity_pin_is_best_effort() {
-        // Must never panic; on a live shim, pinning to CPU 0 (always
-        // online) should succeed.
-        let ok = sched_setaffinity(&[0]);
-        if SUPPORTED {
-            assert!(ok, "pinning to cpu0 failed on a supported target");
-        } else {
-            assert!(!ok);
-        }
-        assert!(!sched_setaffinity(&[]));
     }
 }

@@ -1,13 +1,12 @@
-//! Host CPU topology probing and worker placement.
+//! Host CPU topology probing, recorded next to benchmark results.
 //!
 //! Reads the Linux sysfs topology tree (`/sys/devices/system/cpu`) to
-//! learn which logical CPUs share a physical core, so worker groups can
-//! be spread **cores-first**: one worker per physical core before any SMT
-//! sibling is doubled up (two SC simulation workers sharing a core's
-//! execution ports is strictly worse than one per core). On hosts without
-//! sysfs the probe degrades to `available_parallelism` with every logical
-//! CPU treated as its own core, flagged via [`Topology::source`] so
-//! benchmark artifacts stay honest about what was actually detected.
+//! learn which logical CPUs share a physical core, and summarizes it as a
+//! **cores-first** CPU order: one CPU per physical core before any SMT
+//! sibling. On hosts without sysfs the probe degrades to
+//! `available_parallelism` with every logical CPU treated as its own
+//! core, flagged via [`Topology::source`] so benchmark artifacts stay
+//! honest about what was actually detected.
 //!
 //! Like `HostFingerprint` in acoustic-simfunc, the blob serializes to a
 //! small JSON object with a stable FNV-1a id, and is embedded in
@@ -105,10 +104,10 @@ impl Topology {
         self.cpus.len()
     }
 
-    /// CPU ids in pinning order: the first sibling of every physical core
-    /// (in CPU order), then second siblings, and so on. Worker `i` pins to
-    /// `pin_order()[i % len]`, so workers fill physical cores before any
-    /// SMT sibling is reused.
+    /// CPU ids in cores-first order: the first sibling of every physical
+    /// core (in CPU order), then second siblings, and so on, so a placement
+    /// that walks this list fills physical cores before any SMT sibling is
+    /// reused.
     pub fn pin_order(&self) -> Vec<usize> {
         let mut seen: Vec<(usize, usize)> = Vec::new();
         let mut rounds: Vec<Vec<usize>> = Vec::new();
@@ -122,12 +121,6 @@ impl Topology {
             rounds[round].push(c.cpu);
         }
         rounds.into_iter().flatten().collect()
-    }
-
-    /// Pins the calling thread to one CPU; best-effort (`false` when the
-    /// affinity syscall is unavailable or refused).
-    pub fn pin_current_thread(cpu: usize) -> bool {
-        crate::sys::sched_setaffinity(&[cpu])
     }
 
     /// JSON object for the shared `results/BENCH_*.json` schema.

@@ -6,7 +6,7 @@
 //!         [--deadline-ms 0] [--stream-len-override N]
 //!         [--train 128] [--test 32] [--epochs 2] [--stream-len 128]
 //!         [--zoo-dir DIR] [--mix 1:3,2:1] [--no-validate]
-//!         [--io auto|reactor|threaded] [--conn-report]
+//!         [--conn-report]
 //! ```
 //!
 //! In demo mode, trains the same demo model as the `serve` binary
@@ -104,9 +104,6 @@ fn parse_args() -> Args {
                 args.serve_cfg.model_queue_share =
                     Some(val("--model-queue-share").parse().expect("usize"));
             }
-            "--io" => {
-                args.serve_cfg.io = val("--io").parse().expect("auto|reactor|threaded");
-            }
             "--conn-report" => args.conn_report = true,
             "--help" | "-h" => {
                 println!(
@@ -116,7 +113,7 @@ fn parse_args() -> Args {
                      [--train N] [--test N] [--epochs E] [--stream-len L]\n        \
                      [--zoo-dir DIR] [--mix 1:3,2:1] [--queue-capacity Q]\n        \
                      [--workers W] [--model-queue-share N] [--no-validate]\n        \
-                     [--io auto|reactor|threaded] [--conn-report]"
+                     [--conn-report]"
                 );
                 std::process::exit(0);
             }
@@ -195,13 +192,8 @@ fn report_and_exit(
             stats.rejected_model_budget
         );
         println!(
-            "server io: {} shards {} shard-hwm {} steals {} conns {} (peak active {}) \
+            "server io: shards {} shard-hwm {} steals {} conns {} (peak active {}) \
              idle-reaped {}",
-            if stats.reactor_mode == 1 {
-                "reactor"
-            } else {
-                "threaded"
-            },
             stats.shards,
             stats.shard_depth_hwm,
             stats.queue_steals,

@@ -5,8 +5,8 @@
 //!       [--queue-capacity 64] [--batch-max 8] [--batch-wait-us 500]
 //!       [--deadline-ms 250] [--train 128] [--test 32] [--epochs 2]
 //!       [--duration-secs 0] [--zoo-dir DIR] [--cache-budget-mb M]
-//!       [--model-queue-share N] [--io auto|reactor|threaded] [--shards N]
-//!       [--idle-timeout-ms T] [--max-connections N] [--pin]
+//!       [--model-queue-share N] [--shards N] [--idle-timeout-ms T]
+//!       [--max-connections N]
 //! ```
 //!
 //! By default trains the demo digit CNN (deterministically — a load
@@ -86,9 +86,6 @@ fn parse_args() -> Args {
                 args.cfg.model_queue_share =
                     Some(val("--model-queue-share").parse().expect("usize"));
             }
-            "--io" => {
-                args.cfg.io = val("--io").parse().expect("auto|reactor|threaded");
-            }
             "--shards" => args.cfg.shards = val("--shards").parse().expect("usize"),
             "--idle-timeout-ms" => {
                 args.cfg.idle_timeout = Some(Duration::from_millis(
@@ -98,15 +95,13 @@ fn parse_args() -> Args {
             "--max-connections" => {
                 args.cfg.max_connections = val("--max-connections").parse().expect("usize");
             }
-            "--pin" => args.cfg.pin_workers = true,
             "--help" | "-h" => {
                 println!(
                     "serve [--addr A] [--stream-len N] [--workers W] [--queue-capacity Q]\n      \
                      [--batch-max B] [--batch-wait-us T] [--deadline-ms D]\n      \
                      [--train N] [--test N] [--epochs E] [--duration-secs S]\n      \
                      [--zoo-dir DIR] [--cache-budget-mb M] [--model-queue-share N]\n      \
-                     [--io auto|reactor|threaded] [--shards N] [--idle-timeout-ms T]\n      \
-                     [--max-connections N] [--pin]"
+                     [--shards N] [--idle-timeout-ms T] [--max-connections N]"
                 );
                 std::process::exit(0);
             }
@@ -154,12 +149,7 @@ fn main() {
     let handle = Server::start(args.addr.as_str(), registry, args.cfg).expect("server starts");
     println!("listening on {}", handle.addr());
     println!(
-        "io: {} ({} queue shard(s), {} worker(s))",
-        if handle.reactor_active() {
-            "reactor"
-        } else {
-            "threaded"
-        },
+        "{} queue shard(s), {} worker(s)",
         args.cfg.effective_shards(),
         args.cfg.workers
     );

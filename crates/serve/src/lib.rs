@@ -8,12 +8,11 @@
 //!   a versioned header; inference requests carry an optional per-request
 //!   stream-length prefix, and every failure mode is a typed error frame,
 //!   never a dropped connection mid-request.
-//! * **Non-blocking I/O** ([`server`]) — by default a single reactor
-//!   thread drives every client connection through acoustic-net's
-//!   readiness poller (per-connection state machines, bounded buffers,
-//!   write backpressure, optional idle reaping); hosts without the
-//!   polling syscall shim degrade to the original thread-per-connection
-//!   path. Both paths produce bit-identical responses.
+//! * **Non-blocking I/O** ([`server`]) — a single reactor thread drives
+//!   every client connection through acoustic-net's readiness poller
+//!   (per-connection state machines, bounded buffers, write backpressure,
+//!   optional idle reaping). Serving needs the polling syscall shim
+//!   (Linux x86-64 / aarch64); other hosts build but refuse to start.
 //! * **Admission control** ([`server`]) — one bounded, sharded queue is
 //!   the only buffer in the server; when every shard fills, requests are
 //!   rejected immediately with `Overloaded`. Workers pop from a home
@@ -76,5 +75,5 @@ pub use registry::{
     demo_model, demo_network, ModelRegistry, ModelSpec, RegistryError, DEMO_MODEL_ID,
 };
 pub use serve_error::ServeError;
-pub use server::{IoModel, ServeConfig, Server, ServerHandle};
+pub use server::{ServeConfig, Server, ServerHandle};
 pub use stats::QueueGauges;

@@ -152,7 +152,7 @@ pub struct ErrorFrame {
 }
 
 /// Number of `u64` words in a [`StatsSnapshot`] wire payload.
-const STATS_WORDS: usize = 38;
+const STATS_WORDS: usize = 37;
 
 /// A point-in-time server statistics snapshot, servable over the wire.
 /// Payload: `STATS_WORDS` × `u64` in field order.
@@ -231,9 +231,6 @@ pub struct StatsSnapshot {
     pub conns_opened: u64,
     /// Idle connections closed by the reactor's idle timeout.
     pub idle_reaped: u64,
-    /// 1 when the readiness-reactor I/O path is active, 0 for the
-    /// thread-per-connection fallback (gauge).
-    pub reactor_mode: u64,
     /// Requests answered with `Warming` (their model's prepare was still
     /// running on the background compile thread).
     pub rejected_warming: u64,
@@ -321,7 +318,6 @@ impl StatsSnapshot {
             self.active_connections,
             self.conns_opened,
             self.idle_reaped,
-            self.reactor_mode,
             self.active_connections_hwm,
             self.rejected_warming,
             self.prepares_completed,
@@ -364,18 +360,17 @@ impl StatsSnapshot {
             active_connections: w[29],
             conns_opened: w[30],
             idle_reaped: w[31],
-            reactor_mode: w[32],
-            active_connections_hwm: w[33],
-            rejected_warming: w[34],
-            prepares_completed: w[35],
-            prepare_ms_total: w[36],
-            prepares_in_flight: w[37],
+            active_connections_hwm: w[32],
+            rejected_warming: w[33],
+            prepares_completed: w[34],
+            prepare_ms_total: w[35],
+            prepares_in_flight: w[36],
         }
     }
 }
 
 /// A decoded protocol frame.
-// The stats variant dominates the enum size (38 gauge words), but stats
+// The stats variant dominates the enum size (37 gauge words), but stats
 // frames are rare one-off exchanges — boxing would cost every match site
 // for a path that is never hot.
 #[allow(clippy::large_enum_variant)]

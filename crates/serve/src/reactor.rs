@@ -1,4 +1,5 @@
-//! Non-blocking connection reactor built on acoustic-net.
+//! Non-blocking connection reactor built on acoustic-net: the server's
+//! one I/O path.
 //!
 //! One thread owns every client socket. Each poll tick it:
 //!
@@ -17,11 +18,11 @@
 //!
 //! Workers never touch sockets: they append encoded frames to the
 //! connection's outbox and ring the shared [`Waker`], which the poller
-//! observes as a readable fd. The reply-visibility rule mirrors the
-//! threaded path: `outstanding` is decremented only *after* the frame was
-//! handed to `send`, so once the reactor observes `outstanding == 0` (and
-//! then finds the outbox empty), every reply byte is either flushed or in
-//! its write buffer.
+//! observes as a readable fd. The reply-visibility rule: `outstanding` is
+//! decremented only *after* the frame was handed to
+//! [`ReactorConn::send`], so once the reactor observes `outstanding == 0`
+//! (and then finds the outbox empty), every reply byte is either flushed
+//! or in its write buffer.
 
 use std::collections::HashMap;
 use std::io;
@@ -36,7 +37,7 @@ use acoustic_net::{FrameBuf, Interest, Poller, ReadOutcome, Waker, WriteBuf};
 use crate::protocol::{
     decode_frame, encode_frame, ErrorCode, Frame, FrameHeader, WireError, HEADER_LEN,
 };
-use crate::server::{admit, send_error, ReplyTo, Shared, DRAIN_CAP, POLL};
+use crate::server::{admit, send_error, Shared, DRAIN_CAP, POLL};
 use crate::stats::Stats;
 
 /// Reserved poller token for the listening socket.
@@ -50,16 +51,20 @@ const TOK_FIRST_CONN: usize = 2;
 pub(crate) struct ReactorConn {
     /// Encoded frames spooled by workers, drained by the reactor.
     outbox: Mutex<Vec<u8>>,
-    /// Admitted-but-unanswered requests on this connection.
-    outstanding: AtomicUsize,
+    /// Admitted-but-unanswered requests on this connection. Every reply
+    /// decrements it **after** the frame was handed to [`Self::send`].
+    pub(crate) outstanding: AtomicUsize,
     /// Set when the transport died; late replies become no-ops instead of
     /// growing an outbox nobody will ever flush.
     dead: AtomicBool,
     waker: Arc<Waker>,
 }
 
-impl ReplyTo for ReactorConn {
-    fn send(&self, frame: &Frame) {
+impl ReactorConn {
+    /// Spools one encoded frame and wakes the reactor. A no-op once the
+    /// connection is dead: the client is gone, and per-request bookkeeping
+    /// still runs.
+    pub(crate) fn send(&self, frame: &Frame) {
         if self.dead.load(Ordering::SeqCst) {
             return;
         }
@@ -70,10 +75,6 @@ impl ReplyTo for ReactorConn {
             .extend_from_slice(&bytes);
         self.waker.wake();
     }
-
-    fn outstanding(&self) -> &AtomicUsize {
-        &self.outstanding
-    }
 }
 
 /// Reactor-side connection state machine.
@@ -81,10 +82,8 @@ struct Conn {
     stream: TcpStream,
     inbuf: FrameBuf,
     wbuf: WriteBuf,
+    /// Reply half; admission clones it into each queued request.
     shared_conn: Arc<ReactorConn>,
-    /// Trait-object clone handed to `admit` (admission clones it into each
-    /// queued request).
-    reply: Arc<dyn ReplyTo>,
     home: usize,
     last_activity: Instant,
     /// No more requests will be read (peer EOF, protocol desync, or
@@ -278,7 +277,6 @@ fn accept_ready(
                     dead: AtomicBool::new(false),
                     waker: Arc::clone(waker),
                 });
-                let reply: Arc<dyn ReplyTo> = Arc::clone(&shared_conn) as Arc<dyn ReplyTo>;
                 poller.register(token, stream.as_raw_fd(), Interest::Read);
                 shared.stats.connection_opened();
                 conns.insert(
@@ -288,7 +286,6 @@ fn accept_ready(
                         inbuf: FrameBuf::new(),
                         wbuf: WriteBuf::new(),
                         shared_conn,
-                        reply,
                         home: shared.next_home_shard(),
                         last_activity: Instant::now(),
                         read_closed: false,
@@ -342,7 +339,7 @@ fn parse_frames(conn: &mut Conn, shared: &Arc<Shared>) {
             }) => {
                 // Header-level violations always desync the stream.
                 Stats::bump(&shared.stats.rejected_malformed);
-                send_error(&*conn.reply, request_id, ErrorCode::Malformed, reason);
+                send_error(&conn.shared_conn, request_id, ErrorCode::Malformed, reason);
                 conn.read_closed = true;
                 return;
             }
@@ -355,15 +352,15 @@ fn parse_frames(conn: &mut Conn, shared: &Arc<Shared>) {
         let decoded = decode_frame(ty, request_id, &buf[HEADER_LEN..total]);
         conn.inbuf.consume(total);
         match decoded {
-            Ok(Frame::InferRequest(req)) => admit(req, &conn.reply, conn.home, shared),
+            Ok(Frame::InferRequest(req)) => admit(req, &conn.shared_conn, conn.home, shared),
             Ok(Frame::StatsRequest(id)) => {
-                conn.reply
+                conn.shared_conn
                     .send(&Frame::StatsResponse(id, shared.snapshot()));
             }
             Ok(other) => {
                 Stats::bump(&shared.stats.rejected_malformed);
                 send_error(
-                    &*conn.reply,
+                    &conn.shared_conn,
                     other.request_id(),
                     ErrorCode::Malformed,
                     "unexpected frame type from client",
@@ -375,7 +372,7 @@ fn parse_frames(conn: &mut Conn, shared: &Arc<Shared>) {
                 reason,
             }) => {
                 Stats::bump(&shared.stats.rejected_malformed);
-                send_error(&*conn.reply, request_id, ErrorCode::Malformed, reason);
+                send_error(&conn.shared_conn, request_id, ErrorCode::Malformed, reason);
                 if !recoverable {
                     conn.read_closed = true;
                     return;

@@ -1,11 +1,11 @@
 //! The TCP inference server.
 //!
-//! Two I/O paths share one execution core (all `std::thread`, no external
+//! One I/O path feeds one execution core (all `std::thread`, no external
 //! runtime):
 //!
 //! ```text
-//! reactor (default) ── non-blocking accept + per-connection state machines
-//!        │               driven by acoustic-net's readiness poller
+//!   reactor ── non-blocking accept + per-connection state machines
+//!        │     driven by acoustic-net's readiness poller
 //!        │  decode + validate + admission control
 //!        ▼
 //!   ShardedQueue (one shard per worker group, work-stealing,
@@ -13,13 +13,13 @@
 //!        │  pop + micro-batch (≤ B requests or T µs)
 //!        ▼
 //!   worker pool ──▶ BatchEngine::run_ready_counted ──▶ reply bytes
-//!        │                                              (reactor outbox /
-//!        ▼                                               blocking write)
-//!  threaded fallback ── thread-per-connection readers, as before, on
-//!                       targets without the readiness syscall shim
+//!                                                     (reactor outbox)
 //! ```
 //!
-//! Guarantees (identical across both paths, test-enforced):
+//! The reactor needs the readiness syscall shim (Linux x86-64 / aarch64);
+//! [`Server::start`] refuses to start on other hosts.
+//!
+//! Guarantees (test-enforced):
 //!
 //! * **Admission control** — the sharded queue is the only buffer; when
 //!   every shard is full, requests are rejected immediately with
@@ -30,68 +30,38 @@
 //!   answered with `DeadlineExceeded` without burning simulation time.
 //! * **Determinism** — the request id doubles as the seed index, so a
 //!   response is bit-identical to `BatchEngine::run` evaluating the same
-//!   image at the same index, whatever the I/O path, micro-batch
-//!   composition, worker count, shard layout or arrival order.
+//!   image at the same index, whatever the micro-batch composition,
+//!   worker count, shard layout, connection or arrival order.
 //! * **Graceful shutdown** — new work is refused (`ShuttingDown`), queued
 //!   work is drained and answered, then threads are joined. The drain
 //!   invariant `completed + rejected + expired + failed == received`
-//!   survives both paths.
+//!   holds.
 
 use std::collections::{HashMap, HashSet};
-use std::io::{self, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use acoustic_net::{Poller, ShardPop, ShardPush, ShardedQueue, Topology, Waker};
+use acoustic_net::{Poller, ShardPop, ShardPush, ShardedQueue, Waker};
 use acoustic_nn::Tensor;
 use acoustic_runtime::{BatchEngine, PreparedModel, ReadyRequest};
 
 use crate::protocol::{
-    decode_frame, write_frame, ErrorCode, ErrorFrame, Frame, FrameHeader, InferRequest,
-    InferResponse, StatsSnapshot, WireError, DEFAULT_MAX_PAYLOAD, HEADER_LEN,
+    ErrorCode, ErrorFrame, Frame, InferRequest, InferResponse, StatsSnapshot, DEFAULT_MAX_PAYLOAD,
 };
+use crate::reactor::ReactorConn;
 use crate::registry::{ModelRegistry, RegistryError};
 use crate::serve_error::ServeError;
 use crate::stats::{QueueGauges, Stats};
 
-/// How long blocked reads, queue pops and reactor ticks wait before
-/// re-checking the shutdown flag.
+/// How long queue pops and reactor ticks wait before re-checking the
+/// shutdown flag.
 pub(crate) const POLL: Duration = Duration::from_millis(25);
 
 /// Hard cap on how long shutdown waits for in-flight requests to drain.
 pub(crate) const DRAIN_CAP: Duration = Duration::from_secs(10);
-
-/// Which I/O path drives client connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoModel {
-    /// Use the readiness reactor when the host supports it, the threaded
-    /// path otherwise. The default.
-    #[default]
-    Auto,
-    /// Require the non-blocking readiness reactor; startup fails on hosts
-    /// without the polling syscall shim instead of silently degrading.
-    Reactor,
-    /// Force the thread-per-connection fallback path.
-    Threaded,
-}
-
-impl std::str::FromStr for IoModel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(IoModel::Auto),
-            "reactor" => Ok(IoModel::Reactor),
-            "threaded" => Ok(IoModel::Threaded),
-            other => Err(format!(
-                "unknown io model `{other}` (expected auto|reactor|threaded)"
-            )),
-        }
-    }
-}
 
 /// Server tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -121,21 +91,16 @@ pub struct ServeConfig {
     /// still fill the whole queue; with a single registered model it
     /// never binds (its budget 2·capacity exceeds the queue itself).
     pub model_queue_share: Option<usize>,
-    /// Which I/O path drives connections.
-    pub io: IoModel,
     /// Admission-queue shards; 0 derives one shard per worker. Clamped to
     /// `queue_capacity` so no shard ends up empty.
     pub shards: usize,
-    /// Reactor-only: close a connection with no outstanding work, no
-    /// buffered bytes and no traffic for this long. `None` keeps idle
-    /// connections open indefinitely (the threaded path always does).
+    /// Close a connection with no outstanding work, no buffered bytes and
+    /// no traffic for this long. `None` keeps idle connections open
+    /// indefinitely.
     pub idle_timeout: Option<Duration>,
-    /// Reactor-only: cap on simultaneously open client connections;
-    /// accepts beyond it are dropped immediately.
+    /// Cap on simultaneously open client connections; accepts beyond it
+    /// are dropped immediately.
     pub max_connections: usize,
-    /// Pin worker threads to CPUs in the detected topology's cores-first
-    /// order (best-effort; a no-op where affinity is unavailable).
-    pub pin_workers: bool,
 }
 
 impl Default for ServeConfig {
@@ -149,11 +114,9 @@ impl Default for ServeConfig {
             default_deadline: Duration::from_millis(250),
             max_payload: DEFAULT_MAX_PAYLOAD,
             model_queue_share: None,
-            io: IoModel::Auto,
             shards: 0,
             idle_timeout: None,
             max_connections: 4096,
-            pin_workers: false,
         }
     }
 }
@@ -211,53 +174,6 @@ impl ServeConfig {
     }
 }
 
-/// Where a reply goes. Implemented by the threaded path's per-connection
-/// writer and the reactor's outbox, so admission and workers are I/O-path
-/// agnostic.
-pub(crate) trait ReplyTo: Send + Sync {
-    /// Delivers (or spools) one frame; errors mean the client is gone and
-    /// are swallowed — per-request bookkeeping still runs.
-    fn send(&self, frame: &Frame);
-    /// Admitted-but-unanswered requests on this connection. Every reply
-    /// decrements it **after** the frame was handed to `send`.
-    fn outstanding(&self) -> &AtomicUsize;
-}
-
-/// Sends a typed error frame through any reply path.
-pub(crate) fn send_error(
-    conn: &dyn ReplyTo,
-    request_id: u64,
-    code: ErrorCode,
-    message: impl Into<String>,
-) {
-    conn.send(&Frame::Error(ErrorFrame {
-        request_id,
-        code,
-        message: message.into(),
-    }));
-}
-
-/// Per-connection state shared between a threaded reader and the workers
-/// that answer its requests.
-#[derive(Debug)]
-struct ConnShared {
-    /// Write half; a mutex serializes replies from concurrent workers.
-    writer: Mutex<TcpStream>,
-    /// Admitted-but-unanswered requests on this connection.
-    outstanding: AtomicUsize,
-}
-
-impl ReplyTo for ConnShared {
-    fn send(&self, frame: &Frame) {
-        let mut w = self.writer.lock().expect("connection writer poisoned");
-        let _ = write_frame(&mut *w, frame);
-    }
-
-    fn outstanding(&self) -> &AtomicUsize {
-        &self.outstanding
-    }
-}
-
 /// An admitted request waiting in the queue.
 pub(crate) struct Pending {
     pub(crate) id: u64,
@@ -267,7 +183,21 @@ pub(crate) struct Pending {
     pub(crate) stream_len: Option<usize>,
     pub(crate) admitted: Instant,
     pub(crate) deadline: Instant,
-    pub(crate) conn: Arc<dyn ReplyTo>,
+    pub(crate) conn: Arc<ReactorConn>,
+}
+
+/// Sends a typed error frame to a connection.
+pub(crate) fn send_error(
+    conn: &ReactorConn,
+    request_id: u64,
+    code: ErrorCode,
+    message: impl Into<String>,
+) {
+    conn.send(&Frame::Error(ErrorFrame {
+        request_id,
+        code,
+        message: message.into(),
+    }));
 }
 
 /// Everything the I/O and worker threads share.
@@ -286,8 +216,6 @@ pub(crate) struct Shared {
     model_share: usize,
     /// Round-robin counter assigning each new connection a home shard.
     conn_rr: AtomicUsize,
-    /// Whether the reactor path is driving I/O (for the stats gauge).
-    reactor_mode: bool,
     /// Model ids with a background prepare in flight (single-flight dedup:
     /// the first cold request enqueues the compile, later ones only get
     /// the `Warming` reply).
@@ -320,7 +248,6 @@ impl Shared {
             shards: self.queue.shards() as u64,
             shard_depth_hwm: self.queue.shard_depth_hwm(),
             queue_steals: self.queue.steals(),
-            reactor_mode: u64::from(self.reactor_mode),
         };
         self.stats.snapshot(
             gauges,
@@ -374,13 +301,13 @@ fn prepare_loop(shared: &Shared, jobs: &mpsc::Receiver<u32>) {
 pub struct Server;
 
 impl Server {
-    /// Binds `addr`, spawns the I/O path and worker pool, and returns a
+    /// Binds `addr`, spawns the reactor and worker pool, and returns a
     /// handle. Pass port 0 to let the OS pick (see
     /// [`ServerHandle::addr`]).
     ///
     /// # Errors
     ///
-    /// Config validation and socket errors; `IoModel::Reactor` on a host
+    /// Config validation and socket errors; `InvalidConfig` on a host
     /// without readiness-polling support.
     pub fn start(
         addr: impl ToSocketAddrs,
@@ -393,29 +320,15 @@ impl Server {
                 "cannot serve an empty model registry".into(),
             ));
         }
+        if !Poller::supported() {
+            return Err(ServeError::InvalidConfig(
+                "serving requires readiness-polling support (Linux x86-64 or aarch64)".into(),
+            ));
+        }
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-
-        let use_reactor = match cfg.io {
-            IoModel::Auto => Poller::supported(),
-            IoModel::Reactor => {
-                if !Poller::supported() {
-                    return Err(ServeError::InvalidConfig(
-                        "io=reactor requires readiness-polling support on this host \
-                         (use io=auto or io=threaded)"
-                            .into(),
-                    ));
-                }
-                true
-            }
-            IoModel::Threaded => false,
-        };
-        let waker = if use_reactor {
-            Some(Arc::new(Waker::new().map_err(ServeError::Io)?))
-        } else {
-            None
-        };
+        let waker = Arc::new(Waker::new().map_err(ServeError::Io)?);
 
         let model_share = cfg
             .model_queue_share
@@ -435,11 +348,9 @@ impl Server {
             gates,
             model_share,
             conn_rr: AtomicUsize::new(0),
-            reactor_mode: use_reactor,
             warming: Mutex::new(HashSet::new()),
             prepare_tx: Mutex::new(Some(prepare_tx)),
         });
-        let readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
         let preparer = {
             let shared = Arc::clone(&shared);
@@ -449,40 +360,21 @@ impl Server {
                 .map_err(ServeError::Io)?
         };
 
-        let (acceptor, reactor) = if let Some(waker) = waker.clone() {
+        let reactor = {
             let shared = Arc::clone(&shared);
-            let handle = std::thread::Builder::new()
+            let waker = Arc::clone(&waker);
+            std::thread::Builder::new()
                 .name("acoustic-serve-reactor".into())
                 .spawn(move || crate::reactor::reactor_loop(listener, &shared, &waker))
-                .map_err(ServeError::Io)?;
-            (None, Some(handle))
-        } else {
-            let shared = Arc::clone(&shared);
-            let readers = Arc::clone(&readers);
-            let handle = std::thread::Builder::new()
-                .name("acoustic-serve-acceptor".into())
-                .spawn(move || acceptor_loop(&listener, &shared, &readers))
-                .map_err(ServeError::Io)?;
-            (Some(handle), None)
+                .map_err(ServeError::Io)?
         };
 
-        let pin_order = if cfg.pin_workers {
-            Topology::detect().pin_order()
-        } else {
-            Vec::new()
-        };
         let workers = (0..cfg.workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                let cpu = (!pin_order.is_empty()).then(|| pin_order[i % pin_order.len()]);
                 std::thread::Builder::new()
                     .name(format!("acoustic-serve-worker-{i}"))
-                    .spawn(move || {
-                        if let Some(cpu) = cpu {
-                            let _ = Topology::pin_current_thread(cpu);
-                        }
-                        worker_loop(&shared, i);
-                    })
+                    .spawn(move || worker_loop(&shared, i))
                     .map_err(ServeError::Io)
             })
             .collect::<Result<Vec<_>, _>>()?;
@@ -490,11 +382,9 @@ impl Server {
         Ok(ServerHandle {
             addr: local_addr,
             shared,
-            acceptor,
-            reactor,
+            reactor: Some(reactor),
             waker,
             workers,
-            readers,
             preparer: Some(preparer),
         })
     }
@@ -505,11 +395,9 @@ impl Server {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
     reactor: Option<JoinHandle<()>>,
-    waker: Option<Arc<Waker>>,
+    waker: Arc<Waker>,
     workers: Vec<JoinHandle<()>>,
-    readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
     preparer: Option<JoinHandle<()>>,
 }
 
@@ -518,7 +406,6 @@ impl std::fmt::Debug for Shared {
         f.debug_struct("Shared")
             .field("cfg", &self.cfg)
             .field("queue_depth", &self.queue.depth())
-            .field("reactor_mode", &self.reactor_mode)
             .finish_non_exhaustive()
     }
 }
@@ -539,12 +426,6 @@ impl ServerHandle {
         self.shared.queue.depth()
     }
 
-    /// Whether the readiness reactor (rather than the threaded fallback)
-    /// is driving connection I/O.
-    pub fn reactor_active(&self) -> bool {
-        self.shared.reactor_mode
-    }
-
     /// Gracefully stops the server: refuse new work, answer everything
     /// already admitted, join every thread. Returns the final statistics.
     pub fn shutdown(mut self) -> StatsSnapshot {
@@ -555,8 +436,8 @@ impl ServerHandle {
     fn shutdown_impl(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         // Dropping the job sender first lets the background prepare thread
-        // finish its current compile (if any) and exit while the I/O
-        // threads drain; it is joined last.
+        // finish its current compile (if any) and exit while the reactor
+        // drains; it is joined last.
         drop(
             self.shared
                 .prepare_tx
@@ -564,23 +445,12 @@ impl ServerHandle {
                 .expect("prepare channel poisoned")
                 .take(),
         );
-        if let Some(waker) = &self.waker {
-            waker.wake();
-        }
+        self.waker.wake();
         // The reactor keeps flushing replies (produced by still-running
         // workers) until nothing is outstanding, so it must be joined
         // before the queue closes and the workers exit.
         if let Some(reactor) = self.reactor.take() {
             let _ = reactor.join();
-        }
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        // Threaded readers wait for their connections' outstanding
-        // replies, so they too are joined while workers still drain.
-        let readers = std::mem::take(&mut *self.readers.lock().expect("reader list poisoned"));
-        for r in readers {
-            let _ = r.join();
         }
         self.shared.queue.close();
         for w in std::mem::take(&mut self.workers) {
@@ -594,173 +464,15 @@ impl ServerHandle {
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        if self.acceptor.is_some()
-            || self.reactor.is_some()
-            || !self.workers.is_empty()
-            || self.preparer.is_some()
-        {
+        if self.reactor.is_some() || !self.workers.is_empty() || self.preparer.is_some() {
             self.shutdown_impl();
         }
     }
 }
 
-// --- threaded fallback: acceptor ------------------------------------------
-
-fn acceptor_loop(
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    readers: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let _ = stream.set_nodelay(true);
-                // Readers poll the shutdown flag between (and inside) reads.
-                let _ = stream.set_read_timeout(Some(POLL));
-                let shared = Arc::clone(shared);
-                let handle = std::thread::Builder::new()
-                    .name("acoustic-serve-conn".into())
-                    .spawn(move || reader_loop(stream, &shared));
-                match handle {
-                    Ok(h) => readers.lock().expect("reader list poisoned").push(h),
-                    Err(_) => { /* spawn failed; connection drops */ }
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
-}
-
-// --- threaded fallback: connection reader ---------------------------------
-
-/// Outcome of an interruptible exact read.
-enum ReadExact {
-    /// The buffer is full.
-    Full,
-    /// The shutdown flag was raised while waiting.
-    Shutdown,
-    /// The peer closed (or the transport failed).
-    Closed,
-}
-
-/// `read_exact` that keeps partial progress across read timeouts so the
-/// 25 ms shutdown-poll granularity never desynchronizes the frame stream
-/// of a slow client.
-fn read_exact_interruptible(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    shutdown: &AtomicBool,
-) -> ReadExact {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => return ReadExact::Closed,
-            Ok(n) => filled += n,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut
-                    || e.kind() == io::ErrorKind::Interrupted =>
-            {
-                if shutdown.load(Ordering::SeqCst) {
-                    return ReadExact::Shutdown;
-                }
-            }
-            Err(_) => return ReadExact::Closed,
-        }
-    }
-    ReadExact::Full
-}
-
-/// One frame, interruptibly. `Ok(None)` means "stop reading" (peer gone or
-/// shutting down).
-fn read_frame_interruptible(
-    stream: &mut TcpStream,
-    max_payload: usize,
-    shutdown: &AtomicBool,
-) -> Result<Option<Frame>, WireError> {
-    let mut header = [0u8; HEADER_LEN];
-    match read_exact_interruptible(stream, &mut header, shutdown) {
-        ReadExact::Full => {}
-        ReadExact::Shutdown | ReadExact::Closed => return Ok(None),
-    }
-    let FrameHeader {
-        ty,
-        request_id,
-        payload_len,
-    } = crate::protocol::parse_header(&header, max_payload)?;
-    let mut payload = vec![0u8; payload_len];
-    match read_exact_interruptible(stream, &mut payload, shutdown) {
-        ReadExact::Full => {}
-        ReadExact::Shutdown | ReadExact::Closed => return Ok(None),
-    }
-    decode_frame(ty, request_id, &payload).map(Some)
-}
-
-fn reader_loop(mut stream: TcpStream, shared: &Arc<Shared>) {
-    let writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let conn: Arc<dyn ReplyTo> = Arc::new(ConnShared {
-        writer: Mutex::new(writer),
-        outstanding: AtomicUsize::new(0),
-    });
-    let home = shared.next_home_shard();
-    shared.stats.connection_opened();
-
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match read_frame_interruptible(&mut stream, shared.cfg.max_payload, &shared.shutdown) {
-            Ok(None) => break,
-            Ok(Some(Frame::InferRequest(req))) => admit(req, &conn, home, shared),
-            Ok(Some(Frame::StatsRequest(id))) => {
-                conn.send(&Frame::StatsResponse(id, shared.snapshot()));
-            }
-            Ok(Some(other)) => {
-                // Server-bound streams carry requests only.
-                Stats::bump(&shared.stats.rejected_malformed);
-                send_error(
-                    &*conn,
-                    other.request_id(),
-                    ErrorCode::Malformed,
-                    "unexpected frame type from client",
-                );
-            }
-            Err(WireError::Malformed {
-                request_id,
-                recoverable,
-                reason,
-            }) => {
-                Stats::bump(&shared.stats.rejected_malformed);
-                send_error(&*conn, request_id, ErrorCode::Malformed, reason);
-                if !recoverable {
-                    break;
-                }
-            }
-            Err(WireError::Io(_)) => break,
-        }
-    }
-
-    // Drain: answered requests may still be in flight; give workers a
-    // bounded window to finish before the connection closes.
-    let drain_start = Instant::now();
-    while conn.outstanding().load(Ordering::SeqCst) > 0 && drain_start.elapsed() < DRAIN_CAP {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    shared
-        .stats
-        .active_connections
-        .fetch_sub(1, Ordering::Relaxed);
-}
-
-/// Validates a decoded request and runs admission control; shared by both
-/// I/O paths. `home` is the connection's home shard.
-pub(crate) fn admit(req: InferRequest, conn: &Arc<dyn ReplyTo>, home: usize, shared: &Shared) {
+/// Validates a decoded request and runs admission control. `home` is the
+/// connection's home shard.
+pub(crate) fn admit(req: InferRequest, conn: &Arc<ReactorConn>, home: usize, shared: &Shared) {
     Stats::bump(&shared.stats.received);
     let id = req.request_id;
 
@@ -775,7 +487,7 @@ pub(crate) fn admit(req: InferRequest, conn: &Arc<dyn ReplyTo>, home: usize, sha
             if shared.request_prepare(req.model_id) {
                 Stats::bump(&shared.stats.rejected_warming);
                 send_error(
-                    &**conn,
+                    conn,
                     id,
                     ErrorCode::Warming,
                     format!("model {} is warming, retry", req.model_id),
@@ -783,14 +495,14 @@ pub(crate) fn admit(req: InferRequest, conn: &Arc<dyn ReplyTo>, home: usize, sha
             } else {
                 // Prepare thread already gone: shutdown is in progress.
                 Stats::bump(&shared.stats.rejected_shutdown);
-                send_error(&**conn, id, ErrorCode::ShuttingDown, "server shutting down");
+                send_error(conn, id, ErrorCode::ShuttingDown, "server shutting down");
             }
             return;
         }
         Err(RegistryError::UnknownModel(_)) => {
             Stats::bump(&shared.stats.rejected_unknown_model);
             send_error(
-                &**conn,
+                conn,
                 id,
                 ErrorCode::UnknownModel,
                 format!("model {}", req.model_id),
@@ -800,13 +512,13 @@ pub(crate) fn admit(req: InferRequest, conn: &Arc<dyn ReplyTo>, home: usize, sha
         Err(e) => {
             // Registry faults other than "unknown id" are internal.
             Stats::bump(&shared.stats.failed);
-            send_error(&**conn, id, ErrorCode::Internal, e.to_string());
+            send_error(conn, id, ErrorCode::Internal, e.to_string());
             return;
         }
     };
     if req.values.iter().any(|v| !v.is_finite()) {
         Stats::bump(&shared.stats.failed);
-        send_error(&**conn, id, ErrorCode::BadInput, "non-finite input values");
+        send_error(conn, id, ErrorCode::BadInput, "non-finite input values");
         return;
     }
     let shape: Vec<usize> = req.shape.iter().map(|&d| d as usize).collect();
@@ -814,7 +526,7 @@ pub(crate) fn admit(req: InferRequest, conn: &Arc<dyn ReplyTo>, home: usize, sha
         Ok(t) => t,
         Err(e) => {
             Stats::bump(&shared.stats.failed);
-            send_error(&**conn, id, ErrorCode::BadInput, e.to_string());
+            send_error(conn, id, ErrorCode::BadInput, e.to_string());
             return;
         }
     };
@@ -824,7 +536,7 @@ pub(crate) fn admit(req: InferRequest, conn: &Arc<dyn ReplyTo>, home: usize, sha
     if req.margin.is_some() {
         Stats::bump(&shared.stats.failed);
         send_error(
-            &**conn,
+            conn,
             id,
             ErrorCode::BadInput,
             "margin overrides are not supported",
@@ -836,7 +548,7 @@ pub(crate) fn admit(req: InferRequest, conn: &Arc<dyn ReplyTo>, home: usize, sha
         if !model.supported_lengths().contains(&len) {
             Stats::bump(&shared.stats.failed);
             send_error(
-                &**conn,
+                conn,
                 id,
                 ErrorCode::BadInput,
                 format!(
@@ -876,7 +588,7 @@ pub(crate) fn admit(req: InferRequest, conn: &Arc<dyn ReplyTo>, home: usize, sha
         gate.fetch_sub(1, Ordering::SeqCst);
         Stats::bump(&shared.stats.rejected_model_budget);
         send_error(
-            &**conn,
+            conn,
             id,
             ErrorCode::Overloaded,
             format!("model {model_id} admission budget exhausted"),
@@ -886,20 +598,20 @@ pub(crate) fn admit(req: InferRequest, conn: &Arc<dyn ReplyTo>, home: usize, sha
 
     // The reply (wherever it comes from) decrements `outstanding`, so the
     // increment must precede the push.
-    conn.outstanding().fetch_add(1, Ordering::SeqCst);
+    conn.outstanding.fetch_add(1, Ordering::SeqCst);
     match shared.queue.try_push(pending, home) {
         Ok(()) => Stats::bump(&shared.stats.accepted),
         Err(ShardPush::Full) => {
             shared.release_gate(model_id);
-            conn.outstanding().fetch_sub(1, Ordering::SeqCst);
+            conn.outstanding.fetch_sub(1, Ordering::SeqCst);
             Stats::bump(&shared.stats.rejected_overload);
-            send_error(&**conn, id, ErrorCode::Overloaded, "request queue full");
+            send_error(conn, id, ErrorCode::Overloaded, "request queue full");
         }
         Err(ShardPush::Closed) => {
             shared.release_gate(model_id);
-            conn.outstanding().fetch_sub(1, Ordering::SeqCst);
+            conn.outstanding.fetch_sub(1, Ordering::SeqCst);
             Stats::bump(&shared.stats.rejected_shutdown);
-            send_error(&**conn, id, ErrorCode::ShuttingDown, "server shutting down");
+            send_error(conn, id, ErrorCode::ShuttingDown, "server shutting down");
         }
     }
 }
@@ -957,12 +669,12 @@ fn execute_batch(batch: Vec<Pending>, engine: &BatchEngine, shared: &Arc<Shared>
         if dequeued > p.deadline {
             Stats::bump(&shared.stats.expired);
             send_error(
-                &*p.conn,
+                &p.conn,
                 p.id,
                 ErrorCode::DeadlineExceeded,
                 "deadline expired in queue",
             );
-            p.conn.outstanding().fetch_sub(1, Ordering::SeqCst);
+            p.conn.outstanding.fetch_sub(1, Ordering::SeqCst);
         } else {
             live.push(p);
         }
@@ -1024,10 +736,10 @@ fn execute_batch(batch: Vec<Pending>, engine: &BatchEngine, shared: &Arc<Shared>
                         }
                         Err(e) => {
                             Stats::bump(&shared.stats.failed);
-                            send_error(&*p.conn, p.id, ErrorCode::BadInput, e.to_string());
+                            send_error(&p.conn, p.id, ErrorCode::BadInput, e.to_string());
                         }
                     }
-                    p.conn.outstanding().fetch_sub(1, Ordering::SeqCst);
+                    p.conn.outstanding.fetch_sub(1, Ordering::SeqCst);
                 }
             }
             Err(e) => {
@@ -1037,8 +749,8 @@ fn execute_batch(batch: Vec<Pending>, engine: &BatchEngine, shared: &Arc<Shared>
                 let msg = e.to_string();
                 for p in &group {
                     Stats::bump(&shared.stats.failed);
-                    send_error(&*p.conn, p.id, ErrorCode::Internal, msg.clone());
-                    p.conn.outstanding().fetch_sub(1, Ordering::SeqCst);
+                    send_error(&p.conn, p.id, ErrorCode::Internal, msg.clone());
+                    p.conn.outstanding.fetch_sub(1, Ordering::SeqCst);
                 }
             }
         }

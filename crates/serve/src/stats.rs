@@ -11,7 +11,7 @@ use acoustic_runtime::{DedupStats, PrepareStats};
 
 use crate::protocol::StatsSnapshot;
 
-/// Shared mutable statistics, updated by acceptor/reader/worker threads.
+/// Shared mutable statistics, updated by the reactor and worker threads.
 #[derive(Debug, Default)]
 pub struct Stats {
     /// Inference frames parsed.
@@ -81,8 +81,6 @@ pub struct QueueGauges {
     pub shard_depth_hwm: u64,
     /// Cross-shard steals performed by workers.
     pub queue_steals: u64,
-    /// 1 when the readiness reactor drives I/O, 0 for the threaded path.
-    pub reactor_mode: u64,
 }
 
 impl Stats {
@@ -148,7 +146,6 @@ impl Stats {
             active_connections_hwm: self.active_connections_hwm.load(Ordering::Relaxed),
             conns_opened: self.conns_opened.load(Ordering::Relaxed),
             idle_reaped: self.idle_reaped.load(Ordering::Relaxed),
-            reactor_mode: gauges.reactor_mode,
             rejected_warming: self.rejected_warming.load(Ordering::Relaxed),
             prepares_completed: prepare.prepares_completed,
             prepare_ms_total: prepare.prepare_ns_total / 1_000_000,
@@ -192,7 +189,6 @@ mod tests {
             shards: 2,
             shard_depth_hwm: 3,
             queue_steals: 4,
-            reactor_mode: 1,
         };
         let prepare = PrepareStats {
             prepares_completed: 3,
@@ -208,7 +204,6 @@ mod tests {
         assert_eq!(snap.shards, 2);
         assert_eq!(snap.shard_depth_hwm, 3);
         assert_eq!(snap.queue_steals, 4);
-        assert_eq!(snap.reactor_mode, 1);
         assert_eq!(snap.rejected_shutdown, 1);
         assert_eq!(snap.conns_opened, 1);
         assert_eq!(snap.active_connections, 1);

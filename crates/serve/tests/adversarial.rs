@@ -1,10 +1,10 @@
 //! Adversarial-client tests: misbehaving peers must cost the server a
 //! buffer, never a worker and never a shard.
 //!
-//! All three scenarios target the reactor path (they are exactly the
-//! failure modes thread-per-connection I/O dodges by burning a thread per
-//! client); each test no-ops on hosts without readiness support, where
-//! the reactor is never selected.
+//! All three scenarios are failure modes a thread-per-connection server
+//! would dodge only by burning a thread per client; the reactor has to
+//! absorb them in buffers. Each test no-ops on hosts without readiness
+//! support, where the server cannot start.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -15,7 +15,7 @@ use acoustic_nn::Tensor;
 use acoustic_runtime::ModelCache;
 use acoustic_serve::protocol::{encode_frame, Frame, InferRequest};
 use acoustic_serve::{
-    Client, InferReply, IoModel, ModelRegistry, ModelSpec, ServeConfig, Server, ServerHandle,
+    Client, InferReply, ModelRegistry, ModelSpec, ServeConfig, Server, ServerHandle,
 };
 use acoustic_simfunc::SimConfig;
 
@@ -73,7 +73,6 @@ fn slow_loris_header_dribble_does_not_stall_other_clients() {
     // buffer, the victim request behind it would hang.
     let handle = start(ServeConfig {
         workers: 1,
-        io: IoModel::Reactor,
         default_deadline: Duration::from_secs(30),
         ..ServeConfig::default()
     });
@@ -116,7 +115,6 @@ fn idle_connections_are_reaped() {
         return;
     }
     let handle = start(ServeConfig {
-        io: IoModel::Reactor,
         idle_timeout: Some(Duration::from_millis(150)),
         ..ServeConfig::default()
     });
@@ -169,7 +167,6 @@ fn mid_body_disconnects_free_slots_without_poisoning_shards() {
     }
     let handle = start(ServeConfig {
         workers: 2,
-        io: IoModel::Reactor,
         max_connections: 64,
         default_deadline: Duration::from_secs(30),
         ..ServeConfig::default()

@@ -112,7 +112,6 @@ fn stats_frames_roundtrip() {
         active_connections_hwm: 40,
         conns_opened: 38,
         idle_reaped: 39,
-        reactor_mode: 1,
         rejected_warming: 41,
         prepares_completed: 42,
         prepare_ms_total: 43,

@@ -10,12 +10,24 @@
 //! The trained zoo in `results/zoo` is pinned too: its logits, its
 //! prepared weight banks (at 1, 3 and the host's default prepare threads)
 //! and their per-lane byte accounting must not move.
+//!
+//! The server's one I/O path gets a smoke run over loopback: every request
+//! is answered once, the drain invariant holds, and served logits equal
+//! the engine's.
+
+use std::collections::HashMap;
+use std::sync::Arc;
+use std::time::Duration;
 
 use acoustic::datasets::DataKind;
 use acoustic::nn::layers::{AccumMode, AvgPool2d, Conv2d, Dense, Network, Relu};
 use acoustic::nn::serialize::from_text;
 use acoustic::nn::Tensor;
-use acoustic::runtime::{BatchEngine, PreparedModel};
+use acoustic::runtime::{BatchEngine, ModelCache, PreparedModel, ReadyRequest};
+use acoustic::serve::{
+    Client, ErrorCode, Frame, InferRequest, ModelRegistry, ModelSpec, ServeConfig, Server,
+    StatsSnapshot,
+};
 use acoustic::simfunc::{RunSpec, ScSimulator, SimConfig, SimScratch, TILE};
 
 /// A tiny pooled conv + dense net with mixed-sign, partly-zero weights.
@@ -142,5 +154,119 @@ fn trained_zoo_logits_and_banks_are_pinned() {
             stats.materialized_bytes, materialized_bytes,
             "{name}: bytes"
         );
+    }
+}
+
+/// Every way a received request can leave the server.
+fn drain_accounted(s: &StatsSnapshot) -> u64 {
+    s.completed
+        + s.rejected_overload
+        + s.rejected_model_budget
+        + s.rejected_unknown_model
+        + s.rejected_shutdown
+        + s.rejected_warming
+        + s.expired
+        + s.failed
+}
+
+/// The tiny net served over loopback on 2 pipelined connections, with
+/// plain, prefix (`stream_len`), unknown-model and `margin` requests.
+#[test]
+fn served_requests_are_answered_once_and_match_the_engine() {
+    if !acoustic::net::Poller::supported() {
+        return; // serving needs the readiness-polling shim
+    }
+    const MODEL_ID: u32 = 1;
+    const PER_CONN: u64 = 8;
+    let cfg = SimConfig::with_stream_len(64).unwrap();
+    let registry = ModelRegistry::build(
+        vec![ModelSpec {
+            id: MODEL_ID,
+            network: net(),
+            cfg,
+        }],
+        &Arc::new(ModelCache::new()),
+    )
+    .unwrap();
+    let handle = Server::start(
+        "127.0.0.1:0",
+        registry,
+        ServeConfig {
+            default_deadline: Duration::from_secs(30),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+
+    let xs = images(4);
+    // Request `id`'s kind is `id % 4`: plain, prefix, unknown model, margin.
+    let request = |id: u64| {
+        let x = &xs[(id % 4) as usize];
+        InferRequest {
+            request_id: id,
+            model_id: if id % 4 == 2 { 99 } else { MODEL_ID },
+            deadline_micros: 0,
+            stream_len: (id % 4 == 1).then_some(32),
+            margin: (id % 4 == 3).then_some(0.5),
+            shape: x.shape().iter().map(|&d| d as u32).collect(),
+            values: x.as_slice().to_vec(),
+        }
+    };
+    let mut clients: Vec<Client> = (0..2)
+        .map(|_| Client::connect(handle.addr()).unwrap())
+        .collect();
+    for (c, client) in clients.iter_mut().enumerate() {
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        for k in 0..PER_CONN {
+            let id = c as u64 * 100 + k;
+            client.send(&Frame::InferRequest(request(id))).unwrap();
+        }
+    }
+    let mut replies: HashMap<u64, Frame> = HashMap::new();
+    for client in &mut clients {
+        for _ in 0..PER_CONN {
+            let frame = client.recv().unwrap();
+            let id = frame.request_id();
+            assert!(
+                replies.insert(id, frame).is_none(),
+                "id {id} answered twice"
+            );
+        }
+    }
+
+    let stats = handle.shutdown();
+    for client in &mut clients {
+        // The server closed the connection with nothing more to say.
+        assert!(client.recv().is_err(), "extra reply after shutdown");
+    }
+    assert_eq!(stats.received, 2 * PER_CONN, "{stats:?}");
+    assert_eq!(drain_accounted(&stats), stats.received, "{stats:?}");
+    assert_eq!(stats.completed, PER_CONN, "{stats:?}");
+    assert_eq!(stats.rejected_unknown_model, PER_CONN / 2, "{stats:?}");
+    assert_eq!(stats.failed, PER_CONN / 2, "{stats:?}");
+
+    let model = PreparedModel::compile(cfg, &net()).unwrap();
+    let engine = BatchEngine::new(1).unwrap();
+    assert_eq!(replies.len(), 2 * PER_CONN as usize);
+    for (&id, frame) in &replies {
+        match (id % 4, frame) {
+            (0 | 1, Frame::InferResponse(r)) => {
+                let req = ReadyRequest {
+                    image_index: id,
+                    input: &xs[(id % 4) as usize],
+                    stream_len: (id % 4 == 1).then_some(32),
+                };
+                let gold = engine.run_ready(&model, &[req]).unwrap().remove(0).unwrap();
+                assert_eq!(r.effective_len as usize, gold.effective_len, "id {id}");
+                let got: Vec<u32> = r.logits.iter().map(|v| v.to_bits()).collect();
+                let want: Vec<u32> = gold.logits.as_slice().iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "id {id}");
+            }
+            (2, Frame::Error(e)) => assert_eq!(e.code, ErrorCode::UnknownModel, "id {id}"),
+            (3, Frame::Error(e)) => assert_eq!(e.code, ErrorCode::BadInput, "id {id}"),
+            (kind, other) => panic!("id {id} (kind {kind}): unexpected reply {other:?}"),
+        }
     }
 }
