@@ -1,8 +1,7 @@
-//! Prepare-time memory footprint of the deduplicated weight-stream pool,
-//! per zoo model.
+//! Prepare-time memory footprint of the weights, per zoo model.
 //!
-//! For every model the bench prepares the stream pool for real and records
-//! resident bytes (pool + indices), distinct stream count, dedup ratio
+//! For every model the bench prepares the weights for real and records
+//! resident bytes (weight cycles + lane codes), cycle count, dedup ratio
 //! versus the analytic per-lane cost (`materialized_bytes`), and prepare
 //! wall time. The trained zoo's `materialized_bytes` are pinned by the
 //! root `tests/invariants.rs`, recorded when a per-lane layout was still
@@ -14,10 +13,10 @@
 //!   shorter stream length.
 //! * `--models a,b,c` — explicit slug list overriding the default set.
 //! * `--stream-len L` — stream length (default 64).
-//! * `--assert-max-bytes N` — fail unless every model's pooled resident
-//!   bytes stay at or below `N` (the release-CI memory ceiling).
-//! * `--assert-min-ratio R` — fail unless every ImageNet-scale model
-//!   deduplicates at least `R`-fold.
+//! * `--assert-max-bytes N` — fail unless every model's resident bytes
+//!   stay at or below `N` (the release-CI memory ceiling).
+//! * `--assert-min-ratio R` — fail unless every ImageNet-scale model's
+//!   resident bytes stay at least `R`-fold under its per-lane cost.
 //!
 //! Only a full default run (none of the flags above) writes
 //! `results/BENCH_prepare.json`; any other run prints its JSON instead, so
@@ -36,22 +35,6 @@ struct ModelPoint {
     stream_len: usize,
     prepare_secs: f64,
     stats: DedupStats,
-}
-
-/// One thread count of the parallel-prepare sweep.
-struct SweepPoint {
-    threads: usize,
-    prepare_secs: f64,
-}
-
-/// The `prepare_parallel` section: a threads sweep on the heaviest model
-/// of the run, bit-identity-checked against the serial prepare before any
-/// timing is reported.
-struct ParallelSection {
-    model: &'static str,
-    stream_len: usize,
-    digest: u64,
-    sweep: Vec<SweepPoint>,
 }
 
 struct Args {
@@ -138,7 +121,7 @@ fn main() {
         drop(prepared);
 
         println!(
-            "{:<12} stream {:>4}: {:>12} lanes, {:>9} distinct, {:>9.1} MiB resident \
+            "{:<12} stream {:>4}: {:>12} lanes, {:>4} cycles, {:>9.1} MiB resident \
              ({:>9.1} MiB materialized, {:>5.1}x dedup), prepared in {:.2}s",
             model.slug(),
             args.stream_len,
@@ -177,17 +160,7 @@ fn main() {
         });
     }
 
-    // Parallel-prepare sweep on the heaviest model of the run: the
-    // models[] numbers above keep their single-compile (auto-thread)
-    // semantics, while this section isolates the threads axis.
-    let rep = points
-        .iter()
-        .max_by(|a, b| a.prepare_secs.total_cmp(&b.prepare_secs))
-        .map(|p| ZooModel::from_slug(p.slug).expect("point slug is a zoo slug"))
-        .expect("at least one model");
-    let parallel = parallel_section(rep, args.stream_len);
-
-    let json = to_json(args.quick, &points, &parallel);
+    let json = to_json(args.quick, &points);
     if args.default_run {
         let path = concat!(
             env!("CARGO_MANIFEST_DIR"),
@@ -200,47 +173,7 @@ fn main() {
     }
 }
 
-/// Runs the threads sweep on `model`, asserting bit-identity of every
-/// prepare against the serial one before any timing is reported.
-fn parallel_section(model: ZooModel, stream_len: usize) -> ParallelSection {
-    let net = model.network().expect("zoo network builds");
-    let sim =
-        ScSimulator::new(SimConfig::with_stream_len(stream_len).expect("valid stream length"));
-
-    let mut digest = None;
-    let mut sweep = Vec::new();
-    for threads in [1usize, 2, 4] {
-        let t = Instant::now();
-        let prepared = sim.prepare_with(&net, threads).expect("parallel prepare");
-        let prepare_secs = t.elapsed().as_secs_f64();
-        let d = prepared.content_digest();
-        assert_eq!(
-            *digest.get_or_insert(d),
-            d,
-            "{}: threads={threads} prepare diverged from serial",
-            model.slug()
-        );
-        println!(
-            "{:<12} parallel threads {}: prepared in {:.2}s (digest {:#018x})",
-            model.slug(),
-            threads,
-            prepare_secs,
-            d,
-        );
-        sweep.push(SweepPoint {
-            threads,
-            prepare_secs,
-        });
-    }
-    ParallelSection {
-        model: model.slug(),
-        stream_len,
-        digest: digest.expect("sweep ran"),
-        sweep,
-    }
-}
-
-fn to_json(quick: bool, points: &[ModelPoint], parallel: &ParallelSection) -> String {
+fn to_json(quick: bool, points: &[ModelPoint]) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"name\": {},", json_string("prepare_memory"));
     out.push_str("  \"config\": {\n");
@@ -278,25 +211,6 @@ fn to_json(quick: bool, points: &[ModelPoint], parallel: &ParallelSection) -> St
         );
         out.push_str(if i + 1 < points.len() { ",\n" } else { "\n" });
     }
-    out.push_str("    ],\n");
-    out.push_str("    \"prepare_parallel\": {\n");
-    let _ = writeln!(out, "      \"model\": {},", json_string(parallel.model));
-    let _ = writeln!(out, "      \"stream_len\": {},", parallel.stream_len);
-    let _ = writeln!(out, "      \"digest\": \"{:#018x}\",", parallel.digest);
-    out.push_str("      \"sweep\": [\n");
-    for (i, s) in parallel.sweep.iter().enumerate() {
-        let _ = write!(
-            out,
-            "        {{\"threads\": {}, \"prepare_secs\": {:.6}}}",
-            s.threads, s.prepare_secs
-        );
-        out.push_str(if i + 1 < parallel.sweep.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    out.push_str("      ]\n");
-    out.push_str("    }\n  }\n}\n");
+    out.push_str("    ]\n  }\n}\n");
     out
 }

@@ -171,8 +171,7 @@ pub struct GapDecomposition {
 ///
 /// Propagates simulation errors.
 pub fn gap_decomposition(t: &TrainedDigitNet) -> Result<GapDecomposition, Box<dyn Error>> {
-    let base = SimConfig::with_stream_len(128)?;
-    let expected_acc = acoustic_simfunc::expected_accuracy(&t.net, &t.test, &base)?;
+    let expected_acc = acoustic_simfunc::expected_accuracy(&t.net, &t.test)?;
     let mut sc_acc = Vec::new();
     for stream in [32usize, 128, 512] {
         let cfg = SimConfig::with_stream_len(stream)?;

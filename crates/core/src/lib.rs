@@ -10,6 +10,8 @@
 //!   shared random sources of stochastic number generators,
 //! * [`Sng`] / [`SngBank`] — stochastic number generators converting
 //!   fixed-point values into bitstreams,
+//! * [`LfsrOrbit`] — one period of a maximal LFSR, of which every SNG
+//!   stream is a window,
 //! * [`gates`] — single-gate SC arithmetic (AND multiply, MUX scaled add,
 //!   OR saturating add),
 //! * [`accumulate`] — wide OR-based scale-free accumulation and its exact
@@ -48,6 +50,7 @@ pub mod counter;
 pub mod error;
 pub mod fsm;
 pub mod gates;
+pub mod orbit;
 pub mod pooling;
 pub mod prng;
 pub mod rng;
@@ -60,6 +63,7 @@ pub use accumulate::{or_accumulate, or_expected, OrAccumulator};
 pub use bitstream::Bitstream;
 pub use core_error::CoreError;
 pub use counter::UpDownCounter;
+pub use orbit::LfsrOrbit;
 pub use prng::DetRng;
 pub use rng::Lfsr;
 pub use sng::{Sng, SngBank};

@@ -104,6 +104,11 @@ impl Lfsr {
         self.state
     }
 
+    /// The feedback tap set as a mask over the register's bits.
+    pub(crate) fn tap_mask(&self) -> u32 {
+        self.tap_mask
+    }
+
     /// Exclusive upper bound of the output range, `2^width`.
     pub fn range(&self) -> u64 {
         1u64 << self.width

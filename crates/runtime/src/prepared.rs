@@ -119,16 +119,16 @@ impl PreparedModel {
     /// Approximate resident size of the prepared weight banks, in bytes
     /// (see [`PreparedNetwork::approx_bytes`]). [`ModelCache`] memory
     /// budgets are enforced against this figure, which reflects the actual
-    /// allocations of the weight banks: stream-pool words plus per-lane
-    /// indices and presence flags.
+    /// allocations of the weights: the model's weight cycles plus one
+    /// `u32` code per lane.
     pub fn approx_bytes(&self) -> usize {
         self.prepared.approx_bytes()
     }
 
     /// Weight-storage accounting of the prepared banks (see
-    /// [`PreparedNetwork::dedup_stats`]): lanes, distinct canonical
-    /// streams, pool/index/resident bytes, and the materialized-layout
-    /// cost of the same shapes.
+    /// [`PreparedNetwork::dedup_stats`]): lanes, weight cycles,
+    /// cycle/code/resident bytes, and the materialized-layout cost of the
+    /// same shapes.
     pub fn dedup_stats(&self) -> DedupStats {
         self.prepared.dedup_stats()
     }
@@ -352,7 +352,7 @@ impl ModelCache {
     }
 
     /// Summed [`PreparedModel::dedup_stats`] over every resident model —
-    /// the cache-wide view of how much the weight-stream pool is saving
+    /// the cache-wide view of how much the orbit-window weights save
     /// versus materialized banks.
     pub fn dedup_totals(&self) -> DedupStats {
         let inner = self.inner.lock().expect("model cache lock poisoned");
@@ -650,15 +650,11 @@ mod tests {
         assert!(ModelCache::new().memory_budget().is_none());
     }
 
-    /// A dense-only net whose nonzero weight count is controlled: same
-    /// lane count as its dense sibling, very different bank allocations
-    /// under the pooled layout (zero weights own no pool slot or stream
-    /// words, only their 4-byte index).
-    fn dense_net(nonzero: usize, value: f32) -> Network {
-        let mut d = Dense::new(96, 64, AccumMode::OrApprox).unwrap();
-        for (i, w) in d.weights_mut().iter_mut().enumerate() {
-            *w = if i < nonzero { value } else { 0.0 };
-        }
+    /// A dense-only net of `in_n × 64` weights, all equal to `value`: one
+    /// weight cycle, so its bytes grow with its lane count alone.
+    fn dense_net(in_n: usize, value: f32) -> Network {
+        let mut d = Dense::new(in_n, 64, AccumMode::OrApprox).unwrap();
+        d.weights_mut().fill(value);
         let mut net = Network::new();
         net.push_dense(d);
         net
@@ -667,35 +663,41 @@ mod tests {
     #[test]
     fn resident_bytes_track_actual_allocations_and_change_eviction_order() {
         let sim = cfg(64);
-        let full = PreparedModel::compile(sim, &dense_net(96 * 64, 0.4)).unwrap();
-        let sparse = PreparedModel::compile(sim, &dense_net(64, 0.4)).unwrap();
+        let wide = PreparedModel::compile(sim, &dense_net(96, 0.4)).unwrap();
+        let narrow = PreparedModel::compile(sim, &dense_net(1, 0.4)).unwrap();
 
-        // Identical lane counts — a lane-count formula would weigh them
-        // equally — but the sparse model's banks are actually far smaller.
-        assert_eq!(full.dedup_stats().lanes, sparse.dedup_stats().lanes);
-        let big = full.approx_bytes();
-        let small = sparse.approx_bytes();
+        // Both models hold one weight cycle; their bytes differ by their
+        // 4-byte lane codes — a per-model constant would weigh them
+        // equally.
+        let (w, n) = (wide.dedup_stats(), narrow.dedup_stats());
+        assert_eq!((w.distinct_streams, n.distinct_streams), (1, 1));
+        assert_eq!((w.lanes, n.lanes), (96 * 64, 64));
+        let big = wide.approx_bytes();
+        let small = narrow.approx_bytes();
         assert!(
             small * 2 < big,
-            "sparse banks must be much smaller ({small} vs {big})"
+            "narrow weights must be much smaller ({small} vs {big})"
         );
-        // And the accounting is exact: pool words + indices + presence.
-        let s = sparse.dedup_stats();
-        assert_eq!(s.resident_bytes, (s.pool_bytes + s.index_bytes));
-        assert_eq!(small as u64, s.resident_bytes);
+        // And the accounting is exact: cycle words + lane codes.
+        for s in [w, n] {
+            assert_eq!(s.index_bytes, 4 * s.lanes);
+            assert_eq!(s.resident_bytes, s.pool_bytes + s.index_bytes);
+        }
+        assert_eq!(small as u64, n.resident_bytes);
+        assert_eq!(big as u64, w.resident_bytes);
 
-        // A budget that holds two sparse models but not one full model:
-        // under byte-accurate accounting the full model is evicted the
-        // moment a sparse one lands, and the two sparse models then
+        // A budget that holds two narrow models but not one wide model:
+        // under byte-accurate accounting the wide model is evicted the
+        // moment a narrow one lands, and the two narrow models then
         // coexist — an order impossible under equal-weight accounting.
         let budget = 2 * small + small / 2;
-        assert!(budget < big, "budget must not fit the full model");
+        assert!(budget < big, "budget must not fit the wide model");
         let cache = ModelCache::with_limits(8, Some(budget)).unwrap();
-        cache.get_or_compile(sim, &dense_net(96 * 64, 0.4)).unwrap();
-        cache.get_or_compile(sim, &dense_net(64, 0.4)).unwrap();
-        assert_eq!(cache.evictions_of(full.fingerprint()), 1);
-        cache.get_or_compile(sim, &dense_net(64, 0.7)).unwrap();
-        assert_eq!(cache.len(), 2, "two sparse models fit the byte budget");
+        cache.get_or_compile(sim, &dense_net(96, 0.4)).unwrap();
+        cache.get_or_compile(sim, &dense_net(1, 0.4)).unwrap();
+        assert_eq!(cache.evictions_of(wide.fingerprint()), 1);
+        cache.get_or_compile(sim, &dense_net(1, 0.7)).unwrap();
+        assert_eq!(cache.len(), 2, "two narrow models fit the byte budget");
         assert_eq!(cache.evictions(), 1, "no further evictions needed");
         assert_eq!(cache.resident_bytes(), 2 * small);
     }

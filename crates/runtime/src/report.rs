@@ -116,7 +116,7 @@ pub struct BatchReport {
     /// of the prepared model, constant across batches on it.
     pub plan: TilePlan,
     /// Weight-storage accounting of the model the batch ran on: lanes,
-    /// distinct canonical streams, pool/index/resident bytes and the
+    /// weight cycles, cycle/code/resident bytes and the
     /// materialized-layout equivalent. A property of the prepared model,
     /// not of the batch — constant across batches on the same model.
     pub dedup: DedupStats,
@@ -172,8 +172,8 @@ impl fmt::Display for BatchReport {
         )?;
         writeln!(
             f,
-            "banks: {} lanes over {} distinct streams, {:.1} KiB resident \
-             ({:.1} KiB pool + {:.1} KiB indices), {:.1}x dedup",
+            "banks: {} lanes over {} weight cycles, {:.1} KiB resident \
+             ({:.1} KiB cycles + {:.1} KiB codes), {:.1}x dedup",
             self.dedup.lanes,
             self.dedup.distinct_streams,
             self.dedup.resident_bytes as f64 / 1024.0,
@@ -250,7 +250,7 @@ mod tests {
         assert!(text.contains("40.0% skipped"));
         assert!(text.contains("4 images tiled in 1 tiles"));
         assert!(text.contains("avx512 kernel, tile 64"));
-        assert!(text.contains("100 lanes over 25 distinct streams"));
+        assert!(text.contains("100 lanes over 25 weight cycles"));
         assert!(text.contains("4.0x dedup"));
         assert_eq!(r.layer_timings[0].mean(), Duration::from_millis(1));
     }

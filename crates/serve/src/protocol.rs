@@ -201,17 +201,19 @@ pub struct StatsSnapshot {
     pub tiles: u64,
     /// Requests executed inside those tiles (the rest ran as tiles of one).
     pub tiled_requests: u64,
-    /// Distinct canonical weight streams across resident cached models
-    /// (gauge sampled at snapshot time, not a counter).
+    /// Weight bit cycles (one per distinct weight threshold of a model)
+    /// across resident cached models (gauge sampled at snapshot time, not
+    /// a counter).
     pub distinct_streams: u64,
-    /// Bytes of shared weight-stream pool words across resident models.
+    /// Bytes of weight-cycle words across resident models.
     pub pool_bytes: u64,
-    /// Bytes of per-lane pool indices across resident models.
+    /// Bytes of per-lane weight codes across resident models.
     pub index_bytes: u64,
     /// Bytes the materialized per-lane layout would need for the same
     /// resident models.
     pub materialized_bytes: u64,
-    /// Weight-bank bytes actually resident across cached models.
+    /// Weight bytes actually resident across cached models (cycles plus
+    /// codes).
     pub resident_bytes: u64,
     /// Requests answered with `ShuttingDown` (arrived after the admission
     /// queue closed for shutdown).

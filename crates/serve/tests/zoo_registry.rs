@@ -166,11 +166,18 @@ fn imagenet_scale_builtin_zoo_resolves_evicts_and_recompiles() {
     let dir = temp_zoo("imagenet");
     add_builtin_models(&dir, &[(ZooModel::Alexnet, 32), (ZooModel::Vgg16, 32)]).unwrap();
 
-    // Budget sized to hold either model alone but never both: AlexNet's
-    // pooled banks are a few hundred MB at stream 32, VGG-16's under a
-    // GB — so warming VGG during registration must evict AlexNet, and
-    // resolving AlexNet again must recompile it and evict VGG.
-    let budget = 1_200_000_000;
+    // Budget sized from the two models' measured resident bytes to hold
+    // either model alone but never both — so warming VGG during
+    // registration must evict AlexNet, and resolving AlexNet again must
+    // recompile it and evict VGG.
+    let cfg = SimConfig::with_stream_len(32).unwrap();
+    let [alex_bytes, vgg_bytes] = [ZooModel::Alexnet, ZooModel::Vgg16].map(|m| {
+        acoustic_runtime::PreparedModel::compile(cfg, &m.network().unwrap())
+            .unwrap()
+            .approx_bytes()
+    });
+    let budget = alex_bytes.max(vgg_bytes) + alex_bytes.min(vgg_bytes) / 2;
+    assert!(budget < alex_bytes + vgg_bytes);
     let cache = Arc::new(ModelCache::with_limits(8, Some(budget)).unwrap());
     let reg = ModelRegistry::from_zoo_dir(&dir, &cache).unwrap();
 

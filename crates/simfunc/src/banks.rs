@@ -1,184 +1,189 @@
 //! Flat, word-aligned operand banks of the stochastic datapath.
 //!
-//! Weights live in a per-layer [`StreamPool`] (prepared once per network),
-//! activations in a per-image [`ActBank`] (regenerated per layer), and every
-//! per-inference buffer is owned by a reusable [`SimScratch`]. The MAC
-//! kernels in [`crate::kernels`] operate on borrowed word ranges out of
-//! these banks — no per-lane allocation on the hot path.
+//! Weights are windows of per-model [`WeightCycles`] addressed by one
+//! `u32` code per lane (prepared once per network), activations live in a
+//! per-image [`ActBank`] (regenerated per layer), and every per-inference
+//! buffer is owned by a reusable [`SimScratch`]. The MAC kernels in
+//! [`crate::kernels`] operate on borrowed word ranges out of these banks —
+//! no per-lane allocation on the hot path.
 
-use crate::kernels::KernelStats;
+use acoustic_core::bitstream::copy_bit_range;
 
-/// One FNV-1a step over a 64-bit word — the mixing primitive behind every
-/// content digest in the prepare path (bank digests, layer content keys).
+use crate::kernels::{KernelStats, WeightedLane};
+
+/// One FNV-1a step over a 64-bit word — the mixing primitive behind
+/// [`PreparedNetwork::content_digest`](crate::PreparedNetwork::content_digest).
 pub(crate) fn fnv1a(h: &mut u64, word: u64) {
     *h = (*h ^ word).wrapping_mul(0x0000_0100_0000_01b3);
 }
 
-/// Lane marker for weights with no stream at all (quantized to zero).
-/// Kernels never dereference it: a zero weight is absent from **both**
-/// phase `present` lists, and every weight read is behind a `present`
-/// check.
-pub(crate) const NO_SLOT: u32 = u32::MAX;
+/// Code of a weight quantized to zero: no stream in either phase.
+pub(crate) const ZERO_CODE: u32 = u32::MAX;
 
-/// One prefix level's canonical stream words, slot-major: slot `s`,
-/// segment `e` occupies `words[(s * segments + e) * seg_words ..
-/// +seg_words]`. Slots are phase-agnostic — a stream is a pure function
-/// of its (seed, threshold), so a positive-phase lane and a
-/// negative-phase lane with the same key share one slot.
-#[derive(Debug, Clone)]
-pub(crate) struct PoolLevel {
-    pub(crate) words: Vec<u64>,
-    pub(crate) seg_words: usize,
-}
+/// Phase bit of a lane code: set for a negative weight.
+pub(crate) const NEG_PHASE: u32 = 1 << 31;
 
-/// Deduplicated weight storage of one MAC layer: one canonical stream per
-/// distinct (SNG seed, quantized threshold) pair, with every lane holding
-/// a compact `u32` slot index into the pool instead of owning its
-/// stream words.
+/// A lane code XOR-ed with a phase's bit is below this bound exactly when
+/// the lane has a stream in that phase: a stream's start bit is below it,
+/// a code of the other phase keeps bit 31, and [`ZERO_CODE`] XOR either
+/// phase bit is at least the bound.
+pub(crate) const LIVE_BOUND: u32 = !NEG_PHASE;
+
+/// The weight bit cycles of one prepared model: one per distinct nonzero
+/// weight threshold `T`, bit `i` being `[V[i mod P] <= T]` over the
+/// 16-bit LFSR's output sequence `V` of period `P`, with the first
+/// `per_phase_len` bits repeated after the period (see
+/// [`LfsrOrbit::cycles`](acoustic_core::LfsrOrbit::cycles)).
 ///
-/// Level `k` holds the first `max_per_phase >> k` bits of every stream:
-/// an LFSR-driven SNG emits bits sequentially, so a stream of length `L`
-/// is a bit-exact prefix of the length-`2L` stream from the same seed.
-/// Slot ids are assigned once (first sight of a key, in a phase-major
-/// lane scan so each phase pass reads a dense ascending slot range) and
-/// every [`PoolLevel`] lays its words out in the same slot order, sliced
-/// from one SNG walk at the maximum length — so one `index` vector serves
-/// all levels and level `k` stays bit-identical to a direct prepare at
-/// that length.
+/// A weight lane holds one `u32` code: its phase in bit 31 and, below it,
+/// the bit where its stream starts in `words` — `k · cycle_bits + pos` for
+/// a stream at orbit position `pos` of cycle `k`. Segment `e` of a
+/// stream at per-phase length `m` is the bit range
+/// `[start + e·seg_len, +seg_len)` with `seg_len = m / segments`. A
+/// shorter prefix reads a shorter window at the same start, so every
+/// supported length runs from the same cycles and codes.
 #[derive(Debug, Clone)]
-pub(crate) struct StreamPool {
-    /// Per-lane pool slot; [`NO_SLOT`] for zero weights.
-    pub(crate) index: Vec<u32>,
-    /// Whether lane `j` has a positive-phase component.
-    pub(crate) pos_present: Vec<bool>,
-    /// Whether lane `j` has a negative-phase component.
-    pub(crate) neg_present: Vec<bool>,
-    /// Per-level canonical words, longest level first (same order as
-    /// `PreparedNetwork::supported_lengths`).
-    pub(crate) levels: Vec<PoolLevel>,
-    /// Number of distinct canonical streams.
-    pub(crate) distinct: usize,
-    /// Pooling segments per stream (layout constant shared by all levels).
-    pub(crate) segments: usize,
+pub(crate) struct WeightCycles {
+    /// Comparator threshold of each cycle, in index order.
+    pub(crate) thresholds: Vec<u32>,
+    /// The cycles back to back, equally long.
+    pub(crate) words: Vec<u64>,
 }
 
-impl StreamPool {
-    /// Resident size of the pool plus the per-lane indices, in bytes.
-    pub(crate) fn approx_bytes(&self) -> usize {
-        self.pool_bytes() + self.index_bytes()
+impl WeightCycles {
+    /// Bytes of cycle words.
+    pub(crate) fn bytes(&self) -> usize {
+        self.words.len() * std::mem::size_of::<u64>()
     }
 
-    /// Bytes spent on canonical stream words (all levels).
-    pub(crate) fn pool_bytes(&self) -> usize {
-        self.levels
-            .iter()
-            .map(|l| l.words.len() * std::mem::size_of::<u64>())
-            .sum()
-    }
-
-    /// Bytes spent on per-lane indices and phase presence.
-    pub(crate) fn index_bytes(&self) -> usize {
-        self.index.len() * std::mem::size_of::<u32>()
-            + self.pos_present.len()
-            + self.neg_present.len()
-    }
-
-    /// Borrowed view of prefix level `k`, as the kernels read it.
-    pub(crate) fn level(&self, k: usize) -> WeightView<'_> {
-        let l = &self.levels[k];
+    /// The kernels' view of one layer's weights.
+    pub(crate) fn view<'a>(&'a self, codes: &'a [u32]) -> WeightView<'a> {
         WeightView {
-            words: &l.words,
-            index: &self.index,
-            pos_present: &self.pos_present,
-            neg_present: &self.neg_present,
-            seg_words: l.seg_words,
+            cycles: &self.words,
+            codes,
         }
     }
 
-    /// Folds this layer's complete bank content into an FNV-1a digest:
-    /// slot indices, presence flags and every level's words. Feeds
-    /// [`PreparedNetwork::content_digest`].
+    /// Folds one layer's logical bank content into an FNV-1a digest:
+    /// the slot table, presence flags and per-level words of a
+    /// deduplicated stream pool — one slot per distinct stream start (a
+    /// (cycle, position) pair) at first sight in a phase-major lane scan,
+    /// every slot's level
+    /// words cut from its cycle. This is what the stream pool this layout
+    /// replaced stored, so recorded
+    /// [`PreparedNetwork::content_digest`] values stay valid.
+    ///
+    /// `slot_of` is working memory reused across layers.
     ///
     /// [`PreparedNetwork::content_digest`]: crate::PreparedNetwork::content_digest
-    pub(crate) fn digest(&self, h: &mut u64) {
-        fn digest_flags(h: &mut u64, flags: &[bool]) {
-            fnv1a(h, flags.len() as u64);
-            for &f in flags {
-                fnv1a(h, u64::from(f));
+    pub(crate) fn digest_layer(
+        &self,
+        h: &mut u64,
+        codes: &[u32],
+        segments: usize,
+        lengths: &[usize],
+        slot_of: &mut Vec<u32>,
+    ) {
+        let present = |code: u32, phase: u32| (code ^ phase) < LIVE_BOUND;
+        slot_of.clear();
+        slot_of.resize(self.words.len() * 64, ZERO_CODE);
+        let mut keys: Vec<u32> = Vec::new();
+        for phase in [0, NEG_PHASE] {
+            for &code in codes {
+                let key = code ^ phase;
+                if present(code, phase) && slot_of[key as usize] == ZERO_CODE {
+                    slot_of[key as usize] = keys.len() as u32;
+                    keys.push(key);
+                }
             }
         }
-        // The leading tag 12 stays so that recorded `content_digest()`
-        // values remain valid.
+        // The leading tag 12 is the stream pool's, so that recorded
+        // `content_digest()` values remain valid.
         fnv1a(h, 12);
-        fnv1a(h, self.distinct as u64);
-        fnv1a(h, self.segments as u64);
-        fnv1a(h, self.index.len() as u64);
-        for &slot in &self.index {
+        fnv1a(h, keys.len() as u64);
+        fnv1a(h, segments as u64);
+        fnv1a(h, codes.len() as u64);
+        for &code in codes {
+            let slot = if code == ZERO_CODE {
+                ZERO_CODE
+            } else {
+                slot_of[(code & !NEG_PHASE) as usize]
+            };
             fnv1a(h, u64::from(slot));
         }
-        digest_flags(h, &self.pos_present);
-        digest_flags(h, &self.neg_present);
-        for l in &self.levels {
-            fnv1a(h, l.seg_words as u64);
-            fnv1a(h, l.words.len() as u64);
-            for &w in &l.words {
-                fnv1a(h, w);
+        for phase in [0, NEG_PHASE] {
+            fnv1a(h, codes.len() as u64);
+            for &code in codes {
+                fnv1a(h, u64::from(present(code, phase)));
+            }
+        }
+        let view = self.view(codes);
+        let mut words = Vec::new();
+        for &len in lengths {
+            let seg_len = len / 2 / segments;
+            let seg_words = seg_len.div_ceil(64);
+            words.resize(seg_words, 0);
+            fnv1a(h, seg_words as u64);
+            fnv1a(h, (keys.len() * segments * seg_words) as u64);
+            for &start in &keys {
+                let start = start as usize;
+                for e in 0..segments {
+                    copy_bit_range(view.cycles, start + e * seg_len, seg_len, &mut words);
+                    for &w in &words {
+                        fnv1a(h, w);
+                    }
+                }
             }
         }
     }
+}
 
-    /// Storage accounting of this layer (see [`DedupStats`]).
-    pub(crate) fn dedup_stats(&self) -> DedupStats {
-        let lanes = self.index.len();
-        // A per-lane layout holds, at every level, full words plus a
-        // presence flag per lane in each of the two phases.
-        let materialized: usize = self
-            .levels
-            .iter()
-            .map(|l| 2 * (lanes * self.segments * l.seg_words * std::mem::size_of::<u64>() + lanes))
-            .sum();
-        DedupStats {
-            lanes: lanes as u64,
-            distinct_streams: self.distinct as u64,
-            pool_bytes: self.pool_bytes() as u64,
-            index_bytes: self.index_bytes() as u64,
-            resident_bytes: self.approx_bytes() as u64,
-            materialized_bytes: materialized as u64,
-        }
+/// Borrowed view of one layer's weights, as the kernels read them: the
+/// model's cycles and the layer's lane codes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WeightView<'a> {
+    pub(crate) cycles: &'a [u64],
+    pub(crate) codes: &'a [u32],
+}
+
+impl WeightView<'_> {
+    /// First cycle bit of lane `w`'s stream in phase `phase` (0 or
+    /// [`NEG_PHASE`]), or `None` when the weight has no component there.
+    #[inline]
+    pub(crate) fn lane_bit(&self, w: usize, phase: u32) -> Option<usize> {
+        let start = self.codes[w] ^ phase;
+        (start < LIVE_BOUND).then_some(start as usize)
+    }
+
+    /// The 64 cycle bits starting at `bit`, first bit in bit 0.
+    #[inline]
+    pub(crate) fn word_at(&self, bit: usize) -> u64 {
+        let (w, s) = (bit / 64, bit % 64);
+        // `<< 1 << (63 - s)` is `<< (64 - s)` without overflowing at s = 0.
+        (self.cycles[w] >> s) | ((self.cycles[w + 1] << 1) << (63 - s))
     }
 }
 
-/// Borrowed view of one prefix level of one layer's weights, as the
-/// kernels read it: both phases share the pool words and the slot index,
-/// and differ only in which lanes are present.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct WeightView<'a> {
-    pub(crate) words: &'a [u64],
-    pub(crate) index: &'a [u32],
-    pub(crate) pos_present: &'a [bool],
-    pub(crate) neg_present: &'a [bool],
-    pub(crate) seg_words: usize,
-}
-
-/// Weight-storage accounting of one layer or one whole prepared network.
+/// Weight-storage accounting of one whole prepared network.
 ///
-/// `resident_bytes` is what the stream pool actually allocates (and what
-/// `ModelCache` byte budgets are charged); `materialized_bytes` is what an
-/// undeduplicated per-lane layout — every lane owning full stream words in
-/// both phases — would allocate for the same shapes, computed analytically
-/// (an ImageNet-scale per-lane layout cannot be allocated just to weigh
-/// it).
+/// `resident_bytes` is what the weight representation actually allocates
+/// (and what `ModelCache` byte budgets are charged): the model's cycles
+/// plus one `u32` code per lane. `materialized_bytes` is what a per-lane
+/// layout — every lane owning full stream words at every prefix level in
+/// both phases — would allocate for the same shapes, computed
+/// analytically (an ImageNet-scale per-lane layout cannot be allocated
+/// just to weigh it).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DedupStats {
     /// Weight lanes across MAC layers (conv fan-in × out-channels + dense).
     pub lanes: u64,
-    /// Distinct canonical streams backing those lanes.
+    /// Weight bit cycles backing those lanes (distinct nonzero thresholds).
     pub distinct_streams: u64,
-    /// Bytes of shared canonical stream words.
+    /// Bytes of cycle words.
     pub pool_bytes: u64,
-    /// Bytes of per-lane slot indices + phase presence.
+    /// Bytes of per-lane codes.
     pub index_bytes: u64,
-    /// Bytes actually resident for weight banks.
+    /// Bytes actually resident for weights.
     pub resident_bytes: u64,
     /// Bytes a per-lane layout would need for the same layers.
     pub materialized_bytes: u64,
@@ -195,83 +200,10 @@ impl DedupStats {
         self.materialized_bytes += other.materialized_bytes;
     }
 
-    /// Memory saved by deduplication: materialized over resident bytes.
+    /// Memory saved against a per-lane layout: materialized over resident
+    /// bytes.
     pub fn dedup_ratio(&self) -> f64 {
         self.materialized_bytes as f64 / self.resident_bytes.max(1) as f64
-    }
-}
-
-/// Minimal open-addressing map from packed nonzero `(seed, threshold)`
-/// keys to pool slots, used only at prepare time. `mix_seed` never yields
-/// seed 0, so a zero key marks an empty bucket and no tombstones are
-/// needed (keys are only ever inserted). The std `HashMap`'s SipHash is a
-/// measurable drag at the ~10⁸ probes an ImageNet-scale prepare performs;
-/// a splitmix-style finalizer over the packed key is plenty for keys that
-/// are already LFSR-mixed.
-pub(crate) struct PoolMap {
-    keys: Vec<u64>,
-    slots: Vec<u32>,
-    len: usize,
-}
-
-impl PoolMap {
-    pub(crate) fn new() -> Self {
-        PoolMap {
-            keys: vec![0; 1024],
-            slots: vec![0; 1024],
-            len: 0,
-        }
-    }
-
-    fn hash(key: u64) -> u64 {
-        let mut h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        h ^= h >> 30;
-        h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        h ^= h >> 27;
-        h
-    }
-
-    /// Bucket holding `key`, or the empty bucket where it would go.
-    fn bucket(&self, key: u64) -> usize {
-        let mask = self.keys.len() - 1;
-        let mut i = (Self::hash(key) as usize) & mask;
-        while self.keys[i] != 0 && self.keys[i] != key {
-            i = (i + 1) & mask;
-        }
-        i
-    }
-
-    pub(crate) fn get(&self, key: u64) -> Option<u32> {
-        debug_assert_ne!(key, 0, "zero marks empty buckets");
-        let i = self.bucket(key);
-        (self.keys[i] == key).then(|| self.slots[i])
-    }
-
-    pub(crate) fn insert(&mut self, key: u64, slot: u32) {
-        debug_assert_ne!(key, 0, "zero marks empty buckets");
-        if self.len * 4 >= self.keys.len() * 3 {
-            self.grow();
-        }
-        let i = self.bucket(key);
-        if self.keys[i] != key {
-            self.len += 1;
-        }
-        self.keys[i] = key;
-        self.slots[i] = slot;
-    }
-
-    fn grow(&mut self) {
-        let keys = std::mem::replace(&mut self.keys, vec![0; 0]);
-        let slots = std::mem::take(&mut self.slots);
-        self.keys = vec![0; keys.len() * 2];
-        self.slots = vec![0; slots.len() * 2];
-        for (k, s) in keys.into_iter().zip(slots) {
-            if k != 0 {
-                let i = self.bucket(k);
-                self.keys[i] = k;
-                self.slots[i] = s;
-            }
-        }
     }
 }
 
@@ -369,6 +301,10 @@ pub struct SimScratch {
     pub(crate) tile_phase: Vec<u64>,
     /// Per-image per-output-channel signed counters (`t * out_c + oc`).
     pub(crate) tile_counts: Vec<i64>,
+    /// The weight segment of the lane in flight, `seg_words` words.
+    pub(crate) tile_wgt: Vec<u64>,
+    /// The weighted lanes of the phase in flight (lockstep walk).
+    pub(crate) tile_weighted: Vec<WeightedLane>,
     /// Kernel skip counters accumulated by every run using this scratch.
     pub(crate) stats: KernelStats,
 }
@@ -408,34 +344,14 @@ impl SimScratch {
             + cap(&self.tile_sat)
             + cap(&self.tile_phase)
             + cap(&self.tile_counts)
+            + cap(&self.tile_wgt)
+            + cap(&self.tile_weighted)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pool_map_inserts_probes_and_grows() {
-        let mut map = PoolMap::new();
-        // Enough keys to force several doublings past the 1024 seed size.
-        for k in 1..=10_000u64 {
-            assert_eq!(map.get(k), None);
-            map.insert(k, (k * 3) as u32);
-        }
-        for k in 1..=10_000u64 {
-            assert_eq!(map.get(k), Some((k * 3) as u32), "key {k}");
-        }
-        assert_eq!(map.get(10_001), None);
-    }
-
-    #[test]
-    fn pool_map_overwrite_keeps_len_consistent() {
-        let mut map = PoolMap::new();
-        map.insert(7, 1);
-        map.insert(7, 2);
-        assert_eq!(map.get(7), Some(2));
-    }
 
     #[test]
     fn dedup_stats_merge_and_ratio() {

@@ -10,27 +10,20 @@ use std::sync::Arc;
 
 use acoustic_core::bitstream::copy_bit_range;
 use acoustic_core::sng::quantize_probability;
-use acoustic_core::{Lfsr, Sng, SngBank};
+use acoustic_core::{Lfsr, LfsrOrbit, Sng, SngBank};
 use acoustic_nn::fixedpoint::Quantizer;
 use acoustic_nn::layers::{NetLayer, Network};
 use acoustic_nn::train::Sample;
 use acoustic_nn::Tensor;
 
 use crate::banks::{
-    fnv1a, ActBank, DedupStats, PoolLevel, PoolMap, SimScratch, StreamPool, NO_SLOT,
+    fnv1a, ActBank, DedupStats, SimScratch, WeightCycles, LIVE_BOUND, NEG_PHASE, ZERO_CODE,
 };
 use crate::kernels::{self, active_kernel, KernelKind, SegGeom, TileState, TILE};
-use crate::{SimConfig, SimError};
+use crate::{SimConfig, SimError, QUANT_BITS};
 
 /// Comparator width of every SNG in the datapath (16-bit LFSRs).
 const SNG_WIDTH: u32 = 16;
-
-/// Minimum weight lanes per phase-A worker; below this the per-thread
-/// spawn cost exceeds the work.
-const MIN_LANES_PER_THREAD: usize = 8192;
-
-/// Minimum pool slots per phase-C worker.
-const MIN_SLOTS_PER_THREAD: usize = 1024;
 
 /// Per-layer decoded outputs of a traced run.
 #[derive(Debug, Clone)]
@@ -122,14 +115,14 @@ pub struct RunOutput {
     pub traces: Vec<Vec<LayerTrace>>,
 }
 
-/// Stream-length and kernel selection of one engine run: a level into the
-/// prepared banks, its per-phase bit budget, and the MAC kernel resolved
-/// against host capabilities at run start.
+/// What every MAC step of one engine run shares: the per-phase bit budget
+/// of the requested length, the MAC kernel resolved against host
+/// capabilities at run start, and the model's weight cycles.
 #[derive(Debug, Clone, Copy)]
-struct RunLen {
-    level: usize,
+struct RunLen<'a> {
     per_phase: usize,
     kernel: KernelKind,
+    cycles: &'a WeightCycles,
 }
 
 #[derive(Debug, Clone)]
@@ -141,15 +134,24 @@ struct PreparedConv {
     pad: usize,
     /// Pooling window fused into this conv (computation skipping), if any.
     pool: Option<usize>,
-    weights: Arc<StreamPool>,
+    /// One lane code per weight (see [`WeightCycles`]).
+    codes: Vec<u32>,
     ordinal: usize,
+}
+
+impl PreparedConv {
+    /// Pooling segments per stream.
+    fn segments(&self) -> usize {
+        self.pool.map_or(1, |k| k * k)
+    }
 }
 
 #[derive(Debug, Clone)]
 struct PreparedDense {
     in_n: usize,
     out_n: usize,
-    weights: Arc<StreamPool>,
+    /// One lane code per weight (see [`WeightCycles`]).
+    codes: Vec<u32>,
     ordinal: usize,
 }
 
@@ -189,22 +191,25 @@ impl Step {
 
 /// A network compiled for stochastic execution.
 ///
-/// Holds every MAC layer's quantized weights as pre-generated split-unipolar
-/// bitstreams — the expensive, image-independent half of a stochastic
-/// inference. Prepare once (via [`ScSimulator::prepare`]) and reuse across
-/// images; the structure is immutable and cheap to share behind an `Arc`.
+/// Holds every MAC layer's quantized weights as split-unipolar bitstreams —
+/// the image-independent half of a stochastic inference — in one
+/// representation: the model's weight bit cycles, one per distinct weight
+/// threshold, and one `u32` code per weight lane naming its cycle, orbit
+/// position and phase. Prepare once (via [`ScSimulator::prepare`]) and
+/// reuse across images; the structure is immutable and cheap to share
+/// behind an `Arc`.
 ///
-/// The weight banks are *prefix-reusable*: they are generated once at the
-/// configured maximum stream length, and any length in
+/// The weights are *prefix-reusable*: any length in
 /// [`PreparedNetwork::supported_lengths`] (the power-of-two-halving
-/// prefixes of the maximum) can be executed from the same banks by setting
-/// [`RunSpec::stream_len`], with no stream regeneration.
+/// prefixes of the maximum) reads a shorter window of the same cycles,
+/// selected by [`RunSpec::stream_len`], with no stream regeneration.
 #[derive(Debug, Clone)]
 pub struct PreparedNetwork {
     steps: Vec<Step>,
     /// Executable total stream lengths, longest (the prepare-time maximum)
-    /// first; index = bank level.
+    /// first.
     lengths: Vec<usize>,
+    cycles: WeightCycles,
 }
 
 impl PreparedNetwork {
@@ -235,118 +240,128 @@ impl PreparedNetwork {
         &self.lengths
     }
 
-    /// Bank level executing `stream_len`, if supported.
-    fn level_of(&self, stream_len: usize) -> Option<usize> {
-        self.lengths.iter().position(|&l| l == stream_len)
-    }
-
-    /// Approximate resident size of the prepared weight banks, in bytes.
-    ///
-    /// Counts the dominant cost of a prepared network — every MAC layer's
-    /// split-unipolar weight streams at every supported prefix length —
-    /// and ignores small fixed overheads (labels, shape metadata). Serving
-    /// layers use this to enforce memory budgets on prepared-model caches.
+    /// Approximate resident size of the prepared weights, in bytes: the
+    /// model's weight cycles plus every lane code, ignoring small fixed
+    /// overheads (labels, shape metadata). Serving layers use this to
+    /// enforce memory budgets on prepared-model caches.
     pub fn approx_bytes(&self) -> usize {
-        steps_bytes(&self.steps)
+        self.dedup_stats().resident_bytes as usize
     }
 
-    /// Weight-storage accounting aggregated over every MAC layer: lanes,
-    /// distinct canonical streams, pool/index/resident bytes, and what an
-    /// undeduplicated per-lane layout would cost for the same shapes.
+    /// Weight-storage accounting over every MAC layer: lanes, weight
+    /// cycles, cycle/code/resident bytes, and what a per-lane layout would
+    /// cost for the same shapes.
     pub fn dedup_stats(&self) -> DedupStats {
-        steps_dedup(&self.steps)
+        let mut layers = Vec::new();
+        mac_layers(&self.steps, &mut layers);
+        let lanes: usize = layers.iter().map(|(codes, _)| codes.len()).sum();
+        // A per-lane layout holds, at every level, full words plus a
+        // presence flag per lane in each of the two phases.
+        let materialized: usize = layers
+            .iter()
+            .map(|&(codes, segments)| {
+                self.lengths
+                    .iter()
+                    .map(|&len| {
+                        let seg_words = (len / 2 / segments).div_ceil(64);
+                        2 * codes.len() * (segments * seg_words * std::mem::size_of::<u64>() + 1)
+                    })
+                    .sum::<usize>()
+            })
+            .sum();
+        let pool_bytes = self.cycles.bytes() as u64;
+        let index_bytes = (lanes * std::mem::size_of::<u32>()) as u64;
+        DedupStats {
+            lanes: lanes as u64,
+            distinct_streams: self.cycles.thresholds.len() as u64,
+            pool_bytes,
+            index_bytes,
+            resident_bytes: pool_bytes + index_bytes,
+            materialized_bytes: materialized as u64,
+        }
     }
 
     /// A 64-bit FNV-1a digest over the complete prepared content: prefix
-    /// lengths, step structure, and every weight bank's words, presence
-    /// flags and slot indices.
+    /// lengths, step structure, and every MAC layer's logical weight banks
+    /// — per-lane slots and presence flags, and every distinct stream's
+    /// words at every prefix level, as a deduplicated stream pool would
+    /// hold them (see `WeightCycles::digest_layer`).
     ///
-    /// Two prepares digest equal exactly when their banks are
-    /// byte-identical — what the parallel-prepare determinism tests and
-    /// the prepare bench's bit-identity gate assert across thread counts.
+    /// Two prepares digest equal exactly when every weight stream at every
+    /// supported length is bit-identical.
     pub fn content_digest(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for &l in &self.lengths {
             fnv1a(&mut h, l as u64);
         }
-        digest_steps(&self.steps, &mut h);
+        let mut slot_of = Vec::new();
+        self.digest_steps(&self.steps, &mut h, &mut slot_of);
         h
     }
-}
 
-fn steps_bytes(steps: &[Step]) -> usize {
-    steps
-        .iter()
-        .map(|s| match &s.op {
-            StepOp::Conv(c) => c.weights.approx_bytes(),
-            StepOp::Dense(d) => d.weights.approx_bytes(),
-            StepOp::Residual(inner) => steps_bytes(inner),
-            _ => 0,
-        })
-        .sum()
-}
-
-fn digest_steps(steps: &[Step], h: &mut u64) {
-    for s in steps {
-        for &b in s.label.as_bytes() {
-            fnv1a(h, u64::from(b));
-        }
-        match &s.op {
-            StepOp::Conv(c) => {
-                fnv1a(h, 1);
-                for v in [
-                    c.in_c,
-                    c.out_c,
-                    c.k,
-                    c.stride,
-                    c.pad,
-                    c.pool.map_or(0, |p| p + 1),
-                    c.ordinal,
-                ] {
-                    fnv1a(h, v as u64);
+    fn digest_steps(&self, steps: &[Step], h: &mut u64, slot_of: &mut Vec<u32>) {
+        for s in steps {
+            for &b in s.label.as_bytes() {
+                fnv1a(h, u64::from(b));
+            }
+            match &s.op {
+                StepOp::Conv(c) => {
+                    fnv1a(h, 1);
+                    for v in [
+                        c.in_c,
+                        c.out_c,
+                        c.k,
+                        c.stride,
+                        c.pad,
+                        c.pool.map_or(0, |p| p + 1),
+                        c.ordinal,
+                    ] {
+                        fnv1a(h, v as u64);
+                    }
+                    self.cycles
+                        .digest_layer(h, &c.codes, c.segments(), &self.lengths, slot_of);
                 }
-                c.weights.digest(h);
-            }
-            StepOp::Dense(d) => {
-                fnv1a(h, 2);
-                for v in [d.in_n, d.out_n, d.ordinal] {
-                    fnv1a(h, v as u64);
+                StepOp::Dense(d) => {
+                    fnv1a(h, 2);
+                    for v in [d.in_n, d.out_n, d.ordinal] {
+                        fnv1a(h, v as u64);
+                    }
+                    self.cycles
+                        .digest_layer(h, &d.codes, 1, &self.lengths, slot_of);
                 }
-                d.weights.digest(h);
-            }
-            StepOp::BinaryAvgPool(k) => {
-                fnv1a(h, 3);
-                fnv1a(h, *k as u64);
-            }
-            StepOp::MaxPool(k) => {
-                fnv1a(h, 4);
-                fnv1a(h, *k as u64);
-            }
-            StepOp::Relu(max) => {
-                fnv1a(h, 5);
-                fnv1a(h, max.map_or(0, |v| u64::from(v.to_bits()) | (1 << 32)));
-            }
-            StepOp::Flatten => fnv1a(h, 6),
-            StepOp::Residual(inner) => {
-                fnv1a(h, 7);
-                digest_steps(inner, h);
-                fnv1a(h, 8);
+                StepOp::BinaryAvgPool(k) => {
+                    fnv1a(h, 3);
+                    fnv1a(h, *k as u64);
+                }
+                StepOp::MaxPool(k) => {
+                    fnv1a(h, 4);
+                    fnv1a(h, *k as u64);
+                }
+                StepOp::Relu(max) => {
+                    fnv1a(h, 5);
+                    fnv1a(h, max.map_or(0, |v| u64::from(v.to_bits()) | (1 << 32)));
+                }
+                StepOp::Flatten => fnv1a(h, 6),
+                StepOp::Residual(inner) => {
+                    fnv1a(h, 7);
+                    self.digest_steps(inner, h, slot_of);
+                    fnv1a(h, 8);
+                }
             }
         }
     }
 }
 
-fn steps_dedup(steps: &[Step]) -> DedupStats {
-    let mut total = DedupStats::default();
+/// Every MAC layer's lane codes and pooling segments, in step order.
+fn mac_layers<'a>(steps: &'a [Step], out: &mut Vec<(&'a [u32], usize)>) {
     for s in steps {
         match &s.op {
-            StepOp::Conv(c) => total.merge(&c.weights.dedup_stats()),
-            StepOp::Dense(d) => total.merge(&d.weights.dedup_stats()),
-            StepOp::Residual(inner) => total.merge(&steps_dedup(inner)),
+            StepOp::Conv(c) => out.push((&c.codes, c.segments())),
+            StepOp::Dense(d) => out.push((&d.codes, 1)),
+            StepOp::Residual(inner) => mac_layers(inner, out),
             _ => {}
         }
     }
-    total
 }
 
 /// Executable prefix lengths of a prepared network: the configured maximum,
@@ -385,39 +400,32 @@ impl ScSimulator {
         &self.cfg
     }
 
-    /// Quantizes all weights and pre-generates their split-unipolar streams.
+    /// Quantizes all weights and codes their split-unipolar streams.
+    ///
+    /// One serial pass over the weight lanes: each weight's quantizer code
+    /// gives its phase and threshold (through [`WeightCoder`]'s lookup
+    /// table), its mixed SNG seed gives its position on the LFSR orbit,
+    /// and the two make its lane code. The model's cycles are then built
+    /// for the thresholds the lanes use, and the orbit's position table is
+    /// dropped.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::UnsupportedLayer`] for layer arrangements the SC
     /// datapath cannot execute.
     pub fn prepare(&self, net: &Network) -> Result<PreparedNetwork, SimError> {
-        self.prepare_with(net, 0)
-    }
-
-    /// [`ScSimulator::prepare`] on `threads` worker threads (`0` = the
-    /// host's available parallelism).
-    ///
-    /// The result is bit-identical to `prepare` for every thread count
-    /// (test-enforced via [`PreparedNetwork::content_digest`]): slot
-    /// assignment happens in a serial canonical pass over per-lane keys, so
-    /// parallelism only changes who computes each immutable artifact, never
-    /// its position or contents.
-    ///
-    /// # Errors
-    ///
-    /// As [`ScSimulator::prepare`].
-    pub fn prepare_with(&self, net: &Network, threads: usize) -> Result<PreparedNetwork, SimError> {
-        let threads = match threads {
-            0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-            n => n,
-        };
         let mut segments = Vec::new();
         self.scan_segments(net.layers(), &mut segments);
         let lengths = supported_prefix_lengths(self.cfg.stream_len, &segments);
+        let mut coder = WeightCoder::new(self.cfg.wgt_seed, self.cfg.per_phase_len())?;
         let mut ordinal = 0usize;
-        let steps = self.prepare_layers(net.layers(), &mut ordinal, &lengths, threads)?;
-        Ok(PreparedNetwork { steps, lengths })
+        let steps = self.prepare_layers(net.layers(), &mut ordinal, &mut coder)?;
+        let cycles = coder.into_cycles();
+        Ok(PreparedNetwork {
+            steps,
+            lengths,
+            cycles,
+        })
     }
 
     /// Collects the pooling segmentation of every MAC layer, mirroring the
@@ -452,10 +460,8 @@ impl ScSimulator {
         &self,
         layers: &[NetLayer],
         ordinal: &mut usize,
-        lengths: &[usize],
-        threads: usize,
+        coder: &mut WeightCoder,
     ) -> Result<Vec<Step>, SimError> {
-        let wq = Quantizer::signed_unit(self.cfg.quant_bits)?;
         let mut steps = Vec::new();
         let mut i = 0usize;
         while i < layers.len() {
@@ -473,14 +479,7 @@ impl ScSimulator {
                             self.cfg.per_phase_len()
                         )));
                     }
-                    let weights = self.weight_streams(
-                        conv.weights(),
-                        &wq,
-                        *ordinal,
-                        segments,
-                        lengths,
-                        threads,
-                    )?;
+                    let codes = coder.codes(conv.weights(), *ordinal)?;
                     steps.push(Step::new(
                         format!("conv{ordinal}"),
                         StepOp::Conv(PreparedConv {
@@ -490,7 +489,7 @@ impl ScSimulator {
                             stride: conv.stride(),
                             pad: conv.padding(),
                             pool,
-                            weights,
+                            codes,
                             ordinal: *ordinal,
                         }),
                     ));
@@ -498,14 +497,13 @@ impl ScSimulator {
                     i += if pool.is_some() { 2 } else { 1 };
                 }
                 NetLayer::Dense(d) => {
-                    let weights =
-                        self.weight_streams(d.weights(), &wq, *ordinal, 1, lengths, threads)?;
+                    let codes = coder.codes(d.weights(), *ordinal)?;
                     steps.push(Step::new(
                         format!("dense{ordinal}"),
                         StepOp::Dense(PreparedDense {
                             in_n: d.in_features(),
                             out_n: d.out_features(),
-                            weights,
+                            codes,
                             ordinal: *ordinal,
                         }),
                     ));
@@ -529,8 +527,7 @@ impl ScSimulator {
                     i += 1;
                 }
                 NetLayer::Residual(r) => {
-                    let inner =
-                        self.prepare_layers(r.inner().layers(), ordinal, lengths, threads)?;
+                    let inner = self.prepare_layers(r.inner().layers(), ordinal, coder)?;
                     steps.push(Step::new("residual", StepOp::Residual(inner)));
                     i += 1;
                 }
@@ -610,7 +607,7 @@ impl ScSimulator {
             )));
         }
         let run = self.resolve_len(prepared, spec.stream_len)?;
-        let aq = Quantizer::unsigned_unit(self.cfg.quant_bits)?;
+        let aq = Quantizer::unsigned_unit(QUANT_BITS)?;
         let xs: Vec<Tensor> = spec
             .inputs
             .iter()
@@ -644,25 +641,26 @@ impl ScSimulator {
     }
 
     /// Resolves a requested stream length (`None` = the prepare-time
-    /// maximum) to its bank level, with the kernel resolved against the
-    /// host and the configured [`KernelChoice`](crate::KernelChoice).
-    fn resolve_len(
+    /// maximum) against the supported prefixes, with the kernel resolved
+    /// against the host and the configured
+    /// [`KernelChoice`](crate::KernelChoice).
+    fn resolve_len<'a>(
         &self,
-        prepared: &PreparedNetwork,
+        prepared: &'a PreparedNetwork,
         stream_len: Option<usize>,
-    ) -> Result<RunLen, SimError> {
+    ) -> Result<RunLen<'a>, SimError> {
         let stream_len = stream_len.unwrap_or_else(|| prepared.max_stream_len());
-        let level = prepared.level_of(stream_len).ok_or_else(|| {
-            SimError::InvalidConfig(format!(
+        if !prepared.lengths.contains(&stream_len) {
+            return Err(SimError::InvalidConfig(format!(
                 "stream length {stream_len} is not an executable prefix of this \
                  prepared network (supported: {:?})",
                 prepared.supported_lengths()
-            ))
-        })?;
+            )));
+        }
         Ok(RunLen {
-            level,
             per_phase: stream_len / 2,
             kernel: active_kernel(self.cfg.kernel),
+            cycles: &prepared.cycles,
         })
     }
 
@@ -707,7 +705,7 @@ impl ScSimulator {
         observe: Observe,
         out: &mut RunOutput,
         scratch: &mut SimScratch,
-        run: RunLen,
+        run: RunLen<'_>,
     ) -> Result<Vec<Tensor>, SimError> {
         for step in steps {
             let started = observe.timings.then(std::time::Instant::now);
@@ -766,193 +764,6 @@ impl ScSimulator {
             }
         }
         Ok(xs)
-    }
-
-    /// Builds a MAC layer's weight streams into a [`StreamPool`] holding
-    /// every executable prefix length.
-    ///
-    /// Every distinct stream's SNG walks **once**, at the maximum length;
-    /// each shorter level is re-segmented out of that same full-length
-    /// stream (its length-`L` prefix), which is bit-identical to generating
-    /// the level directly because the LFSR emits bits sequentially.
-    ///
-    /// Quantization happens through a per-code lookup table
-    /// ([`threshold_lut`]): the 8-bit code fully determines the quantized
-    /// component (`quantize_value` = `decode ∘ encode`), so the hot loop
-    /// over up to 10⁸ lanes is integer-only and bit-exact versus the
-    /// historical per-lane float path.
-    ///
-    /// The pool holds one canonical stream per distinct (mixed 16-bit SNG
-    /// seed, quantized threshold) key, and every lane holds a compact slot
-    /// index into it.
-    ///
-    /// A stream is a pure function of that key — two lanes with the same
-    /// mixed seed and quantized magnitude would generate bit-identical
-    /// words, so sharing one copy cannot change logits.
-    /// The seed space is 16 bits wide and the 8-bit quantizer emits a few
-    /// hundred magnitudes, so distinct keys are bounded per layer while
-    /// lane counts grow with the model — the bigger the layer, the bigger
-    /// the win (ImageNet-scale dense layers dedup ~10×).
-    ///
-    /// The build runs in three phases so it can parallelise without
-    /// changing a single bit of the artifact:
-    ///
-    /// * **Phase A (parallel)** — collect every lane's packed key; pure
-    ///   per-lane integer work with no ordering component.
-    /// * **Phase B (serial)** — assign slot ids at first sight in a
-    ///   phase-major scan (positive lanes, then negative), exactly the
-    ///   order the historical single-threaded build used. This is the only
-    ///   order-sensitive step and it never runs in parallel, which is why
-    ///   banks are bit-identical for every thread count. The phase-major
-    ///   order keeps each kernel phase pass on a dense ascending slot
-    ///   range.
-    /// * **Phase C (parallel)** — materialize each slot's words into
-    ///   pre-sized level buffers; slot positions were fixed in phase B, so
-    ///   slot ranges fill independently.
-    ///
-    /// Every prefix level lays its words out in slot order from the same
-    /// single SNG walk, so one index vector serves all levels and prefix
-    /// execution stays bit-identical to a direct prepare at the shorter
-    /// length.
-    fn weight_streams(
-        &self,
-        weights: &[f32],
-        wq: &Quantizer,
-        ordinal: usize,
-        segments: usize,
-        lengths: &[usize],
-        threads: usize,
-    ) -> Result<Arc<StreamPool>, SimError> {
-        let m = self.cfg.per_phase_len();
-        if !m.is_multiple_of(segments) {
-            return Err(SimError::UnsupportedLayer(format!(
-                "pooling window {segments}-way does not divide per-phase length {m}"
-            )));
-        }
-        let lut: &[(u8, u32)] = &threshold_lut(wq)?;
-        let lanes = weights.len();
-        let wgt_seed = self.cfg.wgt_seed;
-
-        // Phase A — parallel key collect.
-        let mut keys = vec![0u64; lanes];
-        let mut pos = vec![false; lanes];
-        let a_threads = effective_threads(threads, lanes, MIN_LANES_PER_THREAD);
-        if a_threads == 1 {
-            collect_key_chunk(weights, wq, lut, wgt_seed, ordinal, 0, &mut keys, &mut pos);
-        } else {
-            let chunk = lanes.div_ceil(a_threads);
-            std::thread::scope(|s| {
-                for ((w, wchunk), (kchunk, pchunk)) in weights
-                    .chunks(chunk)
-                    .enumerate()
-                    .zip(keys.chunks_mut(chunk).zip(pos.chunks_mut(chunk)))
-                {
-                    s.spawn(move || {
-                        collect_key_chunk(
-                            wchunk,
-                            wq,
-                            lut,
-                            wgt_seed,
-                            ordinal,
-                            w * chunk,
-                            kchunk,
-                            pchunk,
-                        );
-                    });
-                }
-            });
-        }
-
-        // Phase B — serial canonical slot assignment over the collected
-        // keys (phase-major, first sight).
-        let mut pool = StreamPool {
-            index: vec![NO_SLOT; lanes],
-            pos_present: vec![false; lanes],
-            neg_present: vec![false; lanes],
-            levels: lengths
-                .iter()
-                .map(|&l| PoolLevel {
-                    words: Vec::new(),
-                    seg_words: (l / 2 / segments).div_ceil(64),
-                })
-                .collect(),
-            distinct: 0,
-            segments,
-        };
-        let mut map = PoolMap::new();
-        let mut slot_keys: Vec<u64> = Vec::new();
-        for pass_positive in [true, false] {
-            for j in 0..lanes {
-                // `mix_seed` never yields 0, so key 0 unambiguously marks a
-                // zero-quantized (skipped) lane.
-                let key = keys[j];
-                if key == 0 || pos[j] != pass_positive {
-                    continue;
-                }
-                let slot = match map.get(key) {
-                    Some(s) => s,
-                    None => {
-                        if slot_keys.len() >= NO_SLOT as usize {
-                            return Err(SimError::UnsupportedLayer(
-                                "weight-stream pool exceeds u32 slot space".into(),
-                            ));
-                        }
-                        let s = slot_keys.len() as u32;
-                        slot_keys.push(key);
-                        map.insert(key, s);
-                        s
-                    }
-                };
-                pool.index[j] = slot;
-                if pass_positive {
-                    pool.pos_present[j] = true;
-                } else {
-                    pool.neg_present[j] = true;
-                }
-            }
-        }
-        pool.distinct = slot_keys.len();
-
-        // Phase C — parallel slot materialize into pre-sized buffers.
-        for level in pool.levels.iter_mut() {
-            level.words = vec![0u64; slot_keys.len() * segments * level.seg_words];
-        }
-        let c_threads = effective_threads(threads, slot_keys.len(), MIN_SLOTS_PER_THREAD);
-        if c_threads == 1 {
-            let views: Vec<(&mut [u64], usize)> = pool
-                .levels
-                .iter_mut()
-                .map(|lv| (lv.words.as_mut_slice(), lv.seg_words))
-                .collect();
-            materialize_slot_chunk(&slot_keys, segments, lengths, m, views)?;
-        } else {
-            let chunk = slot_keys.len().div_ceil(c_threads);
-            let mut iters: Vec<_> = pool
-                .levels
-                .iter_mut()
-                .map(|lv| {
-                    let per = segments * lv.seg_words;
-                    (lv.seg_words, lv.words.chunks_mut(chunk * per))
-                })
-                .collect();
-            std::thread::scope(|s| -> Result<(), SimError> {
-                let mut handles = Vec::new();
-                for key_chunk in slot_keys.chunks(chunk) {
-                    let views: Vec<(&mut [u64], usize)> = iters
-                        .iter_mut()
-                        .map(|(sw, it)| (it.next().unwrap_or_default(), *sw))
-                        .collect();
-                    handles.push(s.spawn(move || {
-                        materialize_slot_chunk(key_chunk, segments, lengths, m, views)
-                    }));
-                }
-                for h in handles {
-                    h.join().expect("prepare worker panicked")?;
-                }
-                Ok(())
-            })?;
-        }
-        Ok(Arc::new(pool))
     }
 
     /// Generates activation streams for a whole layer input into a packed
@@ -1078,6 +889,8 @@ impl ScSimulator {
         scratch.tile_sat.resize(tile, false);
         scratch.tile_phase.clear();
         scratch.tile_phase.resize(tile, 0);
+        scratch.tile_wgt.clear();
+        scratch.tile_wgt.resize(geom.seg_words, 0);
         Ok(())
     }
 
@@ -1087,9 +900,9 @@ impl ScSimulator {
         xs: &[Tensor],
         act_seeds: &[u32],
         scratch: &mut SimScratch,
-        run: RunLen,
+        run: RunLen<'_>,
     ) -> Result<Vec<Tensor>, SimError> {
-        let weights = c.weights.level(run.level);
+        let weights = run.cycles.view(&c.codes);
         let shape = xs[0].shape();
         for x in xs {
             let s = x.shape();
@@ -1103,7 +916,7 @@ impl ScSimulator {
         let (h, w) = (shape[1], shape[2]);
         let oh = (h + 2 * c.pad - c.k) / c.stride + 1;
         let ow = (w + 2 * c.pad - c.k) / c.stride + 1;
-        let segments = c.pool.map_or(1, |k| k * k);
+        let segments = c.segments();
         if let Some(pk) = c.pool {
             if !oh.is_multiple_of(pk) || !ow.is_multiple_of(pk) {
                 return Err(SimError::UnsupportedLayer(format!(
@@ -1112,7 +925,7 @@ impl ScSimulator {
             }
         }
         let m = run.per_phase;
-        let seg_words = weights.seg_words;
+        let seg_words = (m / segments).div_ceil(64);
         let tile = xs.len();
         let geom = SegGeom::new(segments, seg_words, m / segments, self.or_group());
         self.fill_tile_banks(xs, act_seeds, c.ordinal, &geom, scratch)?;
@@ -1135,6 +948,8 @@ impl ScSimulator {
             tile_sat,
             tile_phase,
             tile_counts,
+            tile_wgt,
+            tile_weighted,
             stats,
             ..
         } = scratch;
@@ -1191,6 +1006,8 @@ impl ScSimulator {
                                 in_group: &mut tile_in_group[..tile],
                                 sat: &mut tile_sat[..tile],
                                 phase: &mut tile_phase[..tile],
+                                wgt: &mut tile_wgt[..seg_words],
+                                weighted: tile_weighted,
                             },
                             tile_counts,
                             c.out_c,
@@ -1215,7 +1032,7 @@ impl ScSimulator {
         xs: &[Tensor],
         act_seeds: &[u32],
         scratch: &mut SimScratch,
-        run: RunLen,
+        run: RunLen<'_>,
     ) -> Result<Vec<Tensor>, SimError> {
         for x in xs {
             if x.len() != d.in_n {
@@ -1225,9 +1042,9 @@ impl ScSimulator {
                 }));
             }
         }
-        let weights = d.weights.level(run.level);
+        let weights = run.cycles.view(&d.codes);
         let m = run.per_phase;
-        let seg_words = weights.seg_words;
+        let seg_words = m.div_ceil(64);
         let tile = xs.len();
         let geom = SegGeom::new(1, seg_words, m, self.or_group());
         self.fill_tile_banks(xs, act_seeds, d.ordinal, &geom, scratch)?;
@@ -1240,6 +1057,8 @@ impl ScSimulator {
             tile_sat,
             tile_phase,
             tile_counts,
+            tile_wgt,
+            tile_weighted,
             stats,
             ..
         } = scratch;
@@ -1270,6 +1089,8 @@ impl ScSimulator {
                     in_group: &mut tile_in_group[..tile],
                     sat: &mut tile_sat[..tile],
                     phase: &mut tile_phase[..tile],
+                    wgt: &mut tile_wgt[..seg_words],
+                    weighted: tile_weighted,
                 },
                 tile_counts,
                 d.out_n,
@@ -1342,92 +1163,106 @@ fn binary_max_pool(x: &Tensor, k: usize) -> Result<Tensor, SimError> {
     Ok(pool.forward(x)?)
 }
 
-/// Weight-code tags of a [`threshold_lut`] entry.
-const TAG_SKIP: u8 = 0;
-const TAG_POS: u8 = 1;
-const TAG_NEG: u8 = 2;
-
-/// Per-code SNG lookup: (phase tag, quantized comparator threshold),
-/// precomputed once per layer so the per-lane hot loop is integer-only.
-///
-/// Bit-exact versus the historical per-lane float path because
-/// `quantize_value(w)` = `decode(encode(w))` — the code fully determines
-/// the quantized component, its sign and therefore its threshold.
-fn threshold_lut(wq: &Quantizer) -> Result<Vec<(u8, u32)>, SimError> {
-    (0..wq.levels())
-        .map(|code| {
-            let v = wq.decode(code);
-            if v > 0.0 {
-                Ok((TAG_POS, quantize_probability(f64::from(v), SNG_WIDTH)?))
-            } else if v < 0.0 {
-                Ok((TAG_NEG, quantize_probability(f64::from(-v), SNG_WIDTH)?))
-            } else {
-                Ok((TAG_SKIP, 0))
-            }
-        })
-        .collect()
-}
-
-/// Clamps a resolved thread count to the useful degree of parallelism for
-/// `work` items at `min_per_thread` granularity (spawning a thread for a
-/// few hundred lanes costs more than the lanes).
-fn effective_threads(threads: usize, work: usize, min_per_thread: usize) -> usize {
-    threads.clamp(1, work.div_ceil(min_per_thread).max(1))
-}
-
-/// Collects one lane chunk's packed stream keys (phase A). A lane's
-/// key is `(mixed seed << 32) | threshold` — nonzero, since `mix_seed`
-/// never yields 0 — or 0 for a zero-quantized (skipped) lane.
-#[allow(clippy::too_many_arguments)]
-fn collect_key_chunk(
-    weights: &[f32],
-    wq: &Quantizer,
-    lut: &[(u8, u32)],
+/// Prepare-time weight coding of one model: the LFSR orbit's position
+/// table, the weight quantizer, and the model's distinct weight thresholds
+/// in first-sight order. Lives for one prepare; [`WeightCoder::into_cycles`]
+/// turns the thresholds into the model's cycles and drops the orbit.
+struct WeightCoder {
+    orbit: LfsrOrbit,
+    wq: Quantizer,
     wgt_seed: u32,
-    ordinal: usize,
-    start: usize,
-    keys: &mut [u64],
-    pos: &mut [bool],
-) {
-    for (local, &w) in weights.iter().enumerate() {
-        let (tag, threshold) = lut[wq.encode(w) as usize];
-        if tag == TAG_SKIP {
-            continue;
-        }
-        let positive = tag == TAG_POS;
-        let j = start + local;
-        let seed = mix_seed(wgt_seed, ordinal as u32, j as u32, u32::from(!positive));
-        keys[local] = (u64::from(seed) << 32) | u64::from(threshold);
-        pos[local] = positive;
-    }
+    /// Longest stream a cycle serves (per phase).
+    per_phase: usize,
+    /// Bits per cycle ([`LfsrOrbit::cycle_words`]).
+    cycle_bits: usize,
+    /// Per quantizer code: the lane code of orbit position 0
+    /// ([`ZERO_CODE`] for a zero weight), or `None` before first sight.
+    classes: Vec<Option<u32>>,
+    thresholds: Vec<u32>,
 }
 
-/// Materializes one contiguous slot-range chunk of a stream pool (phase
-/// C): walks each slot's canonical full-length words once and lays its
-/// per-segment prefix slices into every level at the slot's pre-assigned
-/// position.
-fn materialize_slot_chunk(
-    slot_keys: &[u64],
-    segments: usize,
-    lengths: &[usize],
-    m: usize,
-    mut views: Vec<(&mut [u64], usize)>,
-) -> Result<(), SimError> {
-    let mut full = vec![0u64; m.div_ceil(64)];
-    for (slot_local, &key) in slot_keys.iter().enumerate() {
-        let seed = (key >> 32) as u32;
-        let threshold = (key & 0xFFFF_FFFF) as u32;
-        let mut sng = Sng::new(Lfsr::maximal(SNG_WIDTH, seed)?, SNG_WIDTH);
-        sng.fill_quantized(threshold, m, &mut full);
-        for ((words, sw), &len) in views.iter_mut().zip(lengths) {
-            let seg_len = len / 2 / segments;
-            for e in 0..segments {
-                let off = (slot_local * segments + e) * *sw;
-                copy_bit_range(&full, e * seg_len, seg_len, &mut words[off..off + *sw]);
+impl WeightCoder {
+    fn new(wgt_seed: u32, per_phase: usize) -> Result<Self, SimError> {
+        let wq = Quantizer::signed_unit(QUANT_BITS)?;
+        let orbit = LfsrOrbit::maximal(SNG_WIDTH)?;
+        Ok(WeightCoder {
+            cycle_bits: orbit.cycle_words(per_phase) * 64,
+            orbit,
+            classes: vec![None; wq.levels() as usize],
+            wq,
+            wgt_seed,
+            per_phase,
+            thresholds: Vec::new(),
+        })
+    }
+
+    /// The phase and cycle of quantizer code `q`, as the lane code of
+    /// orbit position 0. The code fully determines the quantized weight
+    /// (`quantize_value` = `decode ∘ encode`), hence its sign and
+    /// comparator threshold, so this runs once per code, not per lane.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidConfig`] when the stream length makes the
+    /// cycles too long for every stream start to fit a code.
+    fn class(&mut self, q: u32) -> Result<u32, SimError> {
+        if let Some(c) = self.classes[q as usize] {
+            return Ok(c);
+        }
+        let v = self.wq.decode(q);
+        let c = if v == 0.0 {
+            ZERO_CODE
+        } else {
+            let t = quantize_probability(f64::from(v.abs()), SNG_WIDTH)?;
+            let k = match self.thresholds.iter().position(|&x| x == t) {
+                Some(k) => k,
+                None => {
+                    self.thresholds.push(t);
+                    self.thresholds.len() - 1
+                }
+            };
+            let start = k * self.cycle_bits;
+            if start + self.cycle_bits > LIVE_BOUND as usize {
+                return Err(SimError::InvalidConfig(format!(
+                    "per-phase length {} makes {} weight cycles too long for 31-bit \
+                     stream codes",
+                    self.per_phase,
+                    k + 1
+                )));
             }
+            start as u32 | if v < 0.0 { NEG_PHASE } else { 0 }
+        };
+        self.classes[q as usize] = Some(c);
+        Ok(c)
+    }
+
+    /// One code per weight of MAC layer `ordinal`. Weight `j`'s stream is
+    /// the SNG stream of seed `mix_seed(wgt_seed, ordinal, j, phase)`, so
+    /// its code holds that seed's orbit position.
+    fn codes(&mut self, weights: &[f32], ordinal: usize) -> Result<Vec<u32>, SimError> {
+        let mut codes = Vec::with_capacity(weights.len());
+        for (j, &w) in weights.iter().enumerate() {
+            let class = self.class(self.wq.encode(w))?;
+            if class == ZERO_CODE {
+                codes.push(ZERO_CODE);
+                continue;
+            }
+            let negative = class & NEG_PHASE != 0;
+            let seed = mix_seed(self.wgt_seed, ordinal as u32, j as u32, u32::from(negative));
+            // The position is below the cycle's length, so the sum stays
+            // inside the cycle and below the phase bit.
+            codes.push(class + self.orbit.position(seed)? as u32);
+        }
+        Ok(codes)
+    }
+
+    /// The model's weight cycles.
+    fn into_cycles(self) -> WeightCycles {
+        WeightCycles {
+            words: self.orbit.cycles(&self.thresholds, self.per_phase),
+            thresholds: self.thresholds,
         }
     }
-    Ok(())
 }
 
 /// Mixes seed components into a non-zero 16-bit LFSR seed.
@@ -2116,11 +1951,9 @@ mod residual_tests {
         assert_eq!(names, vec!["conv0", "conv1", "residual"]);
     }
 
-    /// A network large enough that prepare-time chunking actually engages:
-    /// the dense layer alone has 256 × 96 = 24 576 lanes
-    /// (> [`MIN_LANES_PER_THREAD`]) and several thousand distinct streams
-    /// (> [`MIN_SLOTS_PER_THREAD`]).
-    fn chunky_network() -> Network {
+    /// A network with thousands of weight lanes in both phases: the dense
+    /// layer alone has 256 × 96 = 24 576.
+    fn wide_network() -> Network {
         let mut net = Network::new();
         net.push_conv(Conv2d::new(1, 4, 3, 1, 1, AccumMode::OrApprox).unwrap());
         net.push_avg_pool(AvgPool2d::new(2).unwrap());
@@ -2131,30 +1964,31 @@ mod residual_tests {
     }
 
     #[test]
-    fn parallel_prepare_is_bit_identical_across_threads() {
-        let net = chunky_network();
+    fn prepare_is_deterministic_and_accounts_codes_and_cycles() {
+        let net = wide_network();
         let sim = ScSimulator::new(cfg(128));
-        let baseline = sim.prepare_with(&net, 1).unwrap();
-        let digest = baseline.content_digest();
-        let stats = baseline.dedup_stats();
-        for threads in [2, 4] {
-            let p = sim.prepare_with(&net, threads).unwrap();
-            assert_eq!(
-                p.content_digest(),
-                digest,
-                "banks differ at threads={threads}"
-            );
-            assert_eq!(p.dedup_stats(), stats, "dedup stats differ at {threads}");
-        }
+        let a = sim.prepare(&net).unwrap();
+        let b = sim.prepare(&net).unwrap();
+        assert_eq!(a.content_digest(), b.content_digest());
+        let stats = a.dedup_stats();
+        assert_eq!(stats, b.dedup_stats());
+        assert_eq!(stats.lanes, 4 * 9 + 256 * 96);
+        assert_eq!(stats.index_bytes, 4 * stats.lanes);
+        assert_eq!(
+            stats.pool_bytes,
+            stats.distinct_streams * 8 * ((65_535 + 64usize).div_ceil(64) + 1) as u64
+        );
+        assert_eq!(stats.resident_bytes, stats.pool_bytes + stats.index_bytes);
+        assert_eq!(a.approx_bytes() as u64, stats.resident_bytes);
     }
 
     #[test]
-    fn parallel_prepare_prefix_levels_match_direct_prepare() {
-        // Every prefix level of a multi-threaded prepare must equal a
-        // direct single-threaded prepare at that shorter length.
-        let net = chunky_network();
+    fn prefix_levels_match_direct_prepare() {
+        // Every prefix level must equal a direct prepare at that shorter
+        // length.
+        let net = wide_network();
         let sim = ScSimulator::new(cfg(256));
-        let wide = sim.prepare_with(&net, 4).unwrap();
+        let wide = sim.prepare(&net).unwrap();
         let input = Tensor::from_vec(
             &[1, 16, 16],
             (0..256).map(|i| (i % 11) as f32 / 11.0).collect(),
@@ -2177,7 +2011,7 @@ mod residual_tests {
 
     #[test]
     fn content_digest_distinguishes_different_banks() {
-        let net = chunky_network();
+        let net = wide_network();
         let a = ScSimulator::new(cfg(128)).prepare(&net).unwrap();
         let b = ScSimulator::new(cfg(256)).prepare(&net).unwrap();
         assert_ne!(a.content_digest(), b.content_digest());

@@ -16,13 +16,13 @@ use acoustic_nn::layers::{AccumMode, NetLayer, Network};
 use acoustic_nn::train::Sample;
 use acoustic_nn::Tensor;
 
-use crate::{SimConfig, SimError};
+use crate::{SimError, QUANT_BITS};
 
-/// Runs one inference in the value-domain limit of `cfg`'s datapath.
+/// Runs one inference in the value-domain limit of the datapath.
 ///
 /// Uses the same quantizers and layer fusion rules as the bit-level
 /// simulator; the output is what [`crate::ScSimulator`] converges to as
-/// `stream_len → ∞`.
+/// `stream_len → ∞`, whatever its configuration.
 ///
 /// # Errors
 ///
@@ -33,30 +33,24 @@ use crate::{SimConfig, SimError};
 /// ```
 /// use acoustic_nn::layers::{AccumMode, Dense, Network};
 /// use acoustic_nn::Tensor;
-/// use acoustic_simfunc::{expected_logits, SimConfig};
+/// use acoustic_simfunc::expected_logits;
 ///
 /// # fn main() -> Result<(), acoustic_simfunc::SimError> {
 /// let mut net = Network::new();
 /// net.push_dense(Dense::new(4, 2, AccumMode::OrApprox)?);
-/// let cfg = SimConfig::with_stream_len(128)?;
-/// let logits = expected_logits(&net, &Tensor::zeros(&[4]), &cfg)?;
+/// let logits = expected_logits(&net, &Tensor::zeros(&[4]))?;
 /// assert_eq!(logits.shape(), &[2]);
 /// # Ok(())
 /// # }
 /// ```
-pub fn expected_logits(net: &Network, input: &Tensor, cfg: &SimConfig) -> Result<Tensor, SimError> {
-    let aq = Quantizer::unsigned_unit(cfg.quant_bits)?;
+pub fn expected_logits(net: &Network, input: &Tensor) -> Result<Tensor, SimError> {
+    let aq = Quantizer::unsigned_unit(QUANT_BITS)?;
     let x = input.map(|v| aq.quantize_value(v.clamp(0.0, 1.0)));
-    run_layers(net.layers(), x, cfg, &aq)
+    run_layers(net.layers(), x, &aq)
 }
 
-fn run_layers(
-    layers: &[NetLayer],
-    mut x: Tensor,
-    cfg: &SimConfig,
-    aq: &Quantizer,
-) -> Result<Tensor, SimError> {
-    let wq = Quantizer::signed_unit(cfg.quant_bits)?;
+fn run_layers(layers: &[NetLayer], mut x: Tensor, aq: &Quantizer) -> Result<Tensor, SimError> {
+    let wq = Quantizer::signed_unit(QUANT_BITS)?;
     for layer in layers {
         x = match layer {
             NetLayer::Conv(c) => {
@@ -85,7 +79,7 @@ fn run_layers(
             NetLayer::Flatten(_) => x.to_flat(),
             NetLayer::Residual(res) => {
                 let skip = x.clone();
-                let mut y = run_layers(res.inner().layers(), x, cfg, aq)?;
+                let mut y = run_layers(res.inner().layers(), x, aq)?;
                 if y.shape() != skip.shape() {
                     return Err(SimError::UnsupportedLayer(
                         "residual inner path changed shape".into(),
@@ -107,17 +101,13 @@ fn run_layers(
 ///
 /// Returns [`SimError::InvalidConfig`] for an empty sample set; propagates
 /// layer errors.
-pub fn expected_accuracy(
-    net: &Network,
-    samples: &[Sample],
-    cfg: &SimConfig,
-) -> Result<f64, SimError> {
+pub fn expected_accuracy(net: &Network, samples: &[Sample]) -> Result<f64, SimError> {
     if samples.is_empty() {
         return Err(SimError::InvalidConfig("empty evaluation set".into()));
     }
     let mut correct = 0usize;
     for (input, label) in samples {
-        if expected_logits(net, input, cfg)?.argmax() == *label {
+        if expected_logits(net, input)?.argmax() == *label {
             correct += 1;
         }
     }
@@ -127,7 +117,7 @@ pub fn expected_accuracy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ScSimulator;
+    use crate::{ScSimulator, SimConfig};
     use acoustic_nn::layers::{AvgPool2d, Conv2d, Dense, Relu};
 
     fn cfg(n: usize) -> SimConfig {
@@ -157,7 +147,7 @@ mod tests {
         // |SC(n) − expected| must shrink as streams lengthen.
         let net = small_net();
         let input = test_input();
-        let expected = expected_logits(&net, &input, &cfg(128)).unwrap();
+        let expected = expected_logits(&net, &input).unwrap();
 
         let dist = |n: usize| -> f32 {
             let sc = ScSimulator::new(cfg(n)).run(&net, &input).unwrap();
@@ -177,21 +167,21 @@ mod tests {
     }
 
     #[test]
-    fn expected_is_deterministic_and_stream_length_free() {
+    fn expected_is_deterministic() {
         let net = small_net();
         let input = test_input();
-        let a = expected_logits(&net, &input, &cfg(64)).unwrap();
-        let b = expected_logits(&net, &input, &cfg(4096)).unwrap();
-        assert_eq!(a, b, "the limit must not depend on stream length");
+        let a = expected_logits(&net, &input).unwrap();
+        let b = expected_logits(&net, &input).unwrap();
+        assert_eq!(a, b);
     }
 
     #[test]
     fn expected_accuracy_runs_on_samples() {
         let net = small_net();
         let samples: Vec<Sample> = (0..4).map(|i| (test_input(), i % 4)).collect();
-        let acc = expected_accuracy(&net, &samples, &cfg(128)).unwrap();
+        let acc = expected_accuracy(&net, &samples).unwrap();
         assert!((0.0..=1.0).contains(&acc));
-        assert!(expected_accuracy(&net, &[], &cfg(128)).is_err());
+        assert!(expected_accuracy(&net, &[]).is_err());
     }
 
     #[test]
@@ -200,7 +190,7 @@ mod tests {
         inner.push_conv(Conv2d::new(1, 1, 3, 1, 1, AccumMode::OrApprox).unwrap());
         let mut net = Network::new();
         net.push_residual(inner);
-        let out = expected_logits(&net, &Tensor::zeros(&[1, 4, 4]), &cfg(128)).unwrap();
+        let out = expected_logits(&net, &Tensor::zeros(&[1, 4, 4])).unwrap();
         assert_eq!(out.shape(), &[1, 4, 4]);
     }
 }

@@ -9,7 +9,7 @@
 //! equivalence is test-enforced.
 
 use super::scalar;
-use super::{KernelStats, TilePhaseArgs, TileState};
+use super::{KernelStats, TilePhaseArgs, TileState, WeightedLane};
 
 /// Images per 512-bit register in the lockstep tile walk.
 const TILE_LANES: usize = 8;
@@ -42,7 +42,6 @@ unsafe fn mac_phase_tile_word_single_avx512(
     stats: &mut KernelStats,
 ) {
     use std::arch::x86_64::*;
-    let geom = args.geom;
     let tile = args.banks.len();
     let lanes = args.lanes;
     // The window is a bit pattern; sign-reinterpreting is lossless.
@@ -52,15 +51,9 @@ unsafe fn mac_phase_tile_word_single_avx512(
         let b: [&[u64]; TILE_LANES] =
             std::array::from_fn(|t| args.banks[base + t].words.as_slice());
         let mut acc = _mm512_setzero_si512();
-        for (n, &(word, w_base)) in lanes.iter().enumerate() {
-            let w_idx = args.w_off + w_base;
-            if !args.present[w_idx] {
-                continue;
-            }
-            // Shifting the broadcast weight onto the segment costs no
-            // vector op; its zero bits drop the neighbouring segments.
-            let w = args.bank_words[args.index[w_idx] as usize * geom.segments + args.segment]
-                << args.shift;
+        for &WeightedLane { n, word, w } in state.weighted.iter() {
+            // The weight word arrives cut from its cycle and shifted onto
+            // the segment; its zero bits drop the neighbouring segments.
             let wv = _mm512_set1_epi64(w as i64);
             let av = _mm512_set_epi64(
                 b[7][word] as i64,

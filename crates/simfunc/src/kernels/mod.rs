@@ -46,7 +46,7 @@ pub(crate) mod scalar;
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx512;
 
-use crate::banks::{ActBank, WeightView};
+use crate::banks::{ActBank, WeightView, NEG_PHASE};
 
 /// Configured kernel preference of a simulation (see
 /// [`SimConfig::kernel`](crate::SimConfig::kernel)).
@@ -265,13 +265,10 @@ pub(crate) struct TilePhaseArgs<'a> {
     pub geom: &'a SegGeom,
     /// Per-image activation banks (identical layout).
     pub banks: &'a [ActBank],
-    /// The layer's pool words at the active prefix level, slot-major.
-    pub bank_words: &'a [u64],
-    /// Whether each weight has a component in this phase.
-    pub present: &'a [bool],
-    /// Per-lane slot indices into `bank_words`. Only valid for `present`
-    /// lanes — kernels must check `present` before resolving a slot.
-    pub index: &'a [u32],
+    /// The layer's lane codes over the model's weight cycles.
+    pub weights: WeightView<'a>,
+    /// The phase's lane-code bit: 0 positive, [`NEG_PHASE`] negative.
+    pub phase: u32,
     /// Receptive-field lanes `(segment_word, weight_base)`, where
     /// `segment_word = activation_index * act_words + word` is the first
     /// bank word of the segment ([`SegGeom::locate`]); *not* filtered of
@@ -279,13 +276,47 @@ pub(crate) struct TilePhaseArgs<'a> {
     /// lanes gated in every image are dropped by the caller).
     pub lanes: &'a [(usize, usize)],
     pub w_off: usize,
-    pub segment: usize,
-    /// Bit shift of the segment inside its first word: weight words are
-    /// shifted left by it before the AND.
+    /// Bit offset of the segment inside a weight stream
+    /// (`segment * seg_len`).
+    pub seg_off: usize,
+    /// Bit shift of the segment inside its first activation word: weight
+    /// words are shifted left by it before the AND.
     pub shift: u32,
     /// `sat_mask << shift`: the segment's bits in its (last) word — the
     /// zero-segment test and the saturation pattern.
     pub window: u64,
+}
+
+impl TilePhaseArgs<'_> {
+    /// First cycle bit of the weight segment of lane `w_base`, or `None`
+    /// when the weight has no component in this phase.
+    #[inline]
+    pub(crate) fn weight_bit(&self, w_base: usize) -> Option<usize> {
+        self.weights
+            .lane_bit(self.w_off + w_base, self.phase)
+            .map(|bit| bit + self.seg_off)
+    }
+
+    /// The weight word of a single-word segment starting at cycle bit
+    /// `bit`: cut to the segment's bits and shifted onto the segment's
+    /// activation bits.
+    #[inline]
+    pub(crate) fn weight_word(&self, bit: usize) -> u64 {
+        (self.weights.word_at(bit) & self.geom.sat_mask) << self.shift
+    }
+
+    /// Word `k` of a multi-word weight segment starting at cycle bit `bit`
+    /// (multi-word segments start on a word boundary: no shift), its last
+    /// word cut to the segment's bits.
+    #[inline]
+    pub(crate) fn weight_word_of(&self, bit: usize, k: usize) -> u64 {
+        let word = self.weights.word_at(bit + 64 * k);
+        if k + 1 == self.geom.seg_words {
+            word & self.geom.sat_mask
+        } else {
+            word
+        }
+    }
 }
 
 /// Mutable per-image state of a tiled MAC phase, borrowed out of
@@ -299,6 +330,21 @@ pub(crate) struct TileState<'a> {
     pub sat: &'a mut [bool],
     /// Per-image phase counts (output).
     pub phase: &'a mut [u64],
+    /// `seg_words` words holding the weight segment of the lane in flight
+    /// (general walk).
+    pub wgt: &'a mut [u64],
+    /// The phase's weighted lanes (lockstep walk).
+    pub weighted: &'a mut Vec<WeightedLane>,
+}
+
+/// A lane with a weight component in the phase in flight, as the lockstep
+/// walk reads it: its index in the lane list, its activation word and its
+/// weight word, cut from the cycles once for every image of the tile.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WeightedLane {
+    pub n: usize,
+    pub word: usize,
+    pub w: u64,
 }
 
 /// One tiled split-unipolar MAC over a segment: walks each weight word once
@@ -320,16 +366,15 @@ pub(crate) fn mac_segment_tile(
     stats: &mut KernelStats,
 ) {
     let (_, shift) = geom.locate(segment);
-    for (sign, present) in [(1i64, weights.pos_present), (-1i64, weights.neg_present)] {
+    for (sign, phase) in [(1i64, 0), (-1i64, NEG_PHASE)] {
         let args = TilePhaseArgs {
             geom,
             banks,
-            bank_words: weights.words,
-            present,
-            index: weights.index,
+            weights,
+            phase,
             lanes,
             w_off,
-            segment,
+            seg_off: segment * geom.seg_len,
             shift,
             window: geom.sat_mask << shift,
         };
@@ -370,6 +415,13 @@ fn mac_phase_tile(
     if !(geom.single_group() && geom.seg_words == 1) {
         scalar::mac_phase_tile_general(args, state, stats);
         return;
+    }
+    state.weighted.clear();
+    for (n, &(word, w_base)) in args.lanes.iter().enumerate() {
+        if let Some(bit) = args.weight_bit(w_base) {
+            let w = args.weight_word(bit);
+            state.weighted.push(WeightedLane { n, word, w });
+        }
     }
     match kind {
         #[cfg(target_arch = "x86_64")]

@@ -11,7 +11,7 @@
 
 use acoustic_core::bitstream::count_ones_words;
 
-use super::{KernelStats, TilePhaseArgs, TileState};
+use super::{KernelStats, TilePhaseArgs, TileState, WeightedLane};
 
 /// One MAC phase over one segment of a tile of one image; returns the
 /// phase's ones count. The caller's lane list already dropped every lane
@@ -37,10 +37,9 @@ fn mac_phase_word(args: &TilePhaseArgs<'_>, stats: &mut KernelStats) -> u64 {
     let mut in_group = 0usize;
     let mut saturated = false;
     for (n, &(word, w_base)) in args.lanes.iter().enumerate() {
-        let w_idx = args.w_off + w_base;
-        if !args.present[w_idx] {
+        let Some(bit) = args.weight_bit(w_base) else {
             continue; // weight has no component in this phase
-        }
+        };
         if saturated {
             stats.sat_lanes_skipped += 1;
         } else {
@@ -49,9 +48,7 @@ fn mac_phase_word(args: &TilePhaseArgs<'_>, stats: &mut KernelStats) -> u64 {
                 stats.zero_seg_skips += 1;
             } else {
                 stats.mac_lanes += 1;
-                let slot = args.index[w_idx] as usize;
-                let w = args.bank_words[slot * geom.segments + args.segment];
-                acc_w |= act & (w << args.shift);
+                acc_w |= act & args.weight_word(bit);
                 if acc_w == args.window {
                     saturated = true;
                     stats.sat_group_exits += 1;
@@ -112,21 +109,18 @@ fn mac_phase_words(args: &TilePhaseArgs<'_>, acc: &mut [u64], stats: &mut Kernel
     let mut in_group = 0usize;
     let mut saturated = false;
     for (n, &(word, w_base)) in args.lanes.iter().enumerate() {
-        let w_idx = args.w_off + w_base;
-        if !args.present[w_idx] {
+        let Some(bit) = args.weight_bit(w_base) else {
             continue;
-        }
+        };
         if saturated {
             stats.sat_lanes_skipped += 1;
         } else if bank.segment_is_zero(word, sw, args.window) {
             stats.zero_seg_skips += 1;
         } else {
             stats.mac_lanes += 1;
-            let wb = (args.index[w_idx] as usize * geom.segments + args.segment) * sw;
             let act = &bank.words[word..word + sw];
-            let wgt = &args.bank_words[wb..wb + sw];
-            for ((acc_w, &aw), &ww) in acc.iter_mut().zip(act).zip(wgt) {
-                *acc_w |= aw & ww;
+            for (k, (acc_w, &aw)) in acc.iter_mut().zip(act).enumerate() {
+                *acc_w |= aw & args.weight_word_of(bit, k);
             }
             if is_saturated(acc, geom.sat_mask) {
                 saturated = true;
@@ -175,21 +169,19 @@ pub(super) fn mac_phase_tile_word_single(
     stats: &mut KernelStats,
     start: usize,
 ) {
-    let geom = args.geom;
     let tile = args.banks.len();
     let banks = &args.banks[start..tile];
-    let TileState { accs, phase, .. } = state;
+    let TileState {
+        accs,
+        phase,
+        weighted,
+        ..
+    } = state;
     let accs = &mut accs[start..tile];
     if banks.is_empty() {
         return;
     }
-    for (n, &(word, w_base)) in args.lanes.iter().enumerate() {
-        let w_idx = args.w_off + w_base;
-        if !args.present[w_idx] {
-            continue;
-        }
-        let w = args.bank_words[args.index[w_idx] as usize * geom.segments + args.segment]
-            << args.shift;
+    for &WeightedLane { n, word, w } in weighted.iter() {
         // Accumulator words never leave the segment's window (the shifted
         // weight's tail bits are zero), so the AND chain equals the window
         // exactly when every image's group has saturated.
@@ -225,13 +217,20 @@ pub(super) fn mac_phase_tile_general(
 ) {
     let geom = args.geom;
     let sw = geom.seg_words;
+    let wgt = &mut state.wgt[..sw];
     for &(word, w_base) in args.lanes {
-        let w_idx = args.w_off + w_base;
-        if !args.present[w_idx] {
+        let Some(bit) = args.weight_bit(w_base) else {
             continue;
+        };
+        // Cut once per lane, shared by every image of the tile.
+        if sw == 1 {
+            wgt[0] = args.weight_word(bit);
+        } else {
+            for (k, w) in wgt.iter_mut().enumerate() {
+                *w = args.weight_word_of(bit, k);
+            }
         }
         let a_idx = word / geom.act_words;
-        let wb = (args.index[w_idx] as usize * geom.segments + args.segment) * sw;
         for (t, bank) in args.banks.iter().enumerate() {
             if bank.gated[a_idx] {
                 continue; // gated lanes never consume an OR-group slot
@@ -244,10 +243,8 @@ pub(super) fn mac_phase_tile_general(
             } else {
                 stats.mac_lanes += 1;
                 let act = &bank.words[word..word + sw];
-                let wgt = &args.bank_words[wb..wb + sw];
-                // `shift` is 0 for multi-word segments.
-                for ((acc_w, &aw), &ww) in acc.iter_mut().zip(act).zip(wgt) {
-                    *acc_w |= aw & (ww << args.shift);
+                for ((acc_w, &aw), &ww) in acc.iter_mut().zip(act).zip(wgt.iter()) {
+                    *acc_w |= aw & ww;
                 }
                 if is_saturated(acc, args.window) {
                     state.sat[t] = true;

@@ -11,12 +11,14 @@
 //! including computation-skipping average pooling and per-layer binary
 //! conversion with stream regeneration.
 //!
-//! Weight streams are prepared once per network into one layout: a
-//! per-layer stream pool holding one canonical stream per distinct (mixed
-//! SNG seed, quantized threshold) pair, which every lane reads through a
-//! `u32` slot index. A stream depends only on that pair, so the pool holds
-//! the same bits a per-lane layout would, in a fraction of the memory
-//! ([`DedupStats`]).
+//! Weight streams are prepared once per network into one representation.
+//! Every SNG is a maximal 16-bit LFSR, so every weight stream is a window
+//! of that LFSR's single 65,535-state cycle (its orbit, see
+//! [`LfsrOrbit`](acoustic_core::LfsrOrbit)). A prepared model keeps one bit
+//! cycle per distinct weight threshold, and every weight lane holds one
+//! `u32` code: its phase and where its stream starts, in its cycle at its
+//! orbit position. That is the same bits a per-lane layout would hold, in
+//! a fraction of the memory ([`DedupStats`]).
 //!
 //! [`Network`]: acoustic_nn::layers::Network
 //!
@@ -59,6 +61,9 @@ pub use kernels::{
 };
 pub use sim_error::SimError;
 
+/// Quantization bits of weights and activations (the paper's 8 bits).
+pub const QUANT_BITS: u32 = 8;
+
 /// Configuration of a stochastic functional simulation.
 ///
 /// Implements `Hash`/`Eq` so it can key prepared-model caches (see the
@@ -68,8 +73,6 @@ pub struct SimConfig {
     /// Total split-unipolar stream length (paper footnote 3: "256 long
     /// stream implies 128×2" — this is the *total*; each phase runs half).
     pub stream_len: usize,
-    /// Quantization bits for weights and activations (paper: 8).
-    pub quant_bits: u32,
     /// Base seed for activation SNGs (regenerated per layer).
     pub act_seed: u32,
     /// Base seed for weight SNGs.
@@ -112,7 +115,6 @@ impl SimConfig {
         }
         Ok(SimConfig {
             stream_len,
-            quant_bits: 8,
             act_seed: 0xACE1,
             wgt_seed: 0x1D2C,
             or_group: None,

@@ -15,7 +15,7 @@ use acoustic_core::{Bitstream, Lfsr};
 use acoustic_nn::fixedpoint::Quantizer;
 use acoustic_nn::layers::{AccumMode, AvgPool2d, Conv2d, Dense, Network, Relu};
 use acoustic_nn::Tensor;
-use acoustic_simfunc::{PreparedNetwork, RunSpec, ScSimulator, SimConfig, SimScratch};
+use acoustic_simfunc::{PreparedNetwork, RunSpec, ScSimulator, SimConfig, SimScratch, QUANT_BITS};
 
 /// One image through the production engine at the simulator's seed.
 fn run_one(
@@ -300,8 +300,8 @@ fn ref_dense(
 /// 8-bit quantization, fused pooling iff `skip_pooling`, binary pooling
 /// otherwise, counter-domain ReLU clamp.
 fn ref_logits(cfg: &SimConfig, net_weights: &NetWeights, input: &Tensor) -> Tensor {
-    let aq = Quantizer::unsigned_unit(cfg.quant_bits).unwrap();
-    let wq = Quantizer::signed_unit(cfg.quant_bits).unwrap();
+    let aq = Quantizer::unsigned_unit(QUANT_BITS).unwrap();
+    let wq = Quantizer::signed_unit(QUANT_BITS).unwrap();
     let x = input.map(|v| aq.quantize_value(v.clamp(0.0, 1.0)));
 
     let conv_w: Vec<f32> = net_weights

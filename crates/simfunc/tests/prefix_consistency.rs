@@ -1,14 +1,14 @@
-//! Prefix-consistency property tests for adaptive-precision inference.
+//! Prefix-consistency property tests for per-request stream lengths.
 //!
-//! The adaptive path relies on one structural fact: an LFSR-driven
-//! bitstream of length L is a bit-exact prefix of the length-2L stream
-//! from the same seed. `PreparedNetwork` exploits this by slicing every
-//! shorter-length weight bank out of a single max-length SNG walk, so a
-//! `RunSpec` with `stream_len: Some(L)` must produce *exactly* the logits of
-//! a network prepared directly at stream length L. These tests pin that
+//! A shorter run relies on one structural fact: an LFSR-driven bitstream
+//! of length L is a bit-exact prefix of the length-2L stream from the same
+//! seed. `PreparedNetwork` exploits this by reading every shorter weight
+//! stream as a shorter window of the same LFSR-orbit cycle, so a `RunSpec`
+//! with `stream_len: Some(L)` must produce *exactly* the logits of a
+//! network prepared directly at stream length L. These tests pin that
 //! equivalence across a seed × length × datapath-config matrix — if it
-//! ever breaks, early-exit results silently stop matching what a
-//! fixed-budget deployment at the same length would produce.
+//! ever breaks, a prefix run silently stops matching what a fixed-budget
+//! deployment at the same length would produce.
 
 use acoustic_nn::layers::{AccumMode, AvgPool2d, Conv2d, Dense, Network, Relu};
 use acoustic_nn::Tensor;

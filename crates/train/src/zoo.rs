@@ -24,7 +24,7 @@ use acoustic_nn::NnError;
 /// synthetic datasets; the ImageNet-scale descriptors (AlexNet, VGG-16)
 /// are *prepare-only* — deterministic untrained weights, no dataset, no
 /// SGD — and exist to exercise the serving registry, the prepared-model
-/// cache and the deduplicated weight banks at real scale.
+/// cache and the prepared weights at real scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ZooModel {
     /// LeNet-5 on the MNIST-like digits (id 1).
