@@ -18,9 +18,9 @@
 //!   `(base_seed, image_index)` via [`derive_image_seed`], so batch results
 //!   are **bit-identical regardless of worker count** — parallelism is an
 //!   implementation detail, not an experimental variable.
-//! * [`BatchEngine::run_ready`] serves admitted requests, each at the full
-//!   prepared stream length or at a shorter prefix of the same banks
-//!   (`ReadyRequest::stream_len`), grouped into tiles by length.
+//! * [`BatchEngine::run_ready`] serves admitted requests, each carrying
+//!   its own seed index, tiled exactly as a batch is; every request runs
+//!   at the model's prepared stream length.
 //! * [`BatchReport`] captures accuracy, a per-class confusion matrix,
 //!   throughput (images/s, wall and CPU-busy time), per-layer timing
 //!   totals and kernel counters.
@@ -52,7 +52,7 @@ pub mod report;
 pub mod rt_error;
 
 pub use acoustic_simfunc::{DedupStats, HostFingerprint, KernelKind, TilePlan};
-pub use engine::{BatchEngine, ReadyOutcome, ReadyRequest};
+pub use engine::{BatchEngine, ReadyRequest};
 pub use prepared::{
     derive_image_seed, ModelCache, PrepareStats, PreparedModel, DEFAULT_CACHE_CAPACITY,
 };

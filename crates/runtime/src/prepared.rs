@@ -105,17 +105,6 @@ impl PreparedModel {
         self.fingerprint
     }
 
-    /// The prepare-time maximum stream length (`cfg.stream_len`).
-    pub fn max_stream_len(&self) -> usize {
-        self.prepared.max_stream_len()
-    }
-
-    /// Every executable stream length, descending, maximum first — the
-    /// prefixes [`RunSpec::stream_len`] accepts.
-    pub fn supported_lengths(&self) -> &[usize] {
-        self.prepared.supported_lengths()
-    }
-
     /// Approximate resident size of the prepared weight banks, in bytes
     /// (see [`PreparedNetwork::approx_bytes`]). [`ModelCache`] memory
     /// budgets are enforced against this figure, which reflects the actual
@@ -153,9 +142,7 @@ impl PreparedModel {
     /// Only pays for activation-stream generation and the AND/OR datapath;
     /// weight streams come from the one-time preparation. Built with
     /// [`PreparedModel::spec`], each image's logits are a pure function of
-    /// `(model, image_index, input, stream_len)`: the same alone, in any
-    /// tile, and at a supported prefix as in a model prepared directly at
-    /// that length.
+    /// `(model, image_index, input)`: the same alone and in any tile.
     ///
     /// # Errors
     ///
@@ -179,8 +166,8 @@ fn cache_key(network: &Network, cfg: &SimConfig) -> u64 {
 
 /// Default number of prepared models a [`ModelCache`] retains.
 ///
-/// Weight banks are the dominant cost (every layer's streams at every
-/// supported prefix length), so a serving process must not accumulate one
+/// Prepared weights are the dominant cost (the model's weight cycles plus
+/// one code per weight lane), so a serving process must not accumulate one
 /// per distinct `(network, config)` it has ever seen.
 pub const DEFAULT_CACHE_CAPACITY: usize = 32;
 
@@ -494,21 +481,13 @@ mod tests {
         SimConfig::with_stream_len(n).unwrap()
     }
 
-    /// Image `i` as a tile of one at `stream_len` (`None` = maximum).
-    fn run_one(
-        model: &PreparedModel,
-        i: u64,
-        x: &Tensor,
-        stream_len: Option<usize>,
-    ) -> Result<Tensor, SimError> {
-        let spec = RunSpec {
-            stream_len,
-            ..model.spec([i], vec![x])
-        };
-        Ok(model
-            .logits(&spec, &mut SimScratch::default())?
+    /// Image `i` as a tile of one.
+    fn run_one(model: &PreparedModel, i: u64, x: &Tensor) -> Tensor {
+        model
+            .logits(&model.spec([i], vec![x]), &mut SimScratch::default())
+            .unwrap()
             .logits
-            .remove(0))
+            .remove(0)
     }
 
     #[test]
@@ -527,11 +506,11 @@ mod tests {
     fn logits_are_a_pure_function_of_index_and_input() {
         let model = PreparedModel::compile(cfg(128), &small_net()).unwrap();
         let x = Tensor::from_vec(&[1, 4, 4], vec![0.5; 16]).unwrap();
-        let a = run_one(&model, 3, &x, None).unwrap();
-        let b = run_one(&model, 3, &x, None).unwrap();
+        let a = run_one(&model, 3, &x);
+        let b = run_one(&model, 3, &x);
         assert_eq!(a, b);
         // Different image indices draw different activation streams.
-        let c = run_one(&model, 4, &x, None).unwrap();
+        let c = run_one(&model, 4, &x);
         assert_ne!(a, c, "distinct images should not share streams");
     }
 
@@ -629,9 +608,9 @@ mod tests {
 
         // Eviction dropped only the cache's Arc; ours still works.
         let x = Tensor::from_vec(&[1, 4, 4], vec![0.5; 16]).unwrap();
-        assert_eq!(run_one(&a, 0, &x, None).unwrap(), {
+        assert_eq!(run_one(&a, 0, &x), {
             let again = cache.get_or_compile(cfg(64), &net).unwrap();
-            run_one(&again, 0, &x, None).unwrap()
+            run_one(&again, 0, &x)
         });
     }
 
@@ -700,18 +679,6 @@ mod tests {
         assert_eq!(cache.len(), 2, "two narrow models fit the byte budget");
         assert_eq!(cache.evictions(), 1, "no further evictions needed");
         assert_eq!(cache.resident_bytes(), 2 * small);
-    }
-
-    #[test]
-    fn prefix_entry_points_expose_supported_lengths() {
-        let model = PreparedModel::compile(cfg(256), &small_net()).unwrap();
-        assert_eq!(model.max_stream_len(), 256);
-        assert!(model.supported_lengths().contains(&64));
-        let x = Tensor::from_vec(&[1, 4, 4], vec![0.5; 16]).unwrap();
-        let full = run_one(&model, 0, &x, None).unwrap();
-        let at_max = run_one(&model, 0, &x, Some(256)).unwrap();
-        assert_eq!(full, at_max, "the maximum prefix must equal the full run");
-        assert!(run_one(&model, 0, &x, Some(100)).is_err());
     }
 
     #[test]

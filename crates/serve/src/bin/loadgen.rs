@@ -3,7 +3,7 @@
 //! ```text
 //! loadgen [--self-host | --addr HOST:PORT]
 //!         [--qps 50] [--requests 100] [--connections 2] [--seed 7]
-//!         [--deadline-ms 0] [--stream-len-override N]
+//!         [--deadline-ms 0]
 //!         [--train 128] [--test 32] [--epochs 2] [--stream-len 128]
 //!         [--zoo-dir DIR] [--mix 1:3,2:1] [--no-validate]
 //!         [--conn-report]
@@ -14,8 +14,10 @@
 //! it instead loads a `train-zoo` checkpoint directory and replays
 //! **mixed-model** traffic: each schedule slot's model is drawn from the
 //! weighted `--mix` set (defaulting to equal weights over every zoo
-//! model). Either way it replays a Poisson arrival schedule at the target
-//! QPS and validates every accepted response against local
+//! model). Every request runs at its model's one stream length:
+//! `--stream-len` for the demo model, the manifest's for a zoo model.
+//! Either way it replays a Poisson arrival schedule at the target QPS and
+//! validates every accepted response against local
 //! `BatchEngine::run_ready` evaluation of the same checkpoint, so server
 //! and generator must agree bit-for-bit. Exits non-zero if any response
 //! is wrong or dropped, which makes it usable directly as a CI smoke
@@ -86,9 +88,6 @@ fn parse_args() -> Args {
                 let ms: u32 = val("--deadline-ms").parse().expect("u32");
                 args.load.deadline_micros = ms.saturating_mul(1000);
             }
-            "--stream-len-override" => {
-                args.load.stream_len = Some(val("--stream-len-override").parse().expect("u32"));
-            }
             "--train" => args.train = val("--train").parse().expect("usize"),
             "--test" => args.test = val("--test").parse().expect("usize"),
             "--epochs" => args.epochs = val("--epochs").parse().expect("usize"),
@@ -109,7 +108,6 @@ fn parse_args() -> Args {
                 println!(
                     "loadgen [--self-host | --addr HOST:PORT] [--qps Q] [--requests N]\n        \
                      [--connections C] [--seed S] [--deadline-ms D]\n        \
-                     [--stream-len-override N]\n        \
                      [--train N] [--test N] [--epochs E] [--stream-len L]\n        \
                      [--zoo-dir DIR] [--mix 1:3,2:1] [--queue-capacity Q]\n        \
                      [--workers W] [--model-queue-share N] [--no-validate]\n        \

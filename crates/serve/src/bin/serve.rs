@@ -11,9 +11,10 @@
 //!
 //! By default trains the demo digit CNN (deterministically — a load
 //! generator using the same training parameters holds bit-identical
-//! weights) and registers it under model id 1. With `--zoo-dir` it
-//! instead serves every checkpoint of a `train-zoo` artifact directory
-//! under the manifest's model ids. `--cache-budget-mb` bounds the
+//! weights) and registers it under model id 1, prepared at `--stream-len`.
+//! With `--zoo-dir` it instead serves every checkpoint of a `train-zoo`
+//! artifact directory under the manifest's model ids and stream lengths.
+//! Every request runs at its model's one stream length. `--cache-budget-mb` bounds the
 //! prepared-model cache (cold models are recompiled on demand);
 //! `--model-queue-share` caps each model's share of the admission queue.
 //! Serves until `--duration-secs` elapses (0 = run until killed).

@@ -5,9 +5,9 @@
 //! a network service without giving up any of its guarantees:
 //!
 //! * **Wire protocol** ([`protocol`]) — length-prefixed binary frames with
-//!   a versioned header; inference requests carry an optional per-request
-//!   stream-length prefix, and every failure mode is a typed error frame,
-//!   never a dropped connection mid-request.
+//!   a versioned header; every request runs at its model's one prepared
+//!   stream length, and every failure mode is a typed error frame, never a
+//!   dropped connection mid-request.
 //! * **Non-blocking I/O** ([`server`]) — a single reactor thread drives
 //!   every client connection through acoustic-net's readiness poller
 //!   (per-connection state machines, bounded buffers, write backpressure,

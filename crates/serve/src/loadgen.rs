@@ -47,8 +47,6 @@ pub struct LoadGenConfig {
     pub model_id: u32,
     /// Per-request deadline in µs (0 = server default).
     pub deadline_micros: u32,
-    /// Optional fixed stream-length override.
-    pub stream_len: Option<u32>,
 }
 
 impl Default for LoadGenConfig {
@@ -60,7 +58,6 @@ impl Default for LoadGenConfig {
             seed: 7,
             model_id: crate::registry::DEMO_MODEL_ID,
             deadline_micros: 0,
-            stream_len: None,
         }
     }
 }
@@ -196,7 +193,7 @@ fn request_for_mix(id: u64, traffic: &[ModelTraffic], cfg: &LoadGenConfig) -> In
         request_id: id,
         model_id,
         deadline_micros: cfg.deadline_micros,
-        stream_len: cfg.stream_len,
+        stream_len: None,
         margin: None,
         shape: img.shape().iter().map(|&d| d as u32).collect(),
         values: img.as_slice().to_vec(),
@@ -211,7 +208,7 @@ fn request_for(id: u64, images: &[Tensor], cfg: &LoadGenConfig) -> InferRequest 
         request_id: id,
         model_id: cfg.model_id,
         deadline_micros: cfg.deadline_micros,
-        stream_len: cfg.stream_len,
+        stream_len: None,
         margin: None,
         shape: img.shape().iter().map(|&d| d as u32).collect(),
         values: img.as_slice().to_vec(),
@@ -456,7 +453,8 @@ pub fn summarize(outcome: &LoadOutcome, offered: u64) -> LoadReport {
 /// **not** bit-identical to direct [`BatchEngine::run_ready`] evaluation.
 ///
 /// `engine` may use any worker count (outcomes do not depend on it);
-/// `model` and `images` must match what the server registered.
+/// `model` and `images` must match what the server registered. The replies
+/// do not depend on the load configuration `_cfg`.
 ///
 /// # Errors
 ///
@@ -466,20 +464,19 @@ pub fn validate_responses(
     model: &PreparedModel,
     engine: &BatchEngine,
     images: &[Tensor],
-    cfg: &LoadGenConfig,
+    _cfg: &LoadGenConfig,
 ) -> Result<u64, ServeError> {
-    count_mismatches(outcome.replies.iter(), model, engine, images, cfg)
+    count_mismatches(outcome.replies.iter(), model, engine, images)
 }
 
-/// Counts the completed `replies` whose effective length or logit bits
-/// differ from `engine`'s [`BatchEngine::run_ready`] of the same ids over
-/// `images`.
+/// Counts the completed `replies` whose effective length is not `model`'s
+/// stream length or whose logit bits differ from `engine`'s
+/// [`BatchEngine::run_ready`] of the same ids over `images`.
 fn count_mismatches<'r>(
     replies: impl Iterator<Item = &'r ReplyRecord>,
     model: &PreparedModel,
     engine: &BatchEngine,
     images: &[Tensor],
-    cfg: &LoadGenConfig,
 ) -> Result<u64, ServeError> {
     let completed: Vec<_> = replies
         .filter_map(|r| match &r.reply {
@@ -489,22 +486,21 @@ fn count_mismatches<'r>(
         .collect();
     let requests: Vec<ReadyRequest<'_>> = completed
         .iter()
-        .map(|resp| ReadyRequest {
-            image_index: resp.request_id,
-            input: &images[(resp.request_id % images.len() as u64) as usize],
-            stream_len: cfg.stream_len.map(|l| l as usize),
+        .map(|resp| {
+            let input = &images[(resp.request_id % images.len() as u64) as usize];
+            ReadyRequest::new(resp.request_id, input)
         })
         .collect();
     let golden = engine.run_ready(model, &requests)?;
+    let stream_len = model.config().stream_len as u32;
     let mismatches = completed
         .iter()
         .zip(golden)
         .filter(|(resp, gold)| match gold {
             Ok(g) => {
-                g.effective_len as u32 != resp.effective_len
-                    || g.logits.as_slice().len() != resp.logits.len()
-                    || g.logits
-                        .as_slice()
+                resp.effective_len != stream_len
+                    || g.as_slice().len() != resp.logits.len()
+                    || g.as_slice()
                         .iter()
                         .zip(&resp.logits)
                         .any(|(a, b)| a.to_bits() != b.to_bits())
@@ -687,7 +683,7 @@ pub fn validate_responses_mix(
             .replies
             .iter()
             .filter(|r| model_for(cfg.seed, r.id, traffic) == t.model_id);
-        mismatches += count_mismatches(replies, model, engine, &t.images, cfg)?;
+        mismatches += count_mismatches(replies, model, engine, &t.images)?;
     }
     Ok(mismatches)
 }

@@ -57,7 +57,7 @@ pub enum ErrorCode {
     /// The requested model id is not registered.
     UnknownModel = 4,
     /// The input tensor was rejected by the model (shape, non-finite
-    /// values, unsupported stream length, …).
+    /// values, a retired `stream_len`/`margin` field set, …).
     BadInput = 5,
     /// The server is shutting down and no longer admits requests.
     ShuttingDown = 6,
@@ -116,7 +116,9 @@ pub struct InferRequest {
     pub model_id: u32,
     /// Per-request deadline in microseconds; 0 selects the server default.
     pub deadline_micros: u32,
-    /// Fixed stream-length prefix override (`None` = engine default).
+    /// Stream-length override: a retired wire field kept so the layout
+    /// does not change. Every request runs at its model's prepared stream
+    /// length, and the server answers any request that sets it `BadInput`.
     pub stream_len: Option<u32>,
     /// Early-exit margin: a retired wire field kept so the layout does not
     /// change. The server answers any request that sets it `BadInput`. At
@@ -134,7 +136,8 @@ pub struct InferRequest {
 pub struct InferResponse {
     /// Echoed request id.
     pub request_id: u64,
-    /// Stream length the logits were produced at.
+    /// Stream length the logits were produced at: the model's prepared
+    /// length.
     pub effective_len: u32,
     /// The logits.
     pub logits: Vec<f32>,

@@ -180,7 +180,6 @@ pub(crate) struct Pending {
     pub(crate) model_id: u32,
     pub(crate) model: Arc<PreparedModel>,
     pub(crate) input: Tensor,
-    pub(crate) stream_len: Option<usize>,
     pub(crate) admitted: Instant,
     pub(crate) deadline: Instant,
     pub(crate) conn: Arc<ReactorConn>,
@@ -470,13 +469,40 @@ impl Drop for ServerHandle {
     }
 }
 
+/// The request's input tensor, or why no model could ever answer it. The
+/// wire still carries the retired `stream_len` and early-exit `margin`
+/// fields, but every request runs at its model's one prepared stream
+/// length, so a request that sets either is refused.
+fn checked_input(req: InferRequest) -> Result<Tensor, String> {
+    if req.stream_len.is_some() || req.margin.is_some() {
+        return Err("stream_len and margin are retired; requests run at the model's length".into());
+    }
+    if req.values.iter().any(|v| !v.is_finite()) {
+        return Err("non-finite input values".into());
+    }
+    let shape: Vec<usize> = req.shape.iter().map(|&d| d as usize).collect();
+    Tensor::from_vec(&shape, req.values).map_err(|e| e.to_string())
+}
+
 /// Validates a decoded request and runs admission control. `home` is the
 /// connection's home shard.
 pub(crate) fn admit(req: InferRequest, conn: &Arc<ReactorConn>, home: usize, shared: &Shared) {
     Stats::bump(&shared.stats.received);
     let id = req.request_id;
+    let model_id = req.model_id;
+    let deadline_micros = req.deadline_micros;
 
-    let model = match shared.registry.resolve_warm(req.model_id) {
+    // Model-independent checks come first, so a request that can never
+    // succeed neither queues a prepare nor takes a queue slot.
+    let input = match checked_input(req) {
+        Ok(t) => t,
+        Err(msg) => {
+            Stats::bump(&shared.stats.failed);
+            send_error(conn, id, ErrorCode::BadInput, msg);
+            return;
+        }
+    };
+    let model = match shared.registry.resolve_warm(model_id) {
         Ok(Some(m)) => m,
         Ok(None) => {
             // Registered but evicted from the cache. Recompiling here
@@ -484,13 +510,13 @@ pub(crate) fn admit(req: InferRequest, conn: &Arc<ReactorConn>, home: usize, sha
             // whole parse FIFO) for the full prepare time, so the compile
             // is handed to the background prepare thread and the client
             // told to retry.
-            if shared.request_prepare(req.model_id) {
+            if shared.request_prepare(model_id) {
                 Stats::bump(&shared.stats.rejected_warming);
                 send_error(
                     conn,
                     id,
                     ErrorCode::Warming,
-                    format!("model {} is warming, retry", req.model_id),
+                    format!("model {model_id} is warming, retry"),
                 );
             } else {
                 // Prepare thread already gone: shutdown is in progress.
@@ -505,7 +531,7 @@ pub(crate) fn admit(req: InferRequest, conn: &Arc<ReactorConn>, home: usize, sha
                 conn,
                 id,
                 ErrorCode::UnknownModel,
-                format!("model {}", req.model_id),
+                format!("model {model_id}"),
             );
             return;
         }
@@ -516,63 +542,18 @@ pub(crate) fn admit(req: InferRequest, conn: &Arc<ReactorConn>, home: usize, sha
             return;
         }
     };
-    if req.values.iter().any(|v| !v.is_finite()) {
-        Stats::bump(&shared.stats.failed);
-        send_error(conn, id, ErrorCode::BadInput, "non-finite input values");
-        return;
-    }
-    let shape: Vec<usize> = req.shape.iter().map(|&d| d as usize).collect();
-    let input = match Tensor::from_vec(&shape, req.values) {
-        Ok(t) => t,
-        Err(e) => {
-            Stats::bump(&shared.stats.failed);
-            send_error(conn, id, ErrorCode::BadInput, e.to_string());
-            return;
-        }
-    };
-    // Fail fast instead of burning a queue slot on a doomed request. The
-    // wire still carries an early-exit margin field, but the engine runs
-    // every request at one fixed stream length.
-    if req.margin.is_some() {
-        Stats::bump(&shared.stats.failed);
-        send_error(
-            conn,
-            id,
-            ErrorCode::BadInput,
-            "margin overrides are not supported",
-        );
-        return;
-    }
-    let stream_len = req.stream_len.map(|l| l as usize);
-    if let Some(len) = stream_len {
-        if !model.supported_lengths().contains(&len) {
-            Stats::bump(&shared.stats.failed);
-            send_error(
-                conn,
-                id,
-                ErrorCode::BadInput,
-                format!(
-                    "stream length {len} not in supported prefixes {:?}",
-                    model.supported_lengths()
-                ),
-            );
-            return;
-        }
-    }
 
     let now = Instant::now();
-    let deadline = if req.deadline_micros == 0 {
+    let deadline = if deadline_micros == 0 {
         shared.cfg.default_deadline
     } else {
-        Duration::from_micros(u64::from(req.deadline_micros))
+        Duration::from_micros(u64::from(deadline_micros))
     };
-    let model_id = req.model_id;
     let pending = Pending {
         id,
         model_id,
         model,
         input,
-        stream_len,
         admitted: now,
         deadline: now + deadline,
         conn: Arc::clone(conn),
@@ -699,12 +680,9 @@ fn execute_batch(batch: Vec<Pending>, engine: &BatchEngine, shared: &Arc<Shared>
         let model = Arc::clone(&group[0].model);
         let requests: Vec<ReadyRequest<'_>> = group
             .iter()
-            .map(|p| ReadyRequest {
-                image_index: p.id,
-                input: &p.input,
-                stream_len: p.stream_len,
-            })
+            .map(|p| ReadyRequest::new(p.id, &p.input))
             .collect();
+        let effective_len = model.config().stream_len as u32;
         let started = Instant::now();
         let outcomes = engine
             .run_ready_counted(&model, &requests)
@@ -721,7 +699,7 @@ fn execute_batch(batch: Vec<Pending>, engine: &BatchEngine, shared: &Arc<Shared>
             Ok(outs) => {
                 for (p, out) in group.iter().zip(outs) {
                     match out {
-                        Ok(o) => {
+                        Ok(logits) => {
                             Stats::bump(&shared.stats.completed);
                             Stats::add(
                                 &shared.stats.queue_wait_ns,
@@ -730,8 +708,8 @@ fn execute_batch(batch: Vec<Pending>, engine: &BatchEngine, shared: &Arc<Shared>
                             Stats::add(&shared.stats.service_ns, per_request_ns);
                             p.conn.send(&Frame::InferResponse(InferResponse {
                                 request_id: p.id,
-                                effective_len: o.effective_len as u32,
-                                logits: o.logits.as_slice().to_vec(),
+                                effective_len,
+                                logits: logits.as_slice().to_vec(),
                             }));
                         }
                         Err(e) => {
@@ -754,5 +732,61 @@ fn execute_batch(batch: Vec<Pending>, engine: &BatchEngine, shared: &Arc<Shared>
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::registry::ModelSpec;
+    use acoustic_nn::layers::{AccumMode, Dense, Network};
+    use acoustic_runtime::ModelCache;
+    use acoustic_simfunc::SimConfig;
+
+    /// Single-flight without a race: no prepare thread runs, so the second
+    /// cold request for a warming model must find it in the warming set and
+    /// enqueue nothing. `prepare_loop` then compiles the job and clears the
+    /// set; with the job sender gone the caller is told to reject.
+    #[test]
+    fn request_prepare_is_single_flight() {
+        let mut network = Network::new();
+        network.push_dense(Dense::new(4, 2, AccumMode::OrApprox).unwrap());
+        let cfg = SimConfig::with_stream_len(64).unwrap();
+        let registry = ModelRegistry::build(
+            vec![ModelSpec {
+                id: 1,
+                network,
+                cfg,
+            }],
+            &Arc::new(ModelCache::new()),
+        )
+        .unwrap();
+        registry.cache().clear();
+        let (tx, jobs) = mpsc::channel();
+        let serve = ServeConfig::default();
+        let shared = Shared {
+            registry,
+            cfg: serve,
+            queue: ShardedQueue::new(serve.queue_capacity, 1),
+            stats: Stats::default(),
+            shutdown: AtomicBool::new(false),
+            gates: HashMap::new(),
+            model_share: 1,
+            conn_rr: AtomicUsize::new(0),
+            warming: Mutex::new(HashSet::new()),
+            prepare_tx: Mutex::new(Some(tx)),
+        };
+        assert!(shared.request_prepare(1));
+        assert!(shared.request_prepare(1));
+        let queued: Vec<u32> = jobs.try_iter().collect();
+        assert_eq!(queued, [1], "one compile per warming model");
+        // The prepare thread's loop over that job, then its shutdown.
+        let tx = shared.prepare_tx.lock().unwrap().take().unwrap();
+        tx.send(1).unwrap();
+        drop(tx);
+        prepare_loop(&shared, &jobs);
+        assert!(shared.warming.lock().unwrap().is_empty());
+        assert!(shared.registry.resolve_warm(1).unwrap().is_some());
+        assert!(!shared.request_prepare(1), "no prepare thread to take it");
     }
 }

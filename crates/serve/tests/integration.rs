@@ -2,8 +2,9 @@
 //!
 //! Everything runs against a tiny 8×8 CNN so the suite stays fast in
 //! debug builds; "slow" requests are made deterministically slow by
-//! requesting a long stream-length prefix rather than by sleeping, which
-//! keeps the overload/deadline scenarios reproducible on a 1-core host.
+//! serving a model prepared at a long stream length rather than by
+//! sleeping, which keeps the overload/deadline scenarios reproducible on a
+//! 1-core host.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -88,10 +89,11 @@ fn request(id: u64, img: &Tensor) -> InferRequest {
 #[test]
 fn concurrent_clients_are_bit_identical_with_direct_engine() {
     let images = tiny_images(6);
-    // Mixed request kinds: plain, stream-length override, margin override.
-    // The margin kind is refused at admission; the others are bit-exact.
+    // Mixed request kinds: plain, a stream-length override at the model's
+    // own length, a margin override. Both retired overrides are refused at
+    // admission; plain requests are bit-exact.
     let kinds: Vec<(Option<u32>, Option<f32>)> =
-        vec![(None, None), (Some(64), None), (None, Some(0.8))];
+        vec![(None, None), (Some(256), None), (None, Some(0.8))];
 
     for workers in [1usize, 3] {
         let (handle, golden) = start(
@@ -131,36 +133,30 @@ fn concurrent_clients_are_bit_identical_with_direct_engine() {
 
         let stats = handle.shutdown();
         assert_eq!(stats.received, 12, "workers={workers}: {stats:?}");
-        assert_eq!(stats.completed, 8, "workers={workers}: {stats:?}");
-        // Margin requests fail at admission and never take a queue slot.
-        assert_eq!(stats.failed, 4, "workers={workers}: {stats:?}");
-        assert_eq!(stats.accepted, 8, "workers={workers}: {stats:?}");
+        assert_eq!(stats.completed, 4, "workers={workers}: {stats:?}");
+        // Override requests fail at admission and never take a queue slot.
+        assert_eq!(stats.failed, 8, "workers={workers}: {stats:?}");
+        assert_eq!(stats.accepted, 4, "workers={workers}: {stats:?}");
 
-        // Golden: the 8 plain and prefix requests straight through
-        // run_ready.
+        // Golden: the 4 plain requests straight through run_ready.
         let engine = BatchEngine::new(1).unwrap();
         for (id, reply) in replies {
-            let (stream_len, margin) = kinds[(id % 3) as usize];
             let resp = match reply {
-                InferReply::Err(e) if margin.is_some() => {
+                InferReply::Err(e) if id % 3 != 0 => {
                     assert_eq!(e.code, ErrorCode::BadInput, "id {id}: {e:?}");
                     continue;
                 }
-                InferReply::Ok(r) if margin.is_none() => r,
+                InferReply::Ok(r) if id % 3 == 0 => r,
                 other => panic!("request {id}: unexpected reply {other:?}"),
             };
-            let ready = ReadyRequest {
-                image_index: id,
-                input: &images[(id % 6) as usize],
-                stream_len: stream_len.map(|l| l as usize),
-            };
+            let ready = ReadyRequest::new(id, &images[(id % 6) as usize]);
             let gold = engine
                 .run_ready(&golden, &[ready])
                 .unwrap()
                 .remove(0)
                 .unwrap();
-            assert_eq!(gold.effective_len as u32, resp.effective_len, "id {id}");
-            let gold_bits: Vec<u32> = gold.logits.as_slice().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(resp.effective_len, 256, "id {id}");
+            let gold_bits: Vec<u32> = gold.as_slice().iter().map(|v| v.to_bits()).collect();
             let got_bits: Vec<u32> = resp.logits.iter().map(|v| v.to_bits()).collect();
             assert_eq!(gold_bits, got_bits, "id {id} workers {workers}");
         }
@@ -227,19 +223,23 @@ fn unknown_model_bad_input_and_bad_stream_len_are_typed() {
         other => panic!("expected BadInput, got {other:?}"),
     }
 
-    let mut bad_len = request(3, &images[0]);
-    bad_len.stream_len = Some(100); // not a supported prefix
-    match client.infer(bad_len).unwrap() {
-        InferReply::Err(e) => {
-            assert_eq!(e.code, ErrorCode::BadInput);
-            assert!(e.message.contains("stream length"), "{}", e.message);
+    // The retired field is refused even at the model's own length.
+    for (id, len) in [(3, 100), (4, 64)] {
+        let mut with_len = request(id, &images[0]);
+        with_len.stream_len = Some(len);
+        match client.infer(with_len).unwrap() {
+            InferReply::Err(e) => {
+                assert_eq!(e.code, ErrorCode::BadInput);
+                assert!(e.message.contains("stream_len"), "{}", e.message);
+            }
+            other => panic!("expected BadInput, got {other:?}"),
         }
-        other => panic!("expected BadInput, got {other:?}"),
     }
 
     let stats = handle.shutdown();
     assert_eq!(stats.rejected_unknown_model, 1);
-    assert_eq!(stats.failed, 2);
+    assert_eq!(stats.failed, 3);
+    assert_eq!(stats.accepted, 0);
     assert_eq!(stats.completed, 0);
 }
 
@@ -560,12 +560,12 @@ fn many_persistent_connections_share_one_reactor() {
         let gold = engine
             .run_ready(
                 &golden,
-                &[ReadyRequest::plain(*id, &images[(id % 4) as usize])],
+                &[ReadyRequest::new(*id, &images[(id % 4) as usize])],
             )
             .unwrap()
             .remove(0)
             .unwrap();
-        let gold_bits: Vec<u32> = gold.logits.as_slice().iter().map(|v| v.to_bits()).collect();
+        let gold_bits: Vec<u32> = gold.as_slice().iter().map(|v| v.to_bits()).collect();
         assert_eq!(&gold_bits, got_bits, "id {id}");
     }
 }

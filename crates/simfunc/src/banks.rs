@@ -39,9 +39,7 @@ pub(crate) const LIVE_BOUND: u32 = !NEG_PHASE;
 /// the bit where its stream starts in `words` — `k · cycle_bits + pos` for
 /// a stream at orbit position `pos` of cycle `k`. Segment `e` of a
 /// stream at per-phase length `m` is the bit range
-/// `[start + e·seg_len, +seg_len)` with `seg_len = m / segments`. A
-/// shorter prefix reads a shorter window at the same start, so every
-/// supported length runs from the same cycles and codes.
+/// `[start + e·seg_len, +seg_len)` with `seg_len = m / segments`.
 #[derive(Debug, Clone)]
 pub(crate) struct WeightCycles {
     /// Comparator threshold of each cycle, in index order.
@@ -169,8 +167,9 @@ impl WeightView<'_> {
 /// `resident_bytes` is what the weight representation actually allocates
 /// (and what `ModelCache` byte budgets are charged): the model's cycles
 /// plus one `u32` code per lane. `materialized_bytes` is what a per-lane
-/// layout — every lane owning full stream words at every prefix level in
-/// both phases — would allocate for the same shapes, computed
+/// layout — every lane owning full stream words in both phases at the
+/// prepared length and each of its power-of-two halvings the pooling
+/// segmentation divides — would allocate for the same shapes, computed
 /// analytically (an ImageNet-scale per-lane layout cannot be allocated
 /// just to weigh it).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -67,38 +67,34 @@ pub struct Observe {
 }
 
 /// One execution of a prepared network: the inputs, one activation seed
-/// per input, the stream-length prefix and what to observe.
+/// per input and what to observe.
 ///
-/// Every run is a tile: the weight banks are walked once for all inputs,
-/// and input `t`'s logits are a pure function of `(network, inputs[t],
-/// act_seeds[t], stream_len)` — the same whether it runs alone or next to
-/// any other inputs. A single image is a tile of one.
+/// Every run is a tile at the network's one stream length: the weight
+/// banks are walked once for all inputs, and input `t`'s logits are a pure
+/// function of `(network, inputs[t], act_seeds[t])` — the same whether it
+/// runs alone or next to any other inputs. A single image is a tile of
+/// one.
 #[derive(Debug, Clone)]
 pub struct RunSpec<'a> {
     /// The images to run.
     pub inputs: Vec<&'a Tensor>,
     /// Activation seed of each input (replaces [`SimConfig::act_seed`]).
     pub act_seeds: Vec<u32>,
-    /// Total stream length to run at: one of
-    /// [`PreparedNetwork::supported_lengths`], or `None` for the
-    /// prepare-time maximum.
-    pub stream_len: Option<usize>,
     /// What to record besides logits.
     pub observe: Observe,
 }
 
 impl<'a> RunSpec<'a> {
-    /// A full-length, unobserved run of `inputs` at `act_seeds`.
+    /// An unobserved run of `inputs` at `act_seeds`.
     pub fn new(inputs: Vec<&'a Tensor>, act_seeds: Vec<u32>) -> Self {
         RunSpec {
             inputs,
             act_seeds,
-            stream_len: None,
             observe: Observe::default(),
         }
     }
 
-    /// A full-length, unobserved run of one image (a tile of one).
+    /// An unobserved run of one image (a tile of one).
     pub fn one(input: &'a Tensor, act_seed: u32) -> Self {
         RunSpec::new(vec![input], vec![act_seed])
     }
@@ -116,7 +112,7 @@ pub struct RunOutput {
 }
 
 /// What every MAC step of one engine run shares: the per-phase bit budget
-/// of the requested length, the MAC kernel resolved against host
+/// of the prepared length, the MAC kernel resolved against host
 /// capabilities at run start, and the model's weight cycles.
 #[derive(Debug, Clone, Copy)]
 struct RunLen<'a> {
@@ -197,18 +193,13 @@ impl Step {
 /// threshold, and one `u32` code per weight lane naming its cycle, orbit
 /// position and phase. Prepare once (via [`ScSimulator::prepare`]) and
 /// reuse across images; the structure is immutable and cheap to share
-/// behind an `Arc`.
-///
-/// The weights are *prefix-reusable*: any length in
-/// [`PreparedNetwork::supported_lengths`] (the power-of-two-halving
-/// prefixes of the maximum) reads a shorter window of the same cycles,
-/// selected by [`RunSpec::stream_len`], with no stream regeneration.
+/// behind an `Arc`. Every run executes at the one stream length the
+/// network was prepared at.
 #[derive(Debug, Clone)]
 pub struct PreparedNetwork {
     steps: Vec<Step>,
-    /// Executable total stream lengths, longest (the prepare-time maximum)
-    /// first.
-    lengths: Vec<usize>,
+    /// Total stream length of every run (both phases).
+    stream_len: usize,
     cycles: WeightCycles,
 }
 
@@ -223,21 +214,6 @@ impl PreparedNetwork {
     /// inner steps).
     pub fn step_names(&self) -> Vec<String> {
         self.steps.iter().map(|s| s.label.to_string()).collect()
-    }
-
-    /// The stream length the network was prepared at (the longest
-    /// executable length).
-    pub fn max_stream_len(&self) -> usize {
-        self.lengths[0]
-    }
-
-    /// Every executable total stream length, in descending order.
-    ///
-    /// The first entry is the prepare-time maximum; each following entry
-    /// halves the one before it, down to the shortest prefix every MAC
-    /// layer's pooling segmentation still divides.
-    pub fn supported_lengths(&self) -> &[usize] {
-        &self.lengths
     }
 
     /// Approximate resident size of the prepared weights, in bytes: the
@@ -257,10 +233,11 @@ impl PreparedNetwork {
         let lanes: usize = layers.iter().map(|(codes, _)| codes.len()).sum();
         // A per-lane layout holds, at every level, full words plus a
         // presence flag per lane in each of the two phases.
+        let levels = self.levels();
         let materialized: usize = layers
             .iter()
             .map(|&(codes, segments)| {
-                self.lengths
+                levels
                     .iter()
                     .map(|&len| {
                         let seg_words = (len / 2 / segments).div_ceil(64);
@@ -281,25 +258,39 @@ impl PreparedNetwork {
         }
     }
 
-    /// A 64-bit FNV-1a digest over the complete prepared content: prefix
-    /// lengths, step structure, and every MAC layer's logical weight banks
-    /// — per-lane slots and presence flags, and every distinct stream's
-    /// words at every prefix level, as a deduplicated stream pool would
-    /// hold them (see `WeightCycles::digest_layer`).
+    /// A 64-bit FNV-1a digest over the complete prepared content: the
+    /// accounting levels (see `levels`), step structure, and every MAC
+    /// layer's logical weight banks — per-lane slots and presence flags,
+    /// and every distinct stream's words at every level, as a deduplicated
+    /// stream pool would hold them (see `WeightCycles::digest_layer`).
     ///
-    /// Two prepares digest equal exactly when every weight stream at every
-    /// supported length is bit-identical.
+    /// Two prepares digest equal exactly when their step structure and
+    /// every weight stream are bit-identical.
     pub fn content_digest(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &l in &self.lengths {
+        let levels = self.levels();
+        for &l in &levels {
             fnv1a(&mut h, l as u64);
         }
         let mut slot_of = Vec::new();
-        self.digest_steps(&self.steps, &mut h, &mut slot_of);
+        self.digest_steps(&self.steps, &levels, &mut h, &mut slot_of);
         h
     }
 
-    fn digest_steps(&self, steps: &[Step], h: &mut u64, slot_of: &mut Vec<u32>) {
+    /// The stream lengths a retired per-lane layout held every weight
+    /// stream at: the prepared length, then power-of-two halvings while
+    /// every MAC layer's pooling segmentation still divides the per-phase
+    /// length. Runs use only the first; [`PreparedNetwork::content_digest`]
+    /// and [`DedupStats::materialized_bytes`] stay defined over all of
+    /// them, so recorded values of both remain valid.
+    fn levels(&self) -> Vec<usize> {
+        let mut layers = Vec::new();
+        mac_layers(&self.steps, &mut layers);
+        let segments: Vec<usize> = layers.iter().map(|&(_, s)| s).collect();
+        halving_levels(self.stream_len, &segments)
+    }
+
+    fn digest_steps(&self, steps: &[Step], levels: &[usize], h: &mut u64, slot_of: &mut Vec<u32>) {
         for s in steps {
             for &b in s.label.as_bytes() {
                 fnv1a(h, u64::from(b));
@@ -319,15 +310,14 @@ impl PreparedNetwork {
                         fnv1a(h, v as u64);
                     }
                     self.cycles
-                        .digest_layer(h, &c.codes, c.segments(), &self.lengths, slot_of);
+                        .digest_layer(h, &c.codes, c.segments(), levels, slot_of);
                 }
                 StepOp::Dense(d) => {
                     fnv1a(h, 2);
                     for v in [d.in_n, d.out_n, d.ordinal] {
                         fnv1a(h, v as u64);
                     }
-                    self.cycles
-                        .digest_layer(h, &d.codes, 1, &self.lengths, slot_of);
+                    self.cycles.digest_layer(h, &d.codes, 1, levels, slot_of);
                 }
                 StepOp::BinaryAvgPool(k) => {
                     fnv1a(h, 3);
@@ -344,7 +334,7 @@ impl PreparedNetwork {
                 StepOp::Flatten => fnv1a(h, 6),
                 StepOp::Residual(inner) => {
                     fnv1a(h, 7);
-                    self.digest_steps(inner, h, slot_of);
+                    self.digest_steps(inner, levels, h, slot_of);
                     fnv1a(h, 8);
                 }
             }
@@ -364,12 +354,12 @@ fn mac_layers<'a>(steps: &'a [Step], out: &mut Vec<(&'a [u32], usize)>) {
     }
 }
 
-/// Executable prefix lengths of a prepared network: the configured maximum,
-/// then repeated halvings while the per-phase length stays a positive
-/// multiple of every MAC layer's pooling segmentation.
-fn supported_prefix_lengths(max_stream_len: usize, segments: &[usize]) -> Vec<usize> {
-    let mut lengths = vec![max_stream_len];
-    let mut per_phase = max_stream_len / 2;
+/// `stream_len`, then repeated halvings while the per-phase length stays a
+/// positive multiple of every MAC layer's pooling segmentation (see
+/// `PreparedNetwork::levels`).
+fn halving_levels(stream_len: usize, segments: &[usize]) -> Vec<usize> {
+    let mut lengths = vec![stream_len];
+    let mut per_phase = stream_len / 2;
     while per_phase.is_multiple_of(2) {
         let next = per_phase / 2;
         if next == 0 || segments.iter().any(|&s| !next.is_multiple_of(s)) {
@@ -403,57 +393,25 @@ impl ScSimulator {
     /// Quantizes all weights and codes their split-unipolar streams.
     ///
     /// One serial pass over the weight lanes: each weight's quantizer code
-    /// gives its phase and threshold (through [`WeightCoder`]'s lookup
-    /// table), its mixed SNG seed gives its position on the LFSR orbit,
-    /// and the two make its lane code. The model's cycles are then built
-    /// for the thresholds the lanes use, and the orbit's position table is
-    /// dropped.
+    /// gives its phase and threshold (looked up once per code), its mixed
+    /// SNG seed gives its position on the LFSR orbit, and the two make its
+    /// lane code. The model's cycles are then built for the thresholds the
+    /// lanes use, and the orbit's position table is dropped. Every run of
+    /// the result executes at `stream_len` of this simulator's config.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::UnsupportedLayer`] for layer arrangements the SC
     /// datapath cannot execute.
     pub fn prepare(&self, net: &Network) -> Result<PreparedNetwork, SimError> {
-        let mut segments = Vec::new();
-        self.scan_segments(net.layers(), &mut segments);
-        let lengths = supported_prefix_lengths(self.cfg.stream_len, &segments);
         let mut coder = WeightCoder::new(self.cfg.wgt_seed, self.cfg.per_phase_len())?;
         let mut ordinal = 0usize;
         let steps = self.prepare_layers(net.layers(), &mut ordinal, &mut coder)?;
-        let cycles = coder.into_cycles();
         Ok(PreparedNetwork {
             steps,
-            lengths,
-            cycles,
+            stream_len: self.cfg.stream_len,
+            cycles: coder.into_cycles(),
         })
-    }
-
-    /// Collects the pooling segmentation of every MAC layer, mirroring the
-    /// fusion decisions of [`ScSimulator::prepare_layers`] (a conv directly
-    /// followed by an average pool fuses when skipping is on).
-    fn scan_segments(&self, layers: &[NetLayer], out: &mut Vec<usize>) {
-        let mut i = 0usize;
-        while i < layers.len() {
-            match &layers[i] {
-                NetLayer::Conv(_) => {
-                    let pool = match layers.get(i + 1) {
-                        Some(NetLayer::AvgPool(p)) if self.cfg.skip_pooling => Some(p.window()),
-                        _ => None,
-                    };
-                    out.push(pool.map_or(1, |k| k * k));
-                    i += if pool.is_some() { 2 } else { 1 };
-                }
-                NetLayer::Dense(_) => {
-                    out.push(1);
-                    i += 1;
-                }
-                NetLayer::Residual(r) => {
-                    self.scan_segments(r.inner().layers(), out);
-                    i += 1;
-                }
-                _ => i += 1,
-            }
-        }
     }
 
     fn prepare_layers(
@@ -576,20 +534,16 @@ impl ScSimulator {
     /// Every weight-bank word is walked once for the whole tile of inputs
     /// (the weight banks are the large, cold operand — activations are
     /// regenerated per layer and stay hot). `spec.act_seeds[t]` replaces
-    /// the configured activation seed for input `t`; everything else comes
-    /// from this simulator's [`SimConfig`]. A shorter `spec.stream_len` is
-    /// bit-identical to preparing the network directly at that length:
-    /// weight streams are length-`L` prefixes of the max-length banks
-    /// (sliced at prepare time) and activation streams are generated at the
-    /// short length from the same seeds. The scratch only recycles buffers
+    /// the configured activation seed for input `t`; the stream length is
+    /// the prepared network's, and everything else comes from this
+    /// simulator's [`SimConfig`]. The scratch only recycles buffers
     /// between runs, so a fresh one gives bit-identical results.
     ///
     /// # Errors
     ///
-    /// [`SimError::InvalidConfig`] for an empty spec, mismatched
-    /// `inputs`/`act_seeds` lengths or an unsupported stream length;
-    /// otherwise propagates datapath and shape errors (a failure anywhere
-    /// fails the whole spec).
+    /// [`SimError::InvalidConfig`] for an empty spec or mismatched
+    /// `inputs`/`act_seeds` lengths; otherwise propagates datapath and
+    /// shape errors (a failure anywhere fails the whole spec).
     pub fn execute(
         &self,
         prepared: &PreparedNetwork,
@@ -606,7 +560,11 @@ impl ScSimulator {
                 spec.act_seeds.len()
             )));
         }
-        let run = self.resolve_len(prepared, spec.stream_len)?;
+        let run = RunLen {
+            per_phase: prepared.stream_len / 2,
+            kernel: active_kernel(self.cfg.kernel),
+            cycles: &prepared.cycles,
+        };
         let aq = Quantizer::unsigned_unit(QUANT_BITS)?;
         let xs: Vec<Tensor> = spec
             .inputs
@@ -638,30 +596,6 @@ impl ScSimulator {
     /// ACOUSTIC fabric default).
     fn or_group(&self) -> usize {
         self.cfg.or_group.unwrap_or(usize::MAX).max(1)
-    }
-
-    /// Resolves a requested stream length (`None` = the prepare-time
-    /// maximum) against the supported prefixes, with the kernel resolved
-    /// against the host and the configured
-    /// [`KernelChoice`](crate::KernelChoice).
-    fn resolve_len<'a>(
-        &self,
-        prepared: &'a PreparedNetwork,
-        stream_len: Option<usize>,
-    ) -> Result<RunLen<'a>, SimError> {
-        let stream_len = stream_len.unwrap_or_else(|| prepared.max_stream_len());
-        if !prepared.lengths.contains(&stream_len) {
-            return Err(SimError::InvalidConfig(format!(
-                "stream length {stream_len} is not an executable prefix of this \
-                 prepared network (supported: {:?})",
-                prepared.supported_lengths()
-            )));
-        }
-        Ok(RunLen {
-            per_phase: stream_len / 2,
-            kernel: active_kernel(self.cfg.kernel),
-            cycles: &prepared.cycles,
-        })
     }
 
     /// Classification accuracy of the stochastic datapath over `samples`,
@@ -1291,19 +1225,13 @@ mod tests {
         SimConfig::with_stream_len(n).unwrap()
     }
 
-    /// One image at the simulator's seed, at `stream_len`.
-    fn run_at(
-        sim: &ScSimulator,
-        prepared: &PreparedNetwork,
-        input: &Tensor,
-        stream_len: Option<usize>,
-    ) -> Result<Tensor, SimError> {
-        let spec = RunSpec {
-            stream_len,
-            ..RunSpec::one(input, sim.cfg.act_seed)
-        };
-        let mut out = sim.execute(prepared, &spec, &mut SimScratch::default())?;
-        Ok(out.logits.remove(0))
+    /// One image at the simulator's seed.
+    fn run_one(sim: &ScSimulator, prepared: &PreparedNetwork, input: &Tensor) -> Tensor {
+        let spec = RunSpec::one(input, sim.cfg.act_seed);
+        let mut out = sim
+            .execute(prepared, &spec, &mut SimScratch::default())
+            .unwrap();
+        out.logits.remove(0)
     }
 
     #[test]
@@ -1701,71 +1629,25 @@ mod tests {
         let sim = ScSimulator::new(cfg(256));
         let prepared = sim.prepare(&net).unwrap();
         let via_run = sim.run(&net, &input).unwrap();
-        let via_prepared = run_at(&sim, &prepared, &input, None).unwrap();
+        let via_prepared = run_one(&sim, &prepared, &input);
         assert_eq!(via_run, via_prepared);
         // Reusing the same prepared network is also stable.
-        assert_eq!(via_prepared, run_at(&sim, &prepared, &input, None).unwrap());
+        assert_eq!(via_prepared, run_one(&sim, &prepared, &input));
     }
 
     #[test]
-    fn supported_lengths_halve_until_segmentation_breaks() {
+    fn accounting_levels_halve_until_segmentation_breaks() {
         // Fused 2x2 pool -> 4 segments: halving stops when the per-phase
         // length would no longer divide by 4.
-        let net = digit_like_net();
         let sim = ScSimulator::new(cfg(256));
-        let prepared = sim.prepare(&net).unwrap();
-        assert_eq!(prepared.max_stream_len(), 256);
-        assert_eq!(prepared.supported_lengths(), &[256, 128, 64, 32, 16, 8]);
+        let prepared = sim.prepare(&digit_like_net()).unwrap();
+        assert_eq!(prepared.levels(), [256, 128, 64, 32, 16, 8]);
 
         // Dense-only network: halving continues down to 2-bit streams.
         let mut dense_net = Network::new();
         dense_net.push_dense(Dense::new(4, 2, AccumMode::OrApprox).unwrap());
         let prepared = sim.prepare(&dense_net).unwrap();
-        assert_eq!(
-            prepared.supported_lengths(),
-            &[256, 128, 64, 32, 16, 8, 4, 2]
-        );
-    }
-
-    #[test]
-    fn max_length_prefix_is_bit_identical_to_full_run() {
-        let net = digit_like_net();
-        let input = ramp_input();
-        let sim = ScSimulator::new(cfg(256));
-        let prepared = sim.prepare(&net).unwrap();
-        let full = run_at(&sim, &prepared, &input, None).unwrap();
-        let at_max = run_at(&sim, &prepared, &input, Some(256)).unwrap();
-        assert_eq!(full, at_max);
-    }
-
-    #[test]
-    fn unsupported_prefix_lengths_are_rejected() {
-        let net = digit_like_net();
-        let input = ramp_input();
-        let sim = ScSimulator::new(cfg(256));
-        let prepared = sim.prepare(&net).unwrap();
-        for bad in [512usize, 96, 4, 0] {
-            assert!(
-                matches!(
-                    run_at(&sim, &prepared, &input, Some(bad)),
-                    Err(SimError::InvalidConfig(_))
-                ),
-                "length {bad} should be rejected"
-            );
-        }
-    }
-
-    #[test]
-    fn shorter_prefix_matches_directly_prepared_network() {
-        let net = digit_like_net();
-        let input = ramp_input();
-        let sim = ScSimulator::new(cfg(256));
-        let prepared = sim.prepare(&net).unwrap();
-        for &len in prepared.supported_lengths() {
-            let via_prefix = run_at(&sim, &prepared, &input, Some(len)).unwrap();
-            let direct = ScSimulator::new(cfg(len)).run(&net, &input).unwrap();
-            assert_eq!(via_prefix, direct, "prefix diverged at length {len}");
-        }
+        assert_eq!(prepared.levels(), [256, 128, 64, 32, 16, 8, 4, 2]);
     }
 
     fn three_inputs() -> (Vec<Tensor>, Vec<u32>) {
@@ -1791,7 +1673,7 @@ mod tests {
             .map(|(x, &s)| {
                 let mut c = cfg(128);
                 c.act_seed = s;
-                run_at(&ScSimulator::new(c), &prepared, x, None).unwrap()
+                run_one(&ScSimulator::new(c), &prepared, x)
             })
             .collect();
         let spec = RunSpec::new(inputs.iter().collect(), seeds);
@@ -1980,33 +1862,6 @@ mod residual_tests {
         );
         assert_eq!(stats.resident_bytes, stats.pool_bytes + stats.index_bytes);
         assert_eq!(a.approx_bytes() as u64, stats.resident_bytes);
-    }
-
-    #[test]
-    fn prefix_levels_match_direct_prepare() {
-        // Every prefix level must equal a direct prepare at that shorter
-        // length.
-        let net = wide_network();
-        let sim = ScSimulator::new(cfg(256));
-        let wide = sim.prepare(&net).unwrap();
-        let input = Tensor::from_vec(
-            &[1, 16, 16],
-            (0..256).map(|i| (i % 11) as f32 / 11.0).collect(),
-        )
-        .unwrap();
-        for &len in wide.supported_lengths() {
-            let direct = ScSimulator::new(cfg(len)).run(&net, &input).unwrap();
-            let spec = RunSpec {
-                stream_len: Some(len),
-                ..RunSpec::one(&input, sim.cfg.act_seed)
-            };
-            let at = sim
-                .execute(&wide, &spec, &mut SimScratch::default())
-                .unwrap()
-                .logits
-                .remove(0);
-            assert_eq!(direct.as_slice(), at.as_slice(), "prefix {len} differs");
-        }
     }
 
     #[test]

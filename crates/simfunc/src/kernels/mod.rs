@@ -16,8 +16,8 @@
 //!   ACOUSTIC fabric default) the lane loop exits outright.
 //! * **Zero-segment skipping** — a segment whose activation bits are all
 //!   zero AND-multiplies to zero against any weight, so its merge is a
-//!   no-op. The test is one masked compare on the packed
-//!   [`ActBank`](crate::banks::ActBank) word; zero lanes still consume
+//!   no-op. The test is one masked compare on the packed activation
+//!   bank word; zero lanes still consume
 //!   their OR-group slot (slot occupancy is part of the grouped-accumulator
 //!   semantics).
 //!

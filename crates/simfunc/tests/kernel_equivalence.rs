@@ -11,8 +11,7 @@
 //!   single-word up to multi-word segments.
 //! * **Tiling** — `RunSpec`s of up to 16 images (past the 8-image AVX-512
 //!   block width) vs tiles of one, for both kernel choices, including an
-//!   all-zero image (every lane gated) and a shortened stream-length
-//!   prefix.
+//!   all-zero image (every lane gated).
 
 use acoustic_nn::layers::{AccumMode, AvgPool2d, Conv2d, Dense, Network, Relu};
 use acoustic_nn::Tensor;
@@ -20,19 +19,15 @@ use acoustic_simfunc::{
     KernelChoice, PreparedNetwork, RunSpec, ScSimulator, SimConfig, SimScratch,
 };
 
-/// `inputs[t]` at `seeds[t]` as one tile at `stream_len` (`None` = maximum).
+/// `inputs[t]` at `seeds[t]` as one tile.
 fn run_tile(
     sim: &ScSimulator,
     prepared: &PreparedNetwork,
     inputs: &[&Tensor],
     seeds: &[u32],
-    stream_len: Option<usize>,
     scratch: &mut SimScratch,
 ) -> Vec<Tensor> {
-    let spec = RunSpec {
-        stream_len,
-        ..RunSpec::new(inputs.to_vec(), seeds.to_vec())
-    };
+    let spec = RunSpec::new(inputs.to_vec(), seeds.to_vec());
     sim.execute(prepared, &spec, scratch).unwrap().logits
 }
 
@@ -115,12 +110,11 @@ fn auto_tile_matches_solo_scalar_across_config_matrix() {
                             ..base
                         });
                         let prepared = auto_sim.prepare(&net).unwrap();
-                        let got = run_tile(&auto_sim, &prepared, &refs, &seeds, None, &mut scratch);
+                        let got = run_tile(&auto_sim, &prepared, &refs, &seeds, &mut scratch);
                         let scalar_sim = ScSimulator::new(base);
                         for (i, (x, &s)) in inputs.iter().zip(&seeds).enumerate() {
-                            let want =
-                                run_tile(&scalar_sim, &prepared, &[x], &[s], None, &mut scratch)
-                                    .remove(0);
+                            let want = run_tile(&scalar_sim, &prepared, &[x], &[s], &mut scratch)
+                                .remove(0);
                             assert_eq!(
                                 got[i].as_slice(),
                                 want.as_slice(),
@@ -156,7 +150,7 @@ fn tiled_matches_solo_across_tile_sizes_and_kernels() {
         let solo: Vec<Tensor> = inputs
             .iter()
             .zip(&seeds)
-            .map(|(x, &s)| run_tile(&sim, &prepared, &[x], &[s], None, &mut scratch).remove(0))
+            .map(|(x, &s)| run_tile(&sim, &prepared, &[x], &[s], &mut scratch).remove(0))
             .collect();
         for tile in [1usize, 2, 3, 4, 8, 12, 16] {
             for (lo, (xs, ss)) in inputs
@@ -166,7 +160,7 @@ fn tiled_matches_solo_across_tile_sizes_and_kernels() {
                 .map(|(t, c)| (t * tile, c))
             {
                 let refs: Vec<&Tensor> = xs.iter().collect();
-                let got = run_tile(&sim, &prepared, &refs, ss, None, &mut scratch);
+                let got = run_tile(&sim, &prepared, &refs, ss, &mut scratch);
                 for (off, g) in got.iter().enumerate() {
                     assert_eq!(
                         g.as_slice(),
@@ -177,28 +171,5 @@ fn tiled_matches_solo_across_tile_sizes_and_kernels() {
                 }
             }
         }
-    }
-}
-
-/// Tiled prefix execution matches tiles of one at a shortened stream
-/// length.
-#[test]
-fn tiled_prefix_matches_solo_prefix() {
-    let net = build_net();
-    let inputs = test_inputs(4);
-    let seeds = [7u32, 8, 9, 10];
-    let mut scratch = SimScratch::default();
-    let base = cfg(128, KernelChoice::Auto);
-    let sim = ScSimulator::new(base);
-    let prepared = sim.prepare(&net).unwrap();
-    let refs: Vec<&Tensor> = inputs.iter().collect();
-    let got = run_tile(&sim, &prepared, &refs, &seeds, Some(64), &mut scratch);
-    for (i, (x, &s)) in inputs.iter().zip(&seeds).enumerate() {
-        let want = run_tile(&sim, &prepared, &[x], &[s], Some(64), &mut scratch).remove(0);
-        assert_eq!(
-            got[i].as_slice(),
-            want.as_slice(),
-            "tiled prefix logits diverged at image {i}"
-        );
     }
 }

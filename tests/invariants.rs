@@ -8,12 +8,11 @@
 //! plus one image.
 //!
 //! The trained zoo in `results/zoo` is pinned too: its logits, its
-//! prepared weight banks (at 1, 3 and the host's default prepare threads)
-//! and their per-lane byte accounting must not move.
+//! prepared weight banks and their per-lane byte accounting must not move.
 //!
 //! The server's one I/O path gets a smoke run over loopback: every request
-//! is answered once, the drain invariant holds, and served logits equal
-//! the engine's.
+//! is answered once, the drain invariant holds, served logits equal the
+//! engine's, and requests that set a retired field are refused.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -163,7 +162,8 @@ fn drain_accounted(s: &StatsSnapshot) -> u64 {
 }
 
 /// The tiny net served over loopback on 2 pipelined connections, with
-/// plain, prefix (`stream_len`), unknown-model and `margin` requests.
+/// plain, `stream_len`, unknown-model and `margin` requests; both retired
+/// fields are answered `BadInput`.
 #[test]
 fn served_requests_are_answered_once_and_match_the_engine() {
     if !acoustic::net::Poller::supported() {
@@ -192,7 +192,8 @@ fn served_requests_are_answered_once_and_match_the_engine() {
     .unwrap();
 
     let xs = images(4);
-    // Request `id`'s kind is `id % 4`: plain, prefix, unknown model, margin.
+    // Request `id`'s kind is `id % 4`: plain, stream_len, unknown model,
+    // margin.
     let request = |id: u64| {
         let x = &xs[(id % 4) as usize];
         InferRequest {
@@ -236,29 +237,26 @@ fn served_requests_are_answered_once_and_match_the_engine() {
     }
     assert_eq!(stats.received, 2 * PER_CONN, "{stats:?}");
     assert_eq!(drain_accounted(&stats), stats.received, "{stats:?}");
-    assert_eq!(stats.completed, PER_CONN, "{stats:?}");
+    assert_eq!(stats.completed, PER_CONN / 2, "{stats:?}");
+    assert_eq!(stats.accepted, PER_CONN / 2, "{stats:?}");
     assert_eq!(stats.rejected_unknown_model, PER_CONN / 2, "{stats:?}");
-    assert_eq!(stats.failed, PER_CONN / 2, "{stats:?}");
+    assert_eq!(stats.failed, PER_CONN, "{stats:?}");
 
     let model = PreparedModel::compile(cfg, &net()).unwrap();
     let engine = BatchEngine::new(1).unwrap();
     assert_eq!(replies.len(), 2 * PER_CONN as usize);
     for (&id, frame) in &replies {
         match (id % 4, frame) {
-            (0 | 1, Frame::InferResponse(r)) => {
-                let req = ReadyRequest {
-                    image_index: id,
-                    input: &xs[(id % 4) as usize],
-                    stream_len: (id % 4 == 1).then_some(32),
-                };
+            (0, Frame::InferResponse(r)) => {
+                let req = ReadyRequest::new(id, &xs[0]);
                 let gold = engine.run_ready(&model, &[req]).unwrap().remove(0).unwrap();
-                assert_eq!(r.effective_len as usize, gold.effective_len, "id {id}");
+                assert_eq!(r.effective_len, 64, "id {id}");
                 let got: Vec<u32> = r.logits.iter().map(|v| v.to_bits()).collect();
-                let want: Vec<u32> = gold.logits.as_slice().iter().map(|v| v.to_bits()).collect();
+                let want: Vec<u32> = gold.as_slice().iter().map(|v| v.to_bits()).collect();
                 assert_eq!(got, want, "id {id}");
             }
             (2, Frame::Error(e)) => assert_eq!(e.code, ErrorCode::UnknownModel, "id {id}"),
-            (3, Frame::Error(e)) => assert_eq!(e.code, ErrorCode::BadInput, "id {id}"),
+            (1 | 3, Frame::Error(e)) => assert_eq!(e.code, ErrorCode::BadInput, "id {id}"),
             (kind, other) => panic!("id {id} (kind {kind}): unexpected reply {other:?}"),
         }
     }

@@ -9,24 +9,19 @@
 //! tile widths, and for the shapes that always take the scalar kernel
 //! (multi-word segments, OR-grouped layers).
 //!
-//! The same file pins the paths folded into the one `RunSpec` execution
-//! path: a stream-length prefix equals a model prepared directly at that
-//! length, and `run_ready`'s grouping of mixed-length requests into tiles
-//! is worker-count invariant.
+//! The serving entry point takes the same path: `run_ready` tiles
+//! requests exactly as `run` tiles a batch, so its results are
+//! worker-count invariant and equal tiles of one.
 
 use acoustic::nn::layers::{AccumMode, AvgPool2d, Conv2d, Dense, Network, Relu};
 use acoustic::nn::Tensor;
-use acoustic::runtime::{BatchEngine, HostFingerprint, PreparedModel, ReadyOutcome, ReadyRequest};
-use acoustic::simfunc::{KernelChoice, KernelKind, RunSpec, SimConfig, SimScratch, TilePlan, TILE};
+use acoustic::runtime::{BatchEngine, HostFingerprint, PreparedModel, ReadyRequest};
+use acoustic::simfunc::{KernelChoice, KernelKind, SimConfig, SimScratch, TilePlan, TILE};
 
-/// Image `i` of `model` as a tile of one at `stream_len` (`None` = maximum).
-fn tile_of_one(model: &PreparedModel, i: u64, x: &Tensor, stream_len: Option<usize>) -> Tensor {
-    let spec = RunSpec {
-        stream_len,
-        ..model.spec([i], vec![x])
-    };
+/// Image `i` of `model` as a tile of one.
+fn tile_of_one(model: &PreparedModel, i: u64, x: &Tensor) -> Tensor {
     model
-        .logits(&spec, &mut SimScratch::default())
+        .logits(&model.spec([i], vec![x]), &mut SimScratch::default())
         .unwrap()
         .logits
         .remove(0)
@@ -100,7 +95,7 @@ fn batched_runs_match_forced_scalar_solo() {
         let golden: Vec<Tensor> = xs
             .iter()
             .enumerate()
-            .map(|(i, x)| tile_of_one(&scalar, i as u64, x, None))
+            .map(|(i, x)| tile_of_one(&scalar, i as u64, x))
             .collect();
         for workers in [1, 2] {
             let engine = BatchEngine::new(workers).unwrap();
@@ -145,63 +140,26 @@ fn plan_is_the_host_rule() {
     assert_eq!(scalar.plan().kernel, KernelKind::Scalar);
 }
 
+/// `TILE + 5` requests form two units, a full tile and a 5-request
+/// remainder: every result must equal a tile of one at any worker count.
 #[test]
-fn prefix_runs_match_direct_preparation() {
-    let network = net();
-    let xs = images(9);
-    let model = PreparedModel::compile(SimConfig::with_stream_len(128).unwrap(), &network).unwrap();
-    for len in [128, 64] {
-        let direct =
-            PreparedModel::compile(SimConfig::with_stream_len(len).unwrap(), &network).unwrap();
-        let spec = RunSpec {
-            stream_len: Some(len),
-            ..model.spec(0..9, xs.iter().collect())
-        };
-        let tiled = model
-            .logits(&spec, &mut SimScratch::default())
-            .unwrap()
-            .logits;
-        for (i, (x, got)) in xs.iter().zip(&tiled).enumerate() {
-            let want = tile_of_one(&direct, i as u64, x, None);
-            assert_eq!(got.as_slice(), want.as_slice(), "len={len} image={i}");
-            let alone = tile_of_one(&model, i as u64, x, Some(len));
-            assert_eq!(alone.as_slice(), want.as_slice(), "len={len} image={i}");
-        }
-    }
-}
-
-/// Plain and prefix requests interleaved in one micro-batch: `run_ready`
-/// groups them into tiles by stream length, and every outcome must equal a
-/// tile of one at its effective length for any worker count.
-#[test]
-fn adaptive_ready_requests_are_worker_count_invariant() {
+fn ready_requests_are_worker_count_invariant() {
     let model = PreparedModel::compile(SimConfig::with_stream_len(128).unwrap(), &net()).unwrap();
-    let xs = images(12);
+    let xs = images(TILE + 5);
     let requests: Vec<ReadyRequest> = xs
         .iter()
         .enumerate()
-        .map(|(i, x)| ReadyRequest {
-            stream_len: (i % 3 != 0).then_some(64),
-            ..ReadyRequest::plain(i as u64, x)
-        })
+        .map(|(i, x)| ReadyRequest::new(i as u64, x))
         .collect();
-    let outcomes = |workers: usize| -> Vec<ReadyOutcome> {
-        BatchEngine::new(workers)
+    for workers in [1, 2, 3] {
+        let got = BatchEngine::new(workers)
             .unwrap()
             .run_ready(&model, &requests)
-            .unwrap()
-            .into_iter()
-            .map(Result::unwrap)
-            .collect()
-    };
-    let serial = outcomes(1);
-    for workers in [2, 3] {
-        assert_eq!(serial, outcomes(workers), "workers={workers}");
-    }
-    for (i, out) in serial.iter().enumerate() {
-        let want_len = if i % 3 != 0 { 64 } else { 128 };
-        assert_eq!(out.effective_len, want_len, "request={i}");
-        let want = tile_of_one(&model, i as u64, &xs[i], Some(out.effective_len));
-        assert_eq!(out.logits, want, "request={i}");
+            .unwrap();
+        assert_eq!(got.len(), xs.len());
+        for (i, out) in got.into_iter().enumerate() {
+            let want = tile_of_one(&model, i as u64, &xs[i]);
+            assert_eq!(out.unwrap(), want, "workers={workers} request={i}");
+        }
     }
 }
